@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from pseudomode import (
+    BathRecurrenceWarning,
     DensityMatrix,
     EmbeddingSpec,
     IntegratorConfig,
@@ -27,9 +28,10 @@ from pseudomode import (
 from pseudomode.cli import write_csv
 
 # (gamma, n_modes, window half-width in linewidths); the broad line needs the
-# finer mode spacing that keeps the bath recurrence beyond the horizon, the
-# narrow line needs the wider window that covers the dressed doublet
-REGIMES = ((10.0, 800, 20.0), (1.0, 400, 20.0), (0.2, 400, 20.0))
+# finer mode spacing that keeps the bath recurrence time (pi * n_modes / W)
+# at least twice the default horizon t1 = 10, the narrow line needs the wider
+# window that covers the dressed doublet
+REGIMES = ((10.0, 1600, 20.0), (1.0, 400, 20.0), (0.2, 400, 20.0))
 
 
 def main() -> None:
@@ -52,6 +54,9 @@ def main() -> None:
             warnings.simplefilter("ignore")
             states = simulate_lorentzian(EmbeddingSpec(tls_system(), bath, 3),
                                          excited, grid, tight)
+        with warnings.catch_warnings():
+            # a reference that echoes inside the horizon is no reference
+            warnings.simplefilter("error", BathRecurrenceWarning)
             disc = discrete_bath_evolve(tls_system(), bath, n_modes,
                                         w_factor * gamma, grid)
         pm = np.array([st.mat[1, 1].real for st in states])

@@ -2,11 +2,20 @@
 
 Pure-state trajectories follow the non-Hermitian drift between jumps; the
 squared norm of the unnormalized state is the no-jump probability, so each
-trajectory integrates until the norm crosses a uniform random threshold,
-bisects the crossing time, collapses through a randomly selected channel and
-continues. Every trajectory owns a counter-based random stream keyed by
-(seed, trajectory index), which makes ensembles reproducible bit-for-bit no
-matter how the work is scheduled.
+trajectory runs until the norm crosses a uniform random threshold, locates the
+crossing time, collapses through a randomly selected channel and continues.
+
+Trajectories advance together in blocks, as the rows of one (n, dim) array.
+The drift is time independent and the output grid uniform, so the no-jump
+propagator over one grid step (or over an equal fraction of it) is computed
+once per ensemble, by running the adaptive integrator on the identity, and
+each step is one matrix product. Only rows whose norm fell below their
+threshold take further work: their jump times are located together on a
+fixed Runge-Kutta step from the start of the step, each row to its own
+tolerance. Every trajectory owns a counter-based random stream keyed by
+(seed, trajectory index) and no row depends on the other rows of its block,
+so ensembles are reproducible bit-for-bit no matter how the work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -17,11 +26,16 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from .config import ConfigError
 from .dynamics import LindbladModel, TimeGrid
-from .integrators import Dopri5, IntegratorConfig, fixed_step
+from .integrators import Dopri5, IntegratorConfig, _stages, integrate_to_instants
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
 _JUMP_TIME_REL_TOL = 1e-10
+# The grid propagator is solved this much tighter than the run's tolerances.
+_PROPAGATOR_TOL_FACTOR = 1e-3
+# Newton evaluations per jump-time search before it falls back to bisection.
+_NEWTON_STEPS = 8
 
 
 class JumpDegeneracyError(RuntimeError):
@@ -63,6 +77,22 @@ class EnsembleStats:
     jump_histogram: np.ndarray  # trajectory counts indexed by jump count
 
 
+@dataclass(frozen=True, eq=False)
+class _GridPropagator:
+    """What a block needs to advance its rows over the output grid.
+
+    Row states evolve as y -> y @ M.T, so every matrix is stored transposed.
+    """
+
+    times: np.ndarray
+    drift_t: np.ndarray  # no-jump drift G
+    step_t: np.ndarray  # exp(G h) over the sub-step h
+    h: float  # grid step / substeps
+    substeps: int
+    rates: np.ndarray  # (n_channels,)
+    jumps_t: np.ndarray  # (n_channels, dim, dim)
+
+
 def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -85,21 +115,165 @@ def _select_channel(weights: np.ndarray, u: float) -> int:
     return int(np.searchsorted(edges, u, side="right").clip(max=len(weights) - 1))
 
 
-def _locate_crossing(rhs, t_a: float, y_a: np.ndarray, h: float, threshold: float):
-    """Bisect the time within (t_a, t_a + h] where |y|^2 falls to threshold."""
+def _checked_state(model: LindbladModel, psi0) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    if psi0.shape[0] != model.dim:
+        raise ValueError(f"state dim {psi0.shape[0]} != model dim {model.dim}")
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+        raise ValueError("initial state must be normalized")
+    return psi0
+
+
+def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropagator:
+    """No-jump propagator over one grid step, or over 1/m of it.
+
+    m is the number of steps the adaptive integrator takes across one grid
+    step at the run's tolerances (and the step cap min(dt_max, max_step)),
+    trying the whole step first; a single fixed Runge-Kutta step of size
+    grid step / m is then as accurate as the run asks, which the jump-time
+    search relies on. The propagator itself comes from a solve on the
+    identity at tighter tolerances. The drift can be defective (at the
+    exceptional point g = gamma/4), so no eigendecomposition is used.
+    """
+    g = _drift_matrix(model)
+    rhs = lambda y: g @ y  # noqa: E731
+    identity = np.eye(model.dim, dtype=complex)
+    dt = cfg.grid.dt
+    run = cfg.integrator
+    probe = Dopri5(rhs, 0.0, identity, IntegratorConfig(
+        rel_tol=run.rel_tol, abs_tol=run.abs_tol,
+        max_step=min(cfg.dt_max, run.max_step), initial_step=dt,
+    ))
+    substeps = 0
+    while probe.t < dt:
+        probe.step(dt)
+        substeps += 1
+    h = dt / substeps
+    tight = IntegratorConfig(
+        rel_tol=max(run.rel_tol * _PROPAGATOR_TOL_FACTOR, 1e-14),
+        abs_tol=max(run.abs_tol * _PROPAGATOR_TOL_FACTOR, 1e-16),
+        max_step=h, initial_step=h,
+    )
+    u = integrate_to_instants(rhs, identity, [0.0, h], tight)[-1]
+    jumps_t = np.array([L.mat.T for _, L in model.jumps], dtype=complex)
+    return _GridPropagator(
+        times=cfg.grid.times(),
+        drift_t=np.ascontiguousarray(g.T),
+        step_t=np.ascontiguousarray(u.T),
+        h=h,
+        substeps=substeps,
+        rates=np.array([rate for rate, _ in model.jumps], dtype=float),
+        jumps_t=jumps_t.reshape(-1, model.dim, model.dim),
+    )
+
+
+def _norm_sq(y: np.ndarray) -> np.ndarray:
+    return (y.real ** 2 + y.imag ** 2).sum(axis=-1)
+
+
+def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
+    """Per row, the offset in (0, width] where |y|^2 falls to the threshold, and y there.
+
+    y(tau) is one fixed Runge-Kutta step of size tau from y_a, and norm_end is
+    |y|^2 at the far end. Each row keeps a bracket [lo, hi] with
+    |y(lo)|^2 >= threshold > |y(hi)|^2 and stops as soon as its own bracket
+    is narrower than tol. The first point is the secant through the ends, the
+    next ones Newton steps on the norm, kept tol/2 inside the bracket so that
+    a converged row closes its bracket with the following evaluation. A row
+    bisects instead when Newton leaves the bracket, and after _NEWTON_STEPS
+    evaluations.
+    """
     k1 = rhs(y_a)
-    lo, hi = 0.0, h
-    tol = _JUMP_TIME_REL_TOL * max(abs(t_a + h), 1.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        y_mid = fixed_step(rhs, y_a, mid, k1=k1)
-        if float(np.vdot(y_mid, y_mid).real) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    t_star = t_a + 0.5 * (lo + hi)
-    y_star = fixed_step(rhs, y_a, 0.5 * (lo + hi), k1=k1)
-    return t_star, y_star
+    lo = np.zeros(len(y_a))
+    hi = widths.copy()
+    f_a = _norm_sq(y_a) - thresholds
+    x = np.clip(widths * f_a / (f_a - (norm_end - thresholds)), 0.5 * tol, widths - 0.5 * tol)
+    steps = 0
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        steps += 1
+        x_a = x[active]
+        y = _stages(rhs, y_a[active], x_a[:, None], k1[active])[-1]
+        f = _norm_sq(y) - thresholds[active]
+        above = f >= 0.0
+        lo_a = np.where(above, x_a, lo[active])
+        hi_a = np.where(above, hi[active], x_a)
+        lo[active] = lo_a
+        hi[active] = hi_a
+        slope = 2.0 * np.sum((y.conj() * rhs(y)).real, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x_a - f / slope
+        ok = (newton > lo_a) & (newton < hi_a) & (steps < _NEWTON_STEPS)
+        x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol, hi_a - 0.5 * tol),
+                             0.5 * (lo_a + hi_a))
+        active = active[hi_a - lo_a > tol]
+    tau = 0.5 * (lo + hi)
+    return tau, _stages(rhs, y_a, tau[:, None], k1)[-1]
+
+
+def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
+    """States at t_a + h of the rows whose norm crossed within (t_a, t_a + h].
+
+    y_a holds their states at t_a and norm_end their squared norms at t_a + h.
+    Each row is collapsed at its crossing, given a new threshold and carried
+    to the end of the sub-step; a row that crosses again is handled again.
+    """
+    rhs = lambda y: y @ prop.drift_t  # noqa: E731
+    t_end = t_a + prop.h
+    tol = _JUMP_TIME_REL_TOL * max(abs(t_end), 1.0)
+    starts = np.full(len(rows), t_a)
+    y_start = y_a.copy()
+    y_end = np.empty_like(y_a)
+    norm_end = norm_end.copy()
+    pending = np.arange(len(rows))
+    while pending.size:
+        owners = rows[pending]
+        widths = t_end - starts[pending]
+        tau, y_star = _locate_crossings(rhs, y_start[pending], widths,
+                                        thresholds[owners], norm_end[pending], tol)
+        t_jump = starts[pending] + tau
+        branches = np.matmul(y_star[:, None, :], prop.jumps_t)  # (k, n_channels, dim)
+        weights = prop.rates * _norm_sq(branches)
+        collapsed = np.empty_like(y_star)
+        for j, row in enumerate(owners):
+            rng = rngs[row]
+            channel = _select_channel(weights[j], rng.random())
+            collapsed[j] = branches[j, channel] / np.linalg.norm(branches[j, channel])
+            thresholds[row] = rng.random()
+            jump_log.append((int(row), float(t_jump[j]), channel))
+        remaining = (t_end - t_jump)[:, None]
+        y_next = _stages(rhs, collapsed, remaining, rhs(collapsed))[-1]
+        y_end[pending] = y_next
+        y_start[pending] = collapsed
+        starts[pending] = t_jump
+        norm_end[pending] = _norm_sq(y_next)
+        pending = pending[norm_end[pending] < thresholds[owners]]
+    return y_end
+
+
+def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
+    """Advance the trajectories `indices` together; yield their states at each instant.
+
+    The first yield is psi0 for every row, later ones are normalized (n, dim)
+    arrays. Each jump is appended to jump_log as (row, time, channel), rows
+    counted from 0 within the block.
+    """
+    rngs = [_trajectory_rng(seed, idx) for idx in indices]
+    thresholds = np.array([rng.random() for rng in rngs])
+    y = np.tile(psi0, (len(rngs), 1))
+    yield y
+    times = prop.times
+    for i in range(1, len(times)):
+        for s in range(prop.substeps):
+            y_a = y
+            y = y_a @ prop.step_t
+            norms = _norm_sq(y)
+            crossed = np.flatnonzero(norms < thresholds)
+            if crossed.size:
+                t_a = times[i - 1] + s * prop.h
+                y[crossed] = _jump_rows(prop, crossed, y_a[crossed], norms[crossed], t_a,
+                                        thresholds, rngs, jump_log)
+        yield y / np.sqrt(_norm_sq(y))[:, None]
 
 
 def mcwf_run(
@@ -109,101 +283,48 @@ def mcwf_run(
     traj_index: int = 0,
 ) -> TrajectoryResult:
     """One quantum-jump trajectory, fully determined by (cfg.seed, traj_index)."""
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.shape[0] != model.dim:
-        raise ValueError(f"state dim {psi0.shape[0]} != model dim {model.dim}")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
-    rng = _trajectory_rng(cfg.seed, traj_index)
-    g = _drift_matrix(model)
-    rhs = lambda y: g @ y  # noqa: E731
-    rates = np.array([rate for rate, _ in model.jumps])
-    l_mats = [L.mat for _, L in model.jumps]
-
-    icfg = IntegratorConfig(
-        rel_tol=cfg.integrator.rel_tol,
-        abs_tol=cfg.integrator.abs_tol,
-        max_step=min(cfg.dt_max, cfg.integrator.max_step),
-        initial_step=min(cfg.integrator.initial_step, cfg.dt_max),
-    )
-    times = cfg.grid.times()
-    n_times = len(times)
-    out = np.empty((n_times, model.dim), dtype=complex)
-    out[0] = psi0
-    jump_times: list[float] = []
-    jump_channels: list[int] = []
-
-    threshold = rng.random()
-    stepper = Dopri5(rhs, times[0], psi0, icfg)
-    t_end = times[-1]
-    i_next = 1
-    while i_next < n_times:
-        t_a, y_a = stepper.t, stepper.y
-        stepper.step(t_end)
-        norm_sq = float(np.vdot(stepper.y, stepper.y).real)
-        if norm_sq < threshold:
-            t_jump, y_jump = _locate_crossing(rhs, t_a, y_a, stepper.t - t_a, threshold)
-            while i_next < n_times and times[i_next] <= t_jump:
-                psi = stepper.interpolate(times[i_next])
-                out[i_next] = psi / np.linalg.norm(psi)
-                i_next += 1
-            weights = np.array(
-                [r * float(np.vdot(L @ y_jump, L @ y_jump).real)
-                 for r, L in zip(rates, l_mats)]
-            )
-            channel = _select_channel(weights, rng.random())
-            collapsed = l_mats[channel] @ y_jump
-            collapsed = collapsed / np.linalg.norm(collapsed)
-            jump_times.append(t_jump)
-            jump_channels.append(channel)
-            threshold = rng.random()
-            h_guess = stepper.h
-            stepper = Dopri5(rhs, t_jump, collapsed, icfg)
-            stepper.h = min(h_guess, icfg.max_step)
-            continue
-        while i_next < n_times and times[i_next] <= stepper.t:
-            psi = stepper.interpolate(times[i_next])
-            out[i_next] = psi / np.linalg.norm(psi)
-            i_next += 1
+    psi0 = _checked_state(model, psi0)
+    prop = _grid_propagator(model, cfg)
+    jump_log: list[tuple[int, float, int]] = []
+    states = np.array([y[0] for y in _run_block(prop, psi0, cfg.seed, [traj_index], jump_log)])
     return TrajectoryResult(
-        times=times,
-        states=out,
-        jump_times=np.array(jump_times),
-        jump_channels=np.array(jump_channels, dtype=int),
+        times=prop.times,
+        states=states,
+        jump_times=np.array([t for _, t, _ in jump_log]),
+        jump_channels=np.array([c for _, _, c in jump_log], dtype=int),
     )
 
 
 def _accumulate_block(args):
-    model, psi0, cfg, obs_mats, start, stop = args
-    n_t = cfg.grid.n_points
-    dim = model.dim
-    rho_sum = np.zeros((n_t, dim, dim), dtype=complex)
-    obs_sum = np.zeros((len(obs_mats), n_t), dtype=complex)
-    obs_abs2_sum = np.zeros((len(obs_mats), n_t), dtype=float)
-    jump_counts: dict[int, int] = {}
-    for idx in range(start, stop):
-        traj = mcwf_run(model, psi0, cfg, traj_index=idx)
-        states = traj.states
-        rho_sum += states[:, :, None] * states[:, None, :].conj()
+    """Sum of rho, and per-observable mean and centred sum of squares (M2), per instant."""
+    prop, psi0, seed, obs_mats, start, stop = args
+    n_t = len(prop.times)
+    dim = len(psi0)
+    rho_sum = np.empty((n_t, dim, dim), dtype=complex)
+    obs_mean = np.empty((len(obs_mats), n_t), dtype=complex)
+    obs_m2 = np.empty((len(obs_mats), n_t), dtype=float)
+    jump_log: list[tuple[int, float, int]] = []
+    for i, psi in enumerate(_run_block(prop, psi0, seed, range(start, stop), jump_log)):
+        rho_sum[i] = psi.T @ psi.conj()
         for j, a in enumerate(obs_mats):
-            vals = np.einsum("ti,ij,tj->t", states.conj(), a, states)
-            obs_sum[j] += vals
-            obs_abs2_sum[j] += np.abs(vals) ** 2
-        n_jumps = len(traj.jump_times)
-        jump_counts[n_jumps] = jump_counts.get(n_jumps, 0) + 1
-    max_jumps = max(jump_counts) if jump_counts else 0
-    hist = np.zeros(max_jumps + 1, dtype=np.int64)
-    for k, v in jump_counts.items():
-        hist[k] = v
-    return rho_sum, obs_sum, obs_abs2_sum, hist
+            vals = np.sum((psi.conj() @ a) * psi, axis=1)
+            mean = vals.mean()
+            obs_mean[j, i] = mean
+            obs_m2[j, i] = np.sum(np.abs(vals - mean) ** 2)
+    rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
+    jumps_per_row = np.bincount(rows, minlength=stop - start)
+    return stop - start, rho_sum, obs_mean, obs_m2, np.bincount(jumps_per_row)
 
 
 def _worker_count(n_blocks: int) -> int:
     env = os.environ.get("PSEUDOMODE_NUM_THREADS")
     if env is not None:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
         if workers < 1:
-            raise ValueError(f"PSEUDOMODE_NUM_THREADS must be >= 1, got {env}")
+            raise ConfigError(f"PSEUDOMODE_NUM_THREADS must be a positive integer, got {env!r}")
     else:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_blocks))
@@ -217,13 +338,17 @@ def ensemble_average(
 ) -> EnsembleStats:
     """Trajectory-ensemble means with per-instant standard errors.
 
-    Trajectories are accumulated in fixed blocks of 128 and the block sums
-    are combined in index order, so the result is bit-identical for any
-    worker count (set PSEUDOMODE_NUM_THREADS to cap parallelism).
+    Trajectories run in fixed blocks of 128, and the block results (sums of
+    rho, observable means and centred sums of squares) are merged in index
+    order with the pairwise update of Chan, Golub & LeVeque, so the result is
+    bit-identical for any worker count (set PSEUDOMODE_NUM_THREADS to cap
+    parallelism).
     """
+    psi0 = _checked_state(model, psi0)
+    prop = _grid_propagator(model, cfg)
     obs_mats = [a.mat for a in observables]
     blocks = [
-        (model, psi0, cfg, obs_mats, start, min(start + _BLOCK, cfg.n_traj))
+        (prop, psi0, cfg.seed, obs_mats, start, min(start + _BLOCK, cfg.n_traj))
         for start in range(0, cfg.n_traj, _BLOCK)
     ]
     workers = _worker_count(len(blocks))
@@ -233,27 +358,24 @@ def ensemble_average(
         with Pool(processes=workers) as pool:
             partials = pool.map(_accumulate_block, blocks)
 
-    n = cfg.n_traj
-    n_t = cfg.grid.n_points
-    rho_sum = np.zeros((n_t, model.dim, model.dim), dtype=complex)
-    obs_sum = np.zeros((len(obs_mats), n_t), dtype=complex)
-    obs_abs2_sum = np.zeros((len(obs_mats), n_t), dtype=float)
-    max_hist = max(len(p[3]) for p in partials)
-    hist = np.zeros(max_hist, dtype=np.int64)
-    for rho_p, obs_p, abs2_p, hist_p in partials:
-        rho_sum += rho_p
-        obs_sum += obs_p
-        obs_abs2_sum += abs2_p
-        hist[: len(hist_p)] += hist_p
+    hist = np.zeros(max(len(p[4]) for p in partials), dtype=np.int64)
+    n, rho_sum, means, m2, _ = partials[0]
+    for n_b, rho_b, mean_b, m2_b, _ in partials[1:]:
+        total = n + n_b
+        delta = mean_b - means
+        means = means + delta * (n_b / total)
+        m2 = m2 + m2_b + np.abs(delta) ** 2 * (n * n_b / total)
+        rho_sum = rho_sum + rho_b
+        n = total
+    for *_, hist_b in partials:
+        hist[: len(hist_b)] += hist_b
 
-    means = obs_sum / n
     if n > 1:
-        var = (obs_abs2_sum - n * np.abs(means) ** 2) / (n - 1)
-        stderrs = np.sqrt(np.maximum(var, 0.0) / n)
+        stderrs = np.sqrt(m2 / ((n - 1) * n))
     else:
-        stderrs = np.full_like(obs_abs2_sum, np.nan)
+        stderrs = np.full_like(m2, np.nan)
     return EnsembleStats(
-        times=cfg.grid.times(),
+        times=prop.times,
         n_traj=n,
         mean_states=rho_sum / n,
         means=means,

@@ -220,6 +220,24 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 4
         assert "truncation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_is_2(self, tmp_path, capsys, monkeypatch, value):
+        doc = {
+            "scenario": "trajectories",
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "flat", "f2": 1.0},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "trajectories": {"n_traj": 4, "seed": 1},
+            "output": "traj.csv",
+        }
+        path = write_config(tmp_path, doc)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", value)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: PSEUDOMODE_NUM_THREADS")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "traj.csv").exists()
+
 
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_configs_run_quickly(config, tmp_path):

@@ -153,15 +153,17 @@ class TestThreeWayAgreement:
     # window (line dressed out to +-g), the broad line needs the finer
     # spacing that keeps the finite-bath recurrence beyond the horizon
     @pytest.mark.parametrize("gamma,n_modes,w_factor",
-                             [(0.1, 400, 40), (1.0, 400, 20), (10.0, 800, 20)])
+                             [(0.1, 400, 40), (1.0, 400, 20), (10.0, 1600, 20)])
     def test_regimes(self, gamma, n_modes, w_factor):
         bath = Lorentzian(g=1.0, omega0=0.0, gamma=gamma)
         grid = TimeGrid(0.0, 10.0, 101)
         h = min(0.002, 0.04 / gamma)
         vol = volterra_amplitude(bath, grid, h=h)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error", BathRecurrenceWarning)
             disc = discrete_bath_evolve(tls_system(), bath, n_modes, w_factor * gamma, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             states = simulate_lorentzian(
                 EmbeddingSpec(tls_system(), bath, 3), DensityMatrix.fock(2, 1), grid,
                 IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),

@@ -21,7 +21,7 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
-from pseudomode.trajectories import _select_channel
+from pseudomode.trajectories import _select_channel, _trajectory_rng
 
 LOOSE = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
 P_E = Operator(np.diag([0.0, 1.0]).astype(complex))
@@ -29,6 +29,37 @@ P_E = Operator(np.diag([0.0, 1.0]).astype(complex))
 
 def tls_decay_model(rate=1.0):
     return LindbladModel(dim=2, H=Operator(np.zeros((2, 2))), jumps=((rate, sigma_minus()),))
+
+
+def no_jump_norm_sq(t, gamma, g=1.0):
+    """c^2 + b^2 of the no-jump state c|e,0> + b|g,1> (b = -c'/g) from |e,0>, on resonance.
+
+    c solves c'' + (gamma/2) c' + g^2 c = 0 with c(0) = 1, c'(0) = 0; the
+    form is continued through W = 0, the exceptional point gamma = 4g.
+    """
+    w = np.sqrt(complex(gamma**2 / 16 - g**2))
+    decay = np.exp(-gamma * t / 4)
+    if w == 0:
+        c = decay * (1 + gamma * t / 4)
+        dc = -(g**2) * t * decay
+    else:
+        c = (decay * (np.cosh(w * t) + gamma / (4 * w) * np.sinh(w * t))).real
+        dc = (-(g**2) / w * decay * np.sinh(w * t)).real
+    return c**2 + (dc / g) ** 2
+
+
+def no_jump_crossing(u, gamma, t1):
+    """Time at which the no-jump norm falls to u, by bisection; None if not by t1."""
+    if no_jump_norm_sq(t1, gamma) >= u:
+        return None
+    lo, hi = 0.0, t1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if no_jump_norm_sq(mid, gamma) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def embedded_setup(gamma=0.2, d_a=2):
@@ -142,6 +173,16 @@ class TestEnsembleAverage:
         ok = dev <= 3 * np.maximum(stats.stderrs[0], 1e-12)
         assert ok.mean() >= 0.99
 
+    def test_identical_trajectories_have_zero_stderr(self):
+        h = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        model = LindbladModel(dim=2, H=h)
+        cfg = TrajectoryConfig(n_traj=300, seed=3, grid=TimeGrid(0, 2, 21), integrator=LOOSE)
+        stats = ensemble_average(model, np.array([1.0, 0.0], dtype=complex), cfg,
+                                 observables=(P_E,))
+        assert np.array_equal(stats.jump_histogram, [300])
+        assert np.max(np.abs(stats.means[0].real - np.sin(stats.times) ** 2)) < 1e-5
+        assert np.max(stats.stderrs) <= 1e-15
+
     def test_deviation_shrinks_with_ensemble_size(self):
         emb, psi0, obs = embedded_setup()
         grid = TimeGrid(0.0, 10.0, 21)
@@ -153,3 +194,42 @@ class TestEnsembleAverage:
             stats = ensemble_average(emb.model, psi0, cfg, observables=(obs,))
             devs.append(np.max(np.abs(stats.means[0].real - ref)))
         assert devs[2] < devs[1] < devs[0]
+
+
+class TestClosedFormGate:
+    """The batched core against the closed-form no-jump decay of the embedded two-level model."""
+
+    # gamma = 4g is the exceptional point; the 6-point grid needs sub-steps
+    @pytest.mark.parametrize("n_points", [101, 6])
+    @pytest.mark.parametrize("gamma", [0.2, 4.0])
+    def test_single_jump_time_is_closed_form_root(self, gamma, n_points):
+        emb, psi0, _ = embedded_setup(gamma=gamma)
+        cfg = TrajectoryConfig(n_traj=1, seed=31, grid=TimeGrid(0, 10, n_points))
+        n_jumped = 0
+        for idx in range(40):
+            traj = mcwf_run(emb.model, psi0, cfg, traj_index=idx)
+            u = _trajectory_rng(cfg.seed, idx).random()
+            root = no_jump_crossing(u, gamma, cfg.grid.t1)
+            if root is None:
+                assert len(traj.jump_times) == 0
+            else:
+                n_jumped += 1
+                assert len(traj.jump_times) == 1
+                assert abs(traj.jump_times[0] - root) <= 1e-8
+        assert n_jumped >= 10
+
+    def test_ensemble_equals_mean_of_single_runs(self):
+        emb, psi0, obs = embedded_setup()
+        cfg = TrajectoryConfig(n_traj=300, seed=77, grid=TimeGrid(0, 10, 41), integrator=LOOSE)
+        stats = ensemble_average(emb.model, psi0, cfg, observables=(obs,))
+        runs = [mcwf_run(emb.model, psi0, cfg, traj_index=idx) for idx in range(cfg.n_traj)]
+        states = np.array([r.states for r in runs])
+        pe = np.einsum("kti,ij,ktj->kt", states.conj(), obs.mat, states)
+        rho = np.einsum("kti,ktj->tij", states, states.conj()) / cfg.n_traj
+        assert np.max(np.abs(stats.means[0] - pe.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(stats.mean_states - rho)) <= 1e-12
+        sample_se = np.sqrt(np.sum(np.abs(pe - pe.mean(axis=0)) ** 2, axis=0)
+                            / ((cfg.n_traj - 1) * cfg.n_traj))
+        assert np.max(np.abs(stats.stderrs[0] - sample_se)) <= 1e-12
+        hist = np.bincount([len(r.jump_times) for r in runs])
+        assert np.array_equal(stats.jump_histogram, hist)
