@@ -22,6 +22,7 @@ from .dynamics import LindbladModel, evolve
 from .embedding import (
     EmbeddingSpec,
     TruncationError,
+    _truncation_ladder,
     build_embedding,
     choose_truncation,
     simulate_lorentzian,
@@ -101,11 +102,17 @@ def _detuning_of(cfg: ScenarioConfig) -> float:
 
 
 def _pseudomode_curve(cfg: ScenarioConfig) -> np.ndarray:
-    d_a = _resolve_d_a(cfg)
-    states = simulate_lorentzian(
-        EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg),
-        cfg.grid, cfg.integrator,
-    )
+    if cfg.d_A == "auto":
+        # the ladder already computed the curve at the d_A it certifies
+        _, states = _truncation_ladder(
+            cfg.system, cfg.bath, _initial_density(cfg), cfg.grid, cfg.integrator,
+            cfg.truncation_tol,
+        )
+    else:
+        states = simulate_lorentzian(
+            EmbeddingSpec(cfg.system, cfg.bath, int(cfg.d_A)), _initial_density(cfg),
+            cfg.grid, cfg.integrator,
+        )
     obs = _system_observable(cfg)
     return np.array([expectation(obs, st).real for st in states])
 

@@ -8,6 +8,7 @@ worst failure mode a batch runner can have.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,10 @@ def _number(block: dict, key: str, ctx: str, default=None, *, positive=False, no
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{ctx}.{key} must be a number, got {val!r}")
     val = float(val)
+    # JSON's NaN and Infinity, and literals such as 1e400, parse to non-finite
+    # floats that every sign check below would let through
+    if not math.isfinite(val):
+        raise ConfigError(f"{ctx}.{key} must be finite, got {val}")
     if positive and val <= 0.0:
         raise ConfigError(f"{ctx}.{key} must be positive, got {val}")
     if nonneg and val < 0.0:

@@ -93,6 +93,29 @@ def _resymmetrize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
+def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
+    """Indices of the basis states that rho(t) can ever occupy, sorted.
+
+    The closure of rho0's support under the nonzero patterns of H (both
+    directions), of each damped jump operator L (forward only: i -> j when
+    L[j, i] != 0) and of L^dag L. Entries of rho(t) outside the block on
+    these indices stay exactly zero, and the block of L^dag L equals the
+    product of the blocks of L^dag and L, so the block evolves on its own.
+    """
+    h = model.H.mat != 0
+    links = h | h.T
+    for rate, L in model.jumps:
+        if rate > 0.0:
+            links |= (L.mat != 0) | (L.mat.conj().T @ L.mat != 0)
+    occupied = rho0 != 0
+    reached = occupied.any(axis=0) | occupied.any(axis=1)
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -101,16 +124,33 @@ def evolve(
 ) -> list[DensityMatrix]:
     """Propagate rho0 and return one validated density matrix per instant.
 
+    Only the block on the basis states reachable from rho0 is integrated
+    (exact: every other entry stays zero). The error norm still averages
+    over the whole matrix, so the steps are those of the full-space run.
+
     Hermitian re-symmetrization is applied after every accepted step; trace
     and positivity are not adjusted, so drift beyond the DensityMatrix
     tolerances raises instead of being masked.
     """
     if rho0.dim != model.dim:
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
-    raw = integrate_to_instants(
-        rhs_function(model), rho0.mat, grid.times(), cfg, step_callback=_resymmetrize
+    idx = _reachable(model, rho0.mat)
+    block = np.ix_(idx, idx)
+    reduced = LindbladModel(
+        dim=idx.size,
+        H=Operator(model.H.mat[block]),
+        jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
     )
-    return [DensityMatrix(Operator(m)) for m in raw]
+    raw = integrate_to_instants(
+        rhs_function(reduced), rho0.mat[block], grid.times(), cfg,
+        step_callback=_resymmetrize, norm_size=rho0.mat.size,
+    )
+    states = []
+    for m in raw:
+        full = np.zeros_like(rho0.mat)
+        full[block] = m
+        states.append(DensityMatrix(Operator(full)))
+    return states
 
 
 def regression_correlator(

@@ -164,6 +164,18 @@ def choose_truncation(
     Agreement is max-over-time trace distance below tol. Raises
     TruncationError if even d_A = 64 has not converged.
     """
+    return _truncation_ladder(system, bath, rho_S0, grid, cfg, tol)[0]
+
+
+def _truncation_ladder(
+    system: SystemSpec,
+    bath: Lorentzian,
+    rho_S0: DensityMatrix,
+    grid: TimeGrid,
+    cfg: IntegratorConfig,
+    tol: float,
+) -> tuple[int, list[DensityMatrix]]:
+    """choose_truncation's d_A together with the reduced curve it certified."""
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
@@ -177,7 +189,7 @@ def choose_truncation(
         doubled = reduced_curve(2 * d_A)
         dist = max(trace_distance(r, s) for r, s in zip(prev, doubled))
         if dist < tol:
-            return d_A
+            return d_A, prev
         prev = doubled
     raise TruncationError(
         f"ancilla truncation did not converge below {tol:g} by d_A = {_TRUNCATION_LADDER[-1]}"

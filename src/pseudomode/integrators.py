@@ -84,6 +84,11 @@ class Dopri5:
     `step_callback`, when given, maps the accepted state to a cleaned-up
     replacement (e.g. Hermitian re-symmetrization). It invalidates the FSAL
     reuse, so pass it only where the cleanup matters.
+
+    `norm_size` is the number of entries the RMS error norm averages over
+    (default: the size of y0). A caller that integrates only the nonzero
+    block of a larger state, whose other entries stay exactly zero, passes
+    the larger state's size so that the steps are those of the larger run.
     """
 
     def __init__(
@@ -93,12 +98,14 @@ class Dopri5:
         y0: np.ndarray,
         cfg: IntegratorConfig,
         step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
+        norm_size: int | None = None,
     ):
         self.rhs = rhs
         self.t = float(t0)
         self.y = np.array(y0, dtype=complex)
         self.cfg = cfg
         self.step_callback = step_callback
+        self._norm_weight = 1.0 if norm_size is None else self.y.size / norm_size
         self.h = min(cfg.initial_step, cfg.max_step)
         self._err_prev = 1e-4
         self._k1: np.ndarray | None = None
@@ -130,7 +137,7 @@ class Dopri5:
                 err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
                 scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 ratio = np.abs(err) / scale
-                err_norm = float(np.sqrt(np.mean(ratio * ratio)))
+                err_norm = float(np.sqrt(np.mean(ratio * ratio) * self._norm_weight))
             if not np.isfinite(err_norm) or not np.isfinite(y_new).all():
                 self.h = h * _MIN_FACTOR
                 continue
@@ -192,16 +199,19 @@ def integrate_to_instants(
     instants: Sequence[float],
     cfg: IntegratorConfig,
     step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
+    norm_size: int | None = None,
 ) -> list[np.ndarray]:
     """Propagate dy/dt = rhs(y) and return the state at each requested instant.
 
     `instants` must be strictly increasing; the first entry is the initial
-    time and the returned list starts with a copy of y0.
+    time and the returned list starts with a copy of y0. `step_callback` and
+    `norm_size` are passed on to Dopri5.
     """
     instants = [float(t) for t in instants]
     if any(b <= a for a, b in zip(instants, instants[1:])):
         raise ValueError("output instants must be strictly increasing")
-    stepper = Dopri5(rhs, instants[0], y0, cfg, step_callback=step_callback)
+    stepper = Dopri5(rhs, instants[0], y0, cfg, step_callback=step_callback,
+                     norm_size=norm_size)
     out = [stepper.y.copy()]
     for target in instants[1:]:
         while stepper.t < target:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudomode import ConfigError, load_scenario, parse_scenario
+from pseudomode import ConfigError, cli, embedding, load_scenario, parse_scenario
 from pseudomode.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,6 +164,42 @@ class TestCliRuns:
         assert header == ["t", "n_mean"]
         assert rows[0, 1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("gamma", [4.0, 0.2])
+    def test_oscillator_auto_truncation_matches_closed_form(self, tmp_path, monkeypatch, gamma):
+        # gamma = 4 g is the exceptional point, where W = 0 and the two
+        # single-excitation modes of the system-ancilla pair coalesce
+        g, n0 = 1.0, 3
+        doc = {
+            "scenario": "pseudomode",
+            "system": {"preset": "oscillator", "d_S": 4, "initial_fock": n0},
+            "bath": {"kind": "lorentzian", "g": g, "omega0": 5.0, "gamma": gamma},
+            "time": {"t0": 0.0, "t1": 10.0, "n_points": 101},
+            "numerics": {"d_A": "auto"},
+            "output": "osc.csv",
+        }
+        path = write_config(tmp_path, doc)
+        curves = []
+        real_simulate = embedding.simulate_lorentzian
+
+        def counted(spec, *args):
+            curves.append(spec.d_A)
+            return real_simulate(spec, *args)
+
+        for module in (cli, embedding):
+            monkeypatch.setattr(module, "simulate_lorentzian", counted)
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        # the ladder certifies d_A = 4 against 8; its curve at 4 is written as is
+        assert curves == [2, 4, 8]
+        _, rows = read_csv(tmp_path / "osc.csv")
+        t = rows[:, 0]
+        k = gamma / 4.0
+        w = np.sqrt(complex(k * k - g * g))
+        if w == 0:
+            c = np.exp(-k * t) * (1.0 + k * t)
+        else:
+            c = (np.exp(-k * t) * (np.cosh(w * t) + k / w * np.sinh(w * t))).real
+        assert np.max(np.abs(rows[:, 1] - n0 * c**2)) <= 1e-8
+
     def test_csv_full_precision_round_trip(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
@@ -219,6 +255,28 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 4
         assert "truncation failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("bath", "g", float("nan")),
+        ("time", "t1", float("inf")),
+        ("time", "t0", float("-inf")),
+    ])
+    def test_non_finite_number_is_2(self, tmp_path, capsys, block, key, value):
+        # json.dumps writes these as the JSON extensions NaN, Infinity, -Infinity
+        doc = {
+            "scenario": "pseudomode",
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "numerics": {"d_A": 2},
+            "output": "x.csv",
+        }
+        doc[block][key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{block}.{key} must be finite" in err
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_worker_count_is_2(self, tmp_path, capsys, monkeypatch, value):

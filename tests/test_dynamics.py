@@ -5,19 +5,26 @@ from hypothesis import strategies as st
 
 from pseudomode import (
     DensityMatrix,
+    EmbeddingSpec,
     IntegratorConfig,
     LindbladModel,
+    Lorentzian,
     Operator,
     TimeGrid,
     annihilation,
+    build_embedding,
     evolve,
     expectation,
     generator_defect,
     hermiticity_defect,
     lindblad_rhs,
+    oscillator_system,
     regression_correlator,
     sigma_minus,
+    tls_system,
 )
+from pseudomode.dynamics import _reachable, rhs_function
+from pseudomode.integrators import integrate_to_instants
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -160,6 +167,70 @@ class TestEvolve:
             pe = np.array([s.mat[1, 1].real for s in states])
             errs.append(np.max(np.abs(pe - ref)))
         assert errs[0] / errs[1] > 100.0
+
+
+class TestReachableSubspace:
+    BATH = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
+
+    def embedded(self, system, d_a, rho_s0):
+        emb = build_embedding(EmbeddingSpec(system, self.BATH, d_a), rho_s0)
+        return emb.model, emb.rho0
+
+    @pytest.mark.parametrize("system, d_a, n0, size", [
+        (oscillator_system(6), 16, 5, 21),
+        (tls_system(), 3, 1, 3),
+    ])
+    def test_fock_times_vacuum_reaches_no_more_quanta(self, system, d_a, n0, size):
+        model, rho0 = self.embedded(system, d_a, DensityMatrix.fock(system.d_S, n0))
+        # product-basis index: system s, ancilla n -> s * d_A + n
+        expected = [s * d_a + n for s in range(system.d_S) for n in range(d_a) if s + n <= n0]
+        assert len(expected) == size
+        assert _reachable(model, rho0.mat).tolist() == expected
+
+    def full_space_run(self, model, rho0, grid):
+        """Reference: the whole matrix through the same integrator and step callback."""
+        raw = integrate_to_instants(rhs_function(model), rho0.mat, grid.times(), TIGHT,
+                                    step_callback=lambda m: (m + m.conj().T) / 2.0)
+        return np.array(raw)
+
+    def assert_evolve_matches_full_space(self, model, rho0):
+        grid = TimeGrid(0.0, 3.0, 31)
+        ref = self.full_space_run(model, rho0, grid)
+        got = np.array([st_.mat for st_ in evolve(model, rho0, grid, TIGHT)])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        return ref
+
+    def test_oscillator_fock_state(self):
+        model, rho0 = self.embedded(oscillator_system(6), 8, DensityMatrix.fock(6, 5))
+        ref = self.assert_evolve_matches_full_space(model, rho0)
+        outside = np.ones(ref.shape[1:], dtype=bool)
+        idx = _reachable(model, rho0.mat)
+        outside[np.ix_(idx, idx)] = False
+        assert np.count_nonzero(ref[:, outside]) == 0
+
+    def test_superposition_across_excitation_sectors(self):
+        psi = np.zeros(6)
+        psi[[0, 3]] = 1.0 / np.sqrt(2.0)
+        model, rho0 = self.embedded(oscillator_system(6), 8, DensityMatrix.from_state(psi))
+        assert _reachable(model, rho0.mat).size < model.dim
+        self.assert_evolve_matches_full_space(model, rho0)
+
+    def test_dissipator_anticommutator_reaches_beyond_the_jumps(self):
+        # L = |0><1| + |0><2| never jumps into 2, but L^dag L couples 1 and 2,
+        # so rho[2, 1] grows from |1><1|
+        lower = np.zeros((3, 3))
+        lower[0, 1] = lower[0, 2] = 1.0
+        model = LindbladModel(dim=3, H=zero_op(3), jumps=((0.5, Operator(lower)),))
+        rho0 = DensityMatrix.fock(3, 1)
+        assert _reachable(model, rho0.mat).tolist() == [0, 1, 2]
+        ref = self.assert_evolve_matches_full_space(model, rho0)
+        assert abs(ref[-1, 2, 1]) > 0.1
+
+    def test_model_reaching_the_whole_space(self):
+        model = random_model(7)
+        rho0 = DensityMatrix.fock(3, 2)
+        assert _reachable(model, rho0.mat).tolist() == [0, 1, 2]
+        self.assert_evolve_matches_full_space(model, rho0)
 
 
 class TestRegressionCorrelator:
