@@ -14,6 +14,7 @@ from .algebra import (
     HilbertFactorization,
     Operator,
     annihilation,
+    check_density_matrices,
     expectation,
     hermiticity_defect,
     identity,

@@ -69,6 +69,35 @@ def hermiticity_defect(op: Operator | np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+def check_density_matrices(stack: np.ndarray) -> None:
+    """Raise ValueError unless each matrix of an (m, n, n) stack is a density matrix.
+
+    The invariants and tolerances are DensityMatrix's, checked in one batched
+    pass; a non-finite entry fails them. For m > 1 the message names the
+    first matrix that breaks one.
+    """
+    def first_bad(ok: np.ndarray) -> tuple[int, str]:
+        i = int(np.argmin(ok))
+        return i, (f" (matrix {i} of {len(stack)})" if len(stack) > 1 else "")
+
+    # `not x <= tol` rather than `x > tol`, so that NaN fails
+    defect = np.abs(stack - stack.conj().transpose(0, 2, 1))
+    if not defect.max() <= HERMITICITY_TOL:
+        defect = defect.reshape(len(stack), -1).max(axis=1)
+        i, where = first_bad(defect <= HERMITICITY_TOL)
+        raise ValueError(f"density matrix not Hermitian: defect {defect[i]:.3e}{where}")
+    tr = stack.trace(axis1=1, axis2=2)
+    if not np.abs(tr - 1.0).max() <= TRACE_TOL:
+        i, where = first_bad(np.abs(tr - 1.0) <= TRACE_TOL)
+        raise ValueError(
+            f"density matrix trace {tr[i]:.12g} differs from 1 beyond {TRACE_TOL:g}{where}")
+    lam_min = np.linalg.eigvalsh(stack)[:, 0]
+    if not lam_min.min() >= -POSITIVITY_TOL:
+        i, where = first_bad(lam_min >= -POSITIVITY_TOL)
+        raise ValueError(
+            f"density matrix has eigenvalue {lam_min[i]:.3e} below -{POSITIVITY_TOL:g}{where}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
@@ -82,16 +111,7 @@ class DensityMatrix:
     def __post_init__(self):
         if not isinstance(self.op, Operator):
             object.__setattr__(self, "op", Operator(self.op))
-        mat = self.op.mat
-        defect = hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {TRACE_TOL:g}")
-        lam_min = float(np.linalg.eigvalsh(mat)[0])
-        if lam_min < -POSITIVITY_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} below -{POSITIVITY_TOL:g}")
+        check_density_matrices(self.op.mat[None])
 
     @classmethod
     def from_state(cls, psi) -> DensityMatrix:

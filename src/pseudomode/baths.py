@@ -8,6 +8,7 @@ never sampled; it enters the code only as the Lindblad rate f^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,6 +22,8 @@ class Flat:
     f2: float
 
     def __post_init__(self):
+        if not math.isfinite(self.f2):
+            raise ValueError(f"flat spectral weight must be finite, got {self.f2}")
         if self.f2 < 0.0:
             raise ValueError(f"flat spectral weight must be nonnegative, got {self.f2}")
 
@@ -34,6 +37,10 @@ class Lorentzian:
     gamma: float
 
     def __post_init__(self):
+        for name in ("g", "omega0", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"Lorentzian {name} must be finite, got {value}")
         if self.g < 0.0:
             raise ValueError(f"coupling g must be nonnegative, got {self.g}")
         if self.gamma <= 0.0:

@@ -7,6 +7,7 @@ oscillating phase is restored analytically by callers that need it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +50,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"time interval must be finite, got [{self.t0}, {self.t1}]")
         if self.t1 <= self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.n_points < 2:
@@ -89,8 +92,35 @@ def generator_defect(model: LindbladModel, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(rhs_function(model)(rho.mat))))
 
 
+def superoperator(model: LindbladModel) -> np.ndarray:
+    """Matrix S of the master equation acting on row-stacked density matrices.
+
+    vec(d rho/dt) = S vec(rho) with vec(rho)[i * dim + j] = rho[i, j], built
+    from vec(A rho B) = kron(A, B^T) vec(rho).
+    """
+    one = np.eye(model.dim)
+    H = model.H.mat
+    s = -1j * (np.kron(H, one) - np.kron(one, H.T))
+    for rate, L in model.jumps:
+        if rate > 0.0:
+            L = L.mat
+            LdL = L.conj().T @ L
+            s += rate * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, one) + np.kron(one, LdL.T)))
+    return s
+
+
 def _resymmetrize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
+
+
+def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the boolean mask seed, where i leads to j when links[j, i]."""
+    reached = seed
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
 
 
 def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
@@ -108,12 +138,17 @@ def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
         if rate > 0.0:
             links |= (L.mat != 0) | (L.mat.conj().T @ L.mat != 0)
     occupied = rho0 != 0
-    reached = occupied.any(axis=0) | occupied.any(axis=1)
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    return _closure(links, occupied.any(axis=0) | occupied.any(axis=1))
+
+
+def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
+    """The model's block on the basis states idx (exact on _reachable's set)."""
+    block = np.ix_(idx, idx)
+    return LindbladModel(
+        dim=idx.size,
+        H=Operator(model.H.mat[block]),
+        jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
+    )
 
 
 def evolve(
@@ -136,13 +171,8 @@ def evolve(
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
     idx = _reachable(model, rho0.mat)
     block = np.ix_(idx, idx)
-    reduced = LindbladModel(
-        dim=idx.size,
-        H=Operator(model.H.mat[block]),
-        jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
-    )
     raw = integrate_to_instants(
-        rhs_function(reduced), rho0.mat[block], grid.times(), cfg,
+        rhs_function(_restricted(model, idx)), rho0.mat[block], grid.times(), cfg,
         step_callback=_resymmetrize, norm_size=rho0.mat.size,
     )
     states = []

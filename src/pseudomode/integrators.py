@@ -1,14 +1,16 @@
 """Adaptive embedded Runge-Kutta 4(5) propagation of complex array states.
 
-One Dormand-Prince stepper serves both density matrices and wavefunctions:
-the state is any complex ndarray and the vector field must be autonomous
-(all generators in this package are written in the rotating frame, where
-they are time independent). The stage loop is unrolled because trajectory
-ensembles hit it millions of times.
+One Dormand-Prince stepper serves both density matrices and wavefunctions,
+and builds the grid-step propagators of both: the state is any complex
+ndarray and the vector field must be autonomous (all generators in this
+package are written in the rotating frame, where they are time independent).
+The stage loop is unrolled because trajectory ensembles hit it millions of
+times.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,6 +52,10 @@ class IntegratorConfig:
     initial_step: float = 1e-3
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "max_step", "initial_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not 0.0 < self.abs_tol < 1.0:
@@ -218,3 +224,21 @@ def integrate_to_instants(
             stepper.step(target)
         out.append(stepper.y.copy())
     return out
+
+
+def propagator(
+    generator: np.ndarray,
+    h: float,
+    cfg: IntegratorConfig,
+    norm_size: int | None = None,
+) -> np.ndarray:
+    """exp(generator * h) for a square generator, by Dopri5 run on the identity.
+
+    Every column is integrated at cfg's tolerances (`norm_size` is passed on
+    to Dopri5), so the propagator is as accurate as an adaptive run over h
+    and no more. No eigendecomposition is used: the generator may be
+    defective, as at the exceptional point g = gamma/4.
+    """
+    identity = np.eye(len(generator), dtype=complex)
+    return integrate_to_instants(lambda y: generator @ y, identity, [0.0, h], cfg,
+                                 norm_size=norm_size)[-1]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import ConfigError
 from .dynamics import LindbladModel, TimeGrid
-from .integrators import Dopri5, IntegratorConfig, _stages, integrate_to_instants
+from .integrators import Dopri5, IntegratorConfig, _stages, propagator
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
 _JUMP_TIME_REL_TOL = 1e-10
@@ -154,7 +154,7 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
         abs_tol=max(run.abs_tol * _PROPAGATOR_TOL_FACTOR, 1e-16),
         max_step=h, initial_step=h,
     )
-    u = integrate_to_instants(rhs, identity, [0.0, h], tight)[-1]
+    u = propagator(g, h, tight)
     jumps_t = np.array([L.mat.T for _, L in model.jumps], dtype=complex)
     return _GridPropagator(
         times=cfg.grid.times(),

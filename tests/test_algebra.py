@@ -8,6 +8,7 @@ from pseudomode import (
     HilbertFactorization,
     Operator,
     annihilation,
+    check_density_matrices,
     expectation,
     identity,
     kron,
@@ -165,6 +166,26 @@ class TestDensityMatrix:
     def test_fock_range(self):
         with pytest.raises(ValueError):
             DensityMatrix.fock(3, 3)
+
+
+class TestCheckDensityMatrices:
+    def test_accepts_a_valid_stack(self, rng):
+        check_density_matrices(np.array([random_density(rng, 3).mat for _ in range(4)]))
+
+    @pytest.mark.parametrize("broken, match", [
+        (np.array([[0.5, 0.2], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "eigenvalue"),
+    ])
+    def test_names_the_first_bad_matrix(self, broken, match):
+        stack = np.array([np.eye(2) / 2, np.eye(2) / 2, broken, broken], dtype=complex)
+        with pytest.raises(ValueError, match=match + r".*\(matrix 2 of 4\)"):
+            check_density_matrices(stack)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            DensityMatrix(Operator(np.diag([bad, 1.0])))
 
 
 class TestTraceDistance:

@@ -43,6 +43,18 @@ class TestSpectralDensity:
         with pytest.raises(ValueError):
             Flat(f2=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["g", "omega0", "gamma"])
+    def test_lorentzian_rejects_non_finite(self, field, bad):
+        params = {"g": 1.0, "omega0": 0.0, "gamma": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Lorentzian(**params)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_flat_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Flat(f2=bad)
+
 
 class TestCorrelationFunction:
     def test_zero_delay_gives_total_weight(self):

@@ -23,7 +23,7 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
-from pseudomode.dynamics import _reachable, rhs_function
+from pseudomode.dynamics import _reachable, rhs_function, superoperator
 from pseudomode.integrators import integrate_to_instants
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
@@ -68,6 +68,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_endpoints(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(0.0, bad, 3)
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(bad, 1.0, 3)
+
     def test_times_uniform(self):
         t = TimeGrid(0.0, 1.0, 5).times()
         assert np.allclose(np.diff(t), 0.25)
@@ -103,6 +110,14 @@ class TestLindbladRhs:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             lindblad_rhs(decay_model(), zero_op(3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_superoperator_acts_as_the_rhs_on_row_stacked_states(self, seed):
+        model = random_model(seed, d=4)
+        rng = np.random.default_rng(seed)
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        expected = rhs_function(model)(rho).reshape(-1)
+        assert np.max(np.abs(superoperator(model) @ rho.reshape(-1) - expected)) <= 1e-12
 
 
 class TestEvolve:

@@ -15,14 +15,17 @@ from pseudomode import (
     annihilation,
     build_embedding,
     choose_truncation,
+    evolve,
     identity,
     kron,
     oscillator_system,
+    partial_trace,
     simulate_lorentzian,
     tls_system,
     trace_distance,
     volterra_amplitude,
 )
+from pseudomode import dynamics, embedding
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 EXCITED = DensityMatrix.fock(2, 1)
@@ -129,6 +132,86 @@ class TestSimulateLorentzian:
         with warnings.catch_warnings():
             warnings.simplefilter("error", FockTruncationWarning)
             simulate_lorentzian(spec, EXCITED, TimeGrid(0, 2, 5), TIGHT)
+
+
+def _cross_sector_superposition(d_s):
+    psi = np.zeros(d_s)
+    psi[[0, 3]] = 1.0
+    return DensityMatrix.from_state(psi)
+
+
+class TestGridStepPath:
+    """simulate_lorentzian propagates the reachable entries with one grid-step propagator."""
+
+    GRID = TimeGrid(0.0, 10.0, 201)
+    CASES = {
+        "fock-gamma0.2": (tls_system(), 0.2, 3, EXCITED),
+        "exceptional-point": (tls_system(), 4.0, 3, EXCITED),
+        "cross-sector-dS6-dA8": (oscillator_system(6), 1.0, 8, _cross_sector_superposition(6)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_adaptive_evolve(self, case):
+        system, gamma, d_a, rho0 = self.CASES[case]
+        spec = EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a)
+        emb = build_embedding(spec, rho0)
+        reference = [partial_trace(st, emb.factorization, keep=0)
+                     for st in evolve(emb.model, emb.rho0, self.GRID)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FockTruncationWarning)
+            fast = simulate_lorentzian(spec, rho0, self.GRID)
+        dev = max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(fast, reference))
+        assert dev <= 1e-8
+
+    def test_never_calls_evolve_and_builds_only_returned_states(self, monkeypatch):
+        spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=1.0), 8)
+        rho0 = _cross_sector_superposition(4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate_lorentzian fell back to dynamics.evolve")
+
+        for module in (dynamics, embedding):
+            monkeypatch.setattr(module, "evolve", forbidden, raising=False)
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.dim)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        states = simulate_lorentzian(spec, rho0, self.GRID)
+        assert len(states) == self.GRID.n_points
+        assert built == [4] * self.GRID.n_points
+
+    @pytest.mark.parametrize("system, d_a, rho0, entries", [
+        (tls_system(), 3, EXCITED, 5),
+        (oscillator_system(4), 8, DensityMatrix.fock(4, 3), 30),
+        (oscillator_system(6), 16, DensityMatrix.fock(6, 5), 91),
+        (oscillator_system(6), 8, _cross_sector_superposition(6), 38),
+    ], ids=["tls-dA3", "fock3-dS4-dA8", "fock5-dS6-dA16", "cross-sector-dS6-dA8"])
+    def test_propagates_only_reachable_entries(self, monkeypatch, system, d_a, rho0, entries):
+        sizes = []
+        build = embedding.propagator
+
+        def recorded(generator, *args, **kwargs):
+            sizes.append(generator.shape)
+            return build(generator, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "propagator", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FockTruncationWarning)
+            simulate_lorentzian(EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=1.0), d_a),
+                                rho0, TimeGrid(0.0, 1.0, 3))
+        assert sizes == [(entries, entries)]
+
+    def test_invalid_composite_state_raises(self, monkeypatch):
+        # a propagator that does not preserve the trace must fail validation
+        monkeypatch.setattr(embedding, "propagator",
+                            lambda generator, *args, **kwargs: 1.01 * np.eye(len(generator)))
+        spec = EmbeddingSpec(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=1.0), 3)
+        with pytest.raises(ValueError, match=r"trace .* \(matrix 1 of 3\)"):
+            simulate_lorentzian(spec, EXCITED, TimeGrid(0.0, 1.0, 3))
 
 
 class TestAncillaCorrelationMechanism:

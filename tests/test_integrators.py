@@ -7,6 +7,7 @@ from pseudomode.integrators import (
     IntegrationError,
     fixed_step,
     integrate_to_instants,
+    propagator,
 )
 
 
@@ -19,6 +20,22 @@ def test_config_validation():
         IntegratorConfig(max_step=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(initial_step=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "initial_step"])
+def test_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        IntegratorConfig(**{field: bad})
+
+
+def test_propagator_of_a_defective_generator():
+    # a Jordan block has no eigenbasis; exp(J h) = exp(lam h) [[1, h], [0, 1]]
+    lam, h = -0.7 + 0.3j, 0.4
+    jordan = np.array([[lam, 1.0], [0.0, lam]])
+    exact = np.exp(lam * h) * np.array([[1.0, h], [0.0, 1.0]])
+    step = propagator(jordan, h, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
+    assert np.max(np.abs(step - exact)) <= 1e-9
 
 
 def test_exponential_decay_accuracy():

@@ -151,9 +151,11 @@ class TestDiscreteBath:
 class TestThreeWayAgreement:
     # discretization picked per regime: strong coupling needs the wider
     # window (line dressed out to +-g), the broad line needs the finer
-    # spacing that keeps the finite-bath recurrence beyond the horizon
+    # spacing that keeps the finite-bath recurrence beyond the horizon;
+    # gamma = 4 is the exceptional point g = gamma/4 between the two, where
+    # 800 modes is the smallest doubling of 400 that stays echo-free
     @pytest.mark.parametrize("gamma,n_modes,w_factor",
-                             [(0.1, 400, 40), (1.0, 400, 20), (10.0, 1600, 20)])
+                             [(0.1, 400, 40), (1.0, 400, 20), (4.0, 800, 20), (10.0, 1600, 20)])
     def test_regimes(self, gamma, n_modes, w_factor):
         bath = Lorentzian(g=1.0, omega0=0.0, gamma=gamma)
         grid = TimeGrid(0.0, 10.0, 101)

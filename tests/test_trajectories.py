@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from pseudomode import (
     expectation,
     identity,
     kron,
+    load_scenario,
     mcwf_run,
     sigma_minus,
     tls_system,
@@ -233,3 +237,41 @@ class TestClosedFormGate:
         assert np.max(np.abs(stats.stderrs[0] - sample_se)) <= 1e-12
         hist = np.bincount([len(r.jump_times) for r in runs])
         assert np.array_equal(stats.jump_histogram, hist)
+
+
+class TestShippedEnsembleUnchanged:
+    """configs/trajectories_embedded.json gives the same ensemble, bit for bit,
+    as before the no-jump propagator was built by integrators.propagator."""
+
+    # seed -> (sha256 of the means, sha256 of the standard errors, jump
+    # histogram), recorded with the propagator solve inlined in
+    # trajectories (numpy 2.4, OpenBLAS, x86-64; another BLAS build may
+    # round differently)
+    RECORDED = {
+        7: ("79fb33dcf5ce40a7ebb0f9256f4d4a6aa6f6c9ef505100b80e3f15bc2eadff6f",
+            "0239c8ff0541ee8952ea6e072ce7bdb8de94b06dd4cfe60f8e5abcaad085849d",
+            [367, 633]),
+        11: ("4f73fc2cc05cf36f95ce1b2c19c322908f77baf9e251795fe73a028b9ea36b0f",
+             "61945383af6c9719e4427588283dff641df805127ea7658216859f2260a76160",
+             [369, 631]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_matches_recorded_values(self, monkeypatch, seed):
+        cfg = load_scenario(Path(__file__).parents[1] / "configs" / "trajectories_embedded.json")
+        d_a = cfg.d_A
+        emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a),
+                              DensityMatrix.fock(cfg.system.d_S, cfg.initial_fock))
+        psi0 = np.zeros(emb.model.dim, dtype=complex)
+        psi0[cfg.initial_fock * d_a] = 1.0
+        obs = kron(cfg.system.V.dagger() @ cfg.system.V, identity(d_a))
+        tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, grid=cfg.grid,
+                                integrator=cfg.integrator)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        stats = ensemble_average(emb.model, psi0, tcfg, observables=(obs,))
+
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        found = (digest(stats.means), digest(stats.stderrs), stats.jump_histogram.tolist())
+        assert found == self.RECORDED[seed]
