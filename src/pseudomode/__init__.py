@@ -14,7 +14,6 @@ from .algebra import (
     HilbertFactorization,
     Operator,
     annihilation,
-    check_density_matrices,
     expectation,
     hermiticity_defect,
     identity,

@@ -69,16 +69,19 @@ def hermiticity_defect(op: Operator | np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def check_density_matrices(stack: np.ndarray) -> None:
+def check_density_matrices(stack: np.ndarray, start: int = 0, total: int | None = None) -> None:
     """Raise ValueError unless each matrix of an (m, n, n) stack is a density matrix.
 
     The invariants and tolerances are DensityMatrix's, checked in one batched
-    pass; a non-finite entry fails them. For m > 1 the message names the
-    first matrix that breaks one.
+    pass; a non-finite entry fails them. The stack may be matrices start ..
+    start + m - 1 of a sequence of `total` (default m); when that sequence
+    holds more than one matrix, the message names the first that breaks one.
     """
+    total = len(stack) if total is None else total
+
     def first_bad(ok: np.ndarray) -> tuple[int, str]:
         i = int(np.argmin(ok))
-        return i, (f" (matrix {i} of {len(stack)})" if len(stack) > 1 else "")
+        return i, (f" (matrix {start + i} of {total})" if total > 1 else "")
 
     # `not x <= tol` rather than `x > tol`, so that NaN fails
     defect = np.abs(stack - stack.conj().transpose(0, 2, 1))

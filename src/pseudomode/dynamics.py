@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .algebra import DensityMatrix, Operator, hermiticity_defect
-from .integrators import IntegratorConfig, integrate_to_instants
+from .integrators import IntegratorConfig, integrate_to_instants, iter_instants
 
 STATIONARITY_TOL = 1e-8
 
@@ -92,35 +92,37 @@ def generator_defect(model: LindbladModel, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(rhs_function(model)(rho.mat))))
 
 
-def superoperator(model: LindbladModel) -> np.ndarray:
-    """Matrix S of the master equation acting on row-stacked density matrices.
+def superoperator(model: LindbladModel, entries: np.ndarray) -> np.ndarray:
+    """Matrix S of the master equation on row-stacked density matrices, restricted to entries.
 
-    vec(d rho/dt) = S vec(rho) with vec(rho)[i * dim + j] = rho[i, j], built
-    from vec(A rho B) = kron(A, B^T) vec(rho).
+    vec(d rho/dt) = S vec(rho) with vec(rho)[i * dim + j] = rho[i, j], so
+    S[(k, l), (i, j)] is the (k, l), (i, j) entry of kron(A, B^T) summed over
+    the terms A rho B of the generator. Only the rows and columns at the
+    flat indices `entries` are built, in O(len(entries)^2) memory.
     """
-    one = np.eye(model.dim)
+    row, col = np.divmod(entries, model.dim)
+    same_row = row[:, None] == row[None, :]
+    same_col = col[:, None] == col[None, :]
+    rows, cols = np.ix_(row, row), np.ix_(col, col)
+
+    def left(a):  # kron(a, 1) on the entries
+        return np.where(same_col, a[rows], 0.0)
+
+    def right(b):  # kron(1, b^T) on the entries
+        return np.where(same_row, b.T[cols], 0.0)
+
     H = model.H.mat
-    s = -1j * (np.kron(H, one) - np.kron(one, H.T))
+    s = -1j * (left(H) - right(H))
     for rate, L in model.jumps:
         if rate > 0.0:
             L = L.mat
             LdL = L.conj().T @ L
-            s += rate * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, one) + np.kron(one, LdL.T)))
+            s += rate * (L[rows] * L.conj()[cols] - 0.5 * (left(LdL) + right(LdL)))
     return s
 
 
 def _resymmetrize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
-
-
-def _closure(links: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the boolean mask seed, where i leads to j when links[j, i]."""
-    reached = seed
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
 
 
 def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
@@ -138,7 +140,39 @@ def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
         if rate > 0.0:
             links |= (L.mat != 0) | (L.mat.conj().T @ L.mat != 0)
     occupied = rho0 != 0
-    return _closure(links, occupied.any(axis=0) | occupied.any(axis=1))
+    reached = occupied.any(axis=0) | occupied.any(axis=1)
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
+    """Flat indices i * dim + j of the entries rho(t)[i, j] that can ever be nonzero, sorted.
+
+    The closure of rho0's nonzero entries under the operator patterns of the
+    generator: A rho and rho A^dag for A = H or L^dag L move an entry along a
+    nonzero of A in its row or column index, and L rho L^dag along a nonzero
+    of L in both at once. Every other entry stays exactly zero. Built from
+    dim x dim patterns only, so it costs no superoperator.
+    """
+    h = model.H.mat != 0
+    one_sided = (h | h.T).astype(float)
+    two_sided = []
+    for rate, L in model.jumps:
+        if rate > 0.0:
+            one_sided += (L.mat.conj().T @ L.mat != 0)
+            two_sided.append((L.mat != 0).astype(float))
+    reached = rho0 != 0
+    while True:
+        grown = one_sided @ reached + reached @ one_sided.T
+        for p in two_sided:
+            grown += p @ reached @ p.T
+        grown = reached | (grown != 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
 
 
 def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
@@ -148,6 +182,20 @@ def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
         dim=idx.size,
         H=Operator(model.H.mat[block]),
         jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
+    )
+
+
+def _evolve_block(
+    block: LindbladModel,
+    rho0: np.ndarray,
+    grid: TimeGrid,
+    cfg: IntegratorConfig,
+    norm_size: int,
+) -> Iterator[np.ndarray]:
+    """Adaptive run of a reachable block (see evolve), yielding the raw matrix at each instant."""
+    return iter_instants(
+        rhs_function(block), rho0, grid.times(), cfg,
+        step_callback=_resymmetrize, norm_size=norm_size,
     )
 
 
@@ -171,10 +219,7 @@ def evolve(
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
     idx = _reachable(model, rho0.mat)
     block = np.ix_(idx, idx)
-    raw = integrate_to_instants(
-        rhs_function(_restricted(model, idx)), rho0.mat[block], grid.times(), cfg,
-        step_callback=_resymmetrize, norm_size=rho0.mat.size,
-    )
+    raw = _evolve_block(_restricted(model, idx), rho0.mat[block], grid, cfg, rho0.mat.size)
     states = []
     for m in raw:
         full = np.zeros_like(rho0.mat)

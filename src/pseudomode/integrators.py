@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -199,6 +199,32 @@ def fixed_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, h: float
     return _stages(rhs, y0, h, k1)[-1]
 
 
+def iter_instants(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    instants: Sequence[float],
+    cfg: IntegratorConfig,
+    step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
+    norm_size: int | None = None,
+) -> Iterator[np.ndarray]:
+    """Propagate dy/dt = rhs(y), yielding the state at each requested instant.
+
+    `instants` must be strictly increasing; the first entry is the initial
+    time and the first state yielded is a copy of y0. `step_callback` and
+    `norm_size` are passed on to Dopri5.
+    """
+    instants = [float(t) for t in instants]
+    if any(b <= a for a, b in zip(instants, instants[1:])):
+        raise ValueError("output instants must be strictly increasing")
+    stepper = Dopri5(rhs, instants[0], y0, cfg, step_callback=step_callback,
+                     norm_size=norm_size)
+    yield stepper.y.copy()
+    for target in instants[1:]:
+        while stepper.t < target:
+            stepper.step(target)
+        yield stepper.y.copy()
+
+
 def integrate_to_instants(
     rhs: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -207,23 +233,8 @@ def integrate_to_instants(
     step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
     norm_size: int | None = None,
 ) -> list[np.ndarray]:
-    """Propagate dy/dt = rhs(y) and return the state at each requested instant.
-
-    `instants` must be strictly increasing; the first entry is the initial
-    time and the returned list starts with a copy of y0. `step_callback` and
-    `norm_size` are passed on to Dopri5.
-    """
-    instants = [float(t) for t in instants]
-    if any(b <= a for a, b in zip(instants, instants[1:])):
-        raise ValueError("output instants must be strictly increasing")
-    stepper = Dopri5(rhs, instants[0], y0, cfg, step_callback=step_callback,
-                     norm_size=norm_size)
-    out = [stepper.y.copy()]
-    for target in instants[1:]:
-        while stepper.t < target:
-            stepper.step(target)
-        out.append(stepper.y.copy())
-    return out
+    """The states of iter_instants as a list."""
+    return list(iter_instants(rhs, y0, instants, cfg, step_callback, norm_size))
 
 
 def propagator(
@@ -234,10 +245,14 @@ def propagator(
 ) -> np.ndarray:
     """exp(generator * h) for a square generator, by Dopri5 run on the identity.
 
-    Every column is integrated at cfg's tolerances (`norm_size` is passed on
-    to Dopri5), so the propagator is as accurate as an adaptive run over h
-    and no more. No eigendecomposition is used: the generator may be
-    defective, as at the exceptional point g = gamma/4.
+    Column j is the evolution of basis vector j, all k columns stepped
+    together at cfg's tolerances. `norm_size` is passed on to Dopri5: the
+    squared scaled errors of all k^2 entries are summed and divided by
+    norm_size (default k^2, a plain RMS), so a caller that passes the size
+    N of one state it will propagate weights the norm by k^2 / N. That
+    bounds the step error of the propagator, not of the products with it,
+    which compound over a grid. No eigendecomposition is used: the generator
+    may be defective, as at the exceptional point g = gamma/4.
     """
     identity = np.eye(len(generator), dtype=complex)
     return integrate_to_instants(lambda y: generator @ y, identity, [0.0, h], cfg,

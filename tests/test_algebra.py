@@ -8,7 +8,6 @@ from pseudomode import (
     HilbertFactorization,
     Operator,
     annihilation,
-    check_density_matrices,
     expectation,
     identity,
     kron,
@@ -16,6 +15,7 @@ from pseudomode import (
     sigma_minus,
     trace_distance,
 )
+from pseudomode.algebra import check_density_matrices
 
 
 def random_operator(rng, d):
@@ -181,6 +181,11 @@ class TestCheckDensityMatrices:
         stack = np.array([np.eye(2) / 2, np.eye(2) / 2, broken, broken], dtype=complex)
         with pytest.raises(ValueError, match=match + r".*\(matrix 2 of 4\)"):
             check_density_matrices(stack)
+
+    def test_names_the_matrix_within_a_longer_sequence(self):
+        stack = np.array([np.eye(2) / 2, np.eye(2)], dtype=complex)
+        with pytest.raises(ValueError, match=r"trace .*\(matrix 6 of 9\)"):
+            check_density_matrices(stack, start=5, total=9)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_entries(self, bad):

@@ -23,7 +23,7 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
-from pseudomode.dynamics import _reachable, rhs_function, superoperator
+from pseudomode.dynamics import _reachable, _reachable_entries, rhs_function, superoperator
 from pseudomode.integrators import integrate_to_instants
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
@@ -117,7 +117,32 @@ class TestLindbladRhs:
         rng = np.random.default_rng(seed)
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         expected = rhs_function(model)(rho).reshape(-1)
-        assert np.max(np.abs(superoperator(model) @ rho.reshape(-1) - expected)) <= 1e-12
+        s = superoperator(model, np.arange(16))
+        assert np.max(np.abs(s @ rho.reshape(-1) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_superoperator_on_entries_is_the_submatrix(self, seed):
+        model = random_model(seed, d=4)
+        entries = np.sort(np.random.default_rng(seed).choice(16, size=7, replace=False))
+        full = superoperator(model, np.arange(16))
+        assert np.array_equal(superoperator(model, entries), full[np.ix_(entries, entries)])
+
+    def test_reachable_entries_are_closed_under_the_generator(self):
+        # oscillator (d_S = 4) with ancilla (d_A = 4) from (|0> + |3>)/sqrt 2 x vacuum
+        psi = np.zeros(4)
+        psi[[0, 3]] = 1.0
+        spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 4)
+        emb = build_embedding(spec, DensityMatrix.from_state(psi))
+        entries = _reachable_entries(emb.model, emb.rho0.mat)
+        assert np.all(np.isin(np.flatnonzero(emb.rho0.mat), entries))
+        assert entries.size < emb.model.dim ** 2
+        rng = np.random.default_rng(3)
+        rho = np.zeros(emb.model.dim ** 2, dtype=complex)
+        rho[entries] = rng.normal(size=entries.size) + 1j * rng.normal(size=entries.size)
+        out = rhs_function(emb.model)(rho.reshape(emb.model.dim, -1)).reshape(-1)
+        outside = np.ones(out.size, dtype=bool)
+        outside[entries] = False
+        assert np.all(out[outside] == 0)
 
 
 class TestEvolve:

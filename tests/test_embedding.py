@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from pseudomode import (
     IntegratorConfig,
     Lorentzian,
     Operator,
+    SystemSpec,
     TimeGrid,
     TruncationError,
     annihilation,
@@ -172,6 +174,7 @@ class TestGridStepPath:
 
         for module in (dynamics, embedding):
             monkeypatch.setattr(module, "evolve", forbidden, raising=False)
+            monkeypatch.setattr(module, "_evolve_block", forbidden)
         built = []
         validate = DensityMatrix.__post_init__
 
@@ -189,7 +192,9 @@ class TestGridStepPath:
         (oscillator_system(4), 8, DensityMatrix.fock(4, 3), 30),
         (oscillator_system(6), 16, DensityMatrix.fock(6, 5), 91),
         (oscillator_system(6), 8, _cross_sector_superposition(6), 38),
-    ], ids=["tls-dA3", "fock3-dS4-dA8", "fock5-dS6-dA16", "cross-sector-dS6-dA8"])
+        (oscillator_system(8), 16, DensityMatrix.fock(8, 7), 204),
+    ], ids=["tls-dA3", "fock3-dS4-dA8", "fock5-dS6-dA16", "cross-sector-dS6-dA8",
+            "fock7-dS8-dA16"])
     def test_propagates_only_reachable_entries(self, monkeypatch, system, d_a, rho0, entries):
         sizes = []
         build = embedding.propagator
@@ -202,16 +207,77 @@ class TestGridStepPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FockTruncationWarning)
             simulate_lorentzian(EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=1.0), d_a),
-                                rho0, TimeGrid(0.0, 1.0, 3))
+                                rho0, TimeGrid(0.0, 0.1, 3))
         assert sizes == [(entries, entries)]
 
-    def test_invalid_composite_state_raises(self, monkeypatch):
-        # a propagator that does not preserve the trace must fail validation
+    @pytest.mark.parametrize("chunk", [1 << 20, 9], ids=["one-pass", "one-instant-per-pass"])
+    def test_invalid_composite_state_raises(self, monkeypatch, chunk):
+        # a propagator that does not preserve the trace must fail validation,
+        # and the message names the instant whichever chunk it falls in
+        monkeypatch.setattr(embedding, "_VALIDATION_CHUNK", chunk)
         monkeypatch.setattr(embedding, "propagator",
                             lambda generator, *args, **kwargs: 1.01 * np.eye(len(generator)))
         spec = EmbeddingSpec(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=1.0), 3)
         with pytest.raises(ValueError, match=r"trace .* \(matrix 1 of 3\)"):
             simulate_lorentzian(spec, EXCITED, TimeGrid(0.0, 1.0, 3))
+
+
+def _sigma_x_system():
+    # couples through V = sigma_x, so the excitation number is not conserved
+    return SystemSpec(d_S=2, H_S=Operator(np.zeros((2, 2))),
+                      V=Operator(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+class TestLargeBlocks:
+    """Past 256 reachable entries the block is integrated adaptively, in memory O(n^2) per instant."""
+
+    GRID = TimeGrid(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("system, d_a, rho0", [
+        (_sigma_x_system(), 32, EXCITED),
+        (oscillator_system(11), 16, DensityMatrix.fock(11, 10)),
+    ], ids=["sigma-x-dA32", "fock10-dS11-dA16"])
+    def test_adaptive_in_bounded_memory(self, monkeypatch, system, d_a, rho0):
+        # 2048 and 506 entries: a k x k superoperator would take 64 MiB and 4 MiB
+        # per copy, the Kronecker one on the block 256 MiB and 290 MiB
+        def forbidden(*args, **kwargs):
+            raise AssertionError("large block took the grid-step path")
+
+        spec = EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=1.0), d_a)
+        emb = build_embedding(spec, rho0)
+        reference = [partial_trace(st, emb.factorization, keep=0)
+                     for st in evolve(emb.model, emb.rho0, self.GRID)]
+        monkeypatch.setattr(embedding, "propagator", forbidden)
+        monkeypatch.setattr(embedding, "superoperator", forbidden)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FockTruncationWarning)
+                states = simulate_lorentzian(spec, rho0, self.GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        dev = max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(states, reference))
+        assert dev <= 1e-12
+
+
+class TestTopOfLadderAccuracy:
+    """At d_A = 128 the grid-step propagator's norm weight k^2 / d^2 is at its
+    smallest; its curve must still track a rel_tol 1e-12 run closely."""
+
+    @pytest.mark.parametrize("system, gamma, rho0", [
+        (tls_system(), 0.2, EXCITED),
+        (oscillator_system(4), 0.2, DensityMatrix.fock(4, 3)),
+    ], ids=["tls-gamma0.2", "fock3-dS4-gamma0.2"])
+    def test_grid_step_curve_against_a_tight_run(self, monkeypatch, system, gamma, rho0):
+        spec = EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=gamma), 128)
+        grid = TimeGrid(0.0, 10.0, 201)
+        fast = simulate_lorentzian(spec, rho0, grid)
+        monkeypatch.setattr(embedding, "_MAX_PROPAGATED_ENTRIES", 0)
+        tight = simulate_lorentzian(spec, rho0, grid, IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+        dev = max(np.max(np.abs(a.mat - b.mat)) for a, b in zip(fast, tight))
+        assert dev <= 1e-9
 
 
 class TestAncillaCorrelationMechanism:

@@ -1,4 +1,3 @@
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
+from pseudomode import trajectories
+from pseudomode.integrators import integrate_to_instants
 from pseudomode.trajectories import _select_channel, _trajectory_rng
 
 LOOSE = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
@@ -239,25 +240,16 @@ class TestClosedFormGate:
         assert np.array_equal(stats.jump_histogram, hist)
 
 
-class TestShippedEnsembleUnchanged:
-    """configs/trajectories_embedded.json gives the same ensemble, bit for bit,
-    as before the no-jump propagator was built by integrators.propagator."""
+class TestSharedPropagatorBuilder:
+    """The no-jump propagator comes from integrators.propagator, bit for bit
+    the Dopri5 solve on the identity that trajectories inlined before, so the
+    shipped ensemble (configs/trajectories_embedded.json) does not move."""
 
-    # seed -> (sha256 of the means, sha256 of the standard errors, jump
-    # histogram), recorded with the propagator solve inlined in
-    # trajectories (numpy 2.4, OpenBLAS, x86-64; another BLAS build may
-    # round differently)
-    RECORDED = {
-        7: ("79fb33dcf5ce40a7ebb0f9256f4d4a6aa6f6c9ef505100b80e3f15bc2eadff6f",
-            "0239c8ff0541ee8952ea6e072ce7bdb8de94b06dd4cfe60f8e5abcaad085849d",
-            [367, 633]),
-        11: ("4f73fc2cc05cf36f95ce1b2c19c322908f77baf9e251795fe73a028b9ea36b0f",
-             "61945383af6c9719e4427588283dff641df805127ea7658216859f2260a76160",
-             [369, 631]),
-    }
+    # seed -> jump histogram recorded with the solve inlined in trajectories
+    RECORDED_HISTOGRAMS = {7: [367, 633], 11: [369, 631]}
 
-    @pytest.mark.parametrize("seed", sorted(RECORDED))
-    def test_matches_recorded_values(self, monkeypatch, seed):
+    @staticmethod
+    def shipped(seed):
         cfg = load_scenario(Path(__file__).parents[1] / "configs" / "trajectories_embedded.json")
         d_a = cfg.d_A
         emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a),
@@ -267,11 +259,36 @@ class TestShippedEnsembleUnchanged:
         obs = kron(cfg.system.V.dagger() @ cfg.system.V, identity(d_a))
         tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, grid=cfg.grid,
                                 integrator=cfg.integrator)
+        return emb.model, psi0, tcfg, obs
+
+    @staticmethod
+    def inline_solve(generator, h, cfg):
+        identity_ = np.eye(len(generator), dtype=complex)
+        return integrate_to_instants(lambda y: generator @ y, identity_, [0.0, h], cfg)[-1]
+
+    def test_step_equals_the_inline_solve(self, monkeypatch):
+        calls = []
+        build = trajectories.propagator
+
+        def recorded(generator, h, cfg):
+            calls.append((generator, h, cfg, build(generator, h, cfg)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(trajectories, "propagator", recorded)
+        model, _, tcfg, _ = self.shipped(7)
+        prop = trajectories._grid_propagator(model, tcfg)
+        (generator, h, cfg, step), = calls
+        assert np.array_equal(step, self.inline_solve(generator, h, cfg))
+        assert np.array_equal(prop.step_t, step.T)
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED_HISTOGRAMS))
+    def test_ensemble_equals_the_inline_solve(self, monkeypatch, seed):
         monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
-        stats = ensemble_average(emb.model, psi0, tcfg, observables=(obs,))
-
-        def digest(a):
-            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-        found = (digest(stats.means), digest(stats.stderrs), stats.jump_histogram.tolist())
-        assert found == self.RECORDED[seed]
+        model, psi0, tcfg, obs = self.shipped(seed)
+        shared = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        monkeypatch.setattr(trajectories, "propagator", self.inline_solve)
+        inline = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert np.array_equal(shared.means, inline.means)
+        assert np.array_equal(shared.stderrs, inline.stderrs)
+        assert np.array_equal(shared.jump_histogram, inline.jump_histogram)
+        assert shared.jump_histogram.tolist() == self.RECORDED_HISTOGRAMS[seed]
