@@ -35,6 +35,8 @@ class LindbladModel:
         if defect > 1e-12:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
         for rate, L in self.jumps:
+            if not math.isfinite(rate):
+                raise ValueError(f"jump rate must be finite, got {rate}")
             if rate < 0.0:
                 raise ValueError(f"jump rate must be nonnegative, got {rate}")
             if L.dim != self.dim:

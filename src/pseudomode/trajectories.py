@@ -20,6 +20,7 @@ scheduled.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -55,6 +56,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"need at least one trajectory, got {self.n_traj}")
+        if not math.isfinite(self.dt_max):
+            raise ValueError(f"dt_max must be finite, got {self.dt_max}")
         if self.dt_max <= 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 

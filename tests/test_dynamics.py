@@ -54,6 +54,11 @@ class TestLindbladModel:
         with pytest.raises(ValueError, match="rate"):
             LindbladModel(dim=2, H=zero_op(2), jumps=((-0.1, sigma_minus()),))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(dim=2, H=zero_op(2), jumps=((rate, sigma_minus()),))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             LindbladModel(dim=3, H=zero_op(3), jumps=((1.0, sigma_minus()),))

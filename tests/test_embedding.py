@@ -341,6 +341,22 @@ class TestChooseTruncation:
         assert all(b <= a or b <= noise_floor for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= noise_floor
 
+    def test_ladder_distance_is_the_per_instant_trace_distance(self):
+        # the ladder stacks the rung differences into one eigvalsh; a
+        # tolerance on either side of the per-instant maximum pins it exactly
+        sys = oscillator_system(4)
+        bath = Lorentzian(g=1.0, omega0=0, gamma=0.5)
+        grid = TimeGrid(0, 3, 7)
+        rho0 = DensityMatrix.fock(4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FockTruncationWarning)
+            two, four = (simulate_lorentzian(EmbeddingSpec(sys, bath, d_a), rho0, grid, self.CFG)
+                         for d_a in (2, 4))
+        dist = max(trace_distance(a, b) for a, b in zip(two, four))
+        above = float(np.nextafter(dist, np.inf))
+        assert choose_truncation(sys, bath, rho0, grid, self.CFG, tol=above) == 2
+        assert choose_truncation(sys, bath, rho0, grid, self.CFG, tol=dist) > 2
+
     def test_unreachable_tolerance_raises(self):
         # consecutive truncations agree only to integrator roundoff; a
         # tolerance below that floor exhausts the doubling ladder

@@ -18,8 +18,93 @@ from pseudomode import (
     tls_system,
     volterra_amplitude,
 )
+from pseudomode.oracles import _LEAF
 
 GRID = TimeGrid(0.0, 10.0, 101)
+
+
+def _march_reference(kernel: np.ndarray, h: float, detuning: float = 0.0) -> np.ndarray:
+    """The per-step trapezoid march, one history dot product per step: O(N^2)."""
+    kernel = np.asarray(kernel, dtype=complex)
+    n = kernel.shape[0] - 1
+    c = np.empty(n + 1, dtype=complex)
+    c[0] = 1.0
+    k0 = kernel[0]
+    integral = (h / 2.0) * k0  # times c[0] = 1
+    denom = 1.0 + 1j * detuning * h / 2.0 + h * h * k0 / 4.0
+    numer_old = 1.0 - 1j * detuning * h / 2.0
+    for step in range(n):
+        partial = h * (
+            0.5 * kernel[step + 1] * c[0]
+            + np.dot(kernel[step:0:-1], c[1 : step + 1])
+        )
+        c_next = (numer_old * c[step] - (h / 2.0) * (integral + partial)) / denom
+        integral = partial + (h * k0 / 2.0) * c_next
+        c[step + 1] = c_next
+    return c
+
+
+def _exponential_kernel(gamma: float, n: int, g: float = 1.0):
+    h = min(0.002, 0.04 / gamma)
+    return g**2 * np.exp(-0.5 * gamma * h * np.arange(n + 1)), h
+
+
+def _delta_kernel(n: int):
+    h = 0.001
+    kernel = np.zeros(n + 1)
+    kernel[0] = 0.8 / h
+    return kernel, h
+
+
+def _random_kernel(n: int):
+    rng = np.random.default_rng(20261018)
+    return rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), 0.01
+
+
+class TestVolterraSolverMatchesMarch:
+    """The divide-and-conquer solve gives the per-step march's solution."""
+
+    @pytest.mark.parametrize("kernel,h,detuning", [
+        pytest.param(*_exponential_kernel(10.0, 5000), 0.0, id="gamma10"),
+        pytest.param(*_exponential_kernel(4.0, 5000), 0.0, id="gamma4-exceptional-point"),
+        pytest.param(*_exponential_kernel(0.2, 5000), 0.0, id="gamma0.2"),
+        pytest.param(*_exponential_kernel(0.5, 2000, g=0.7), 1.3, id="detuned1.3"),
+        pytest.param(*_delta_kernel(2000), 0.0, id="delta"),
+        pytest.param(*_random_kernel(1500), 0.4, id="random-complex"),
+    ])
+    def test_kernels(self, kernel, h, detuning):
+        new = solve_volterra_kernel(kernel, h, detuning=detuning)
+        ref = _march_reference(kernel, h, detuning=detuning)
+        assert np.max(np.abs(new - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 10_000])
+    def test_lengths(self, n):
+        kernel, h = _exponential_kernel(10.0, n)
+        new = solve_volterra_kernel(kernel, h, detuning=0.3)
+        ref = _march_reference(kernel, h, detuning=0.3)
+        assert new.shape == (n + 1,)
+        assert np.max(np.abs(new - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("kernel,match", [
+        (np.ones((3, 2)), "1-D"),
+        (np.array([]), "nonempty"),
+        (np.array([1.0, np.nan, 1.0]), "finite"),
+        (np.array([1.0, np.inf, 1.0]), "finite"),
+        (np.array([1.0, 1.0, complex(0.0, -np.inf)]), "finite"),
+    ])
+    def test_rejects_bad_kernels(self, kernel, match):
+        with pytest.raises(ValueError, match=match):
+            solve_volterra_kernel(kernel, 0.01)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_steps(self, h):
+        with pytest.raises(ValueError, match="step"):
+            solve_volterra_kernel(np.ones(5), h)
+
+    @pytest.mark.parametrize("detuning", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_detuning(self, detuning):
+        with pytest.raises(ValueError, match="detuning"):
+            solve_volterra_kernel(np.ones(5), 0.01, detuning=detuning)
 
 
 class TestVolterraAmplitude:
@@ -30,6 +115,11 @@ class TestVolterraAmplitude:
     def test_step_constraint_enforced(self):
         with pytest.raises(ValueError, match="reduce h"):
             volterra_amplitude(Lorentzian(g=1.0, omega0=0, gamma=10.0), GRID, h=0.05)
+
+    @pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
+    def test_rejects_bad_steps(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            volterra_amplitude(Lorentzian(g=1.0, omega0=0, gamma=1.0), GRID, h=h)
 
     def test_requires_zero_start(self):
         with pytest.raises(ValueError, match="t0 = 0"):
@@ -82,6 +172,19 @@ class TestVolterraAmplitude:
             AmplitudeTrajectory(times=np.array([0.0, 1.0]), c=np.array([0.5, 0.4]))
         with pytest.raises(ValueError, match="exceeded"):
             AmplitudeTrajectory(times=np.array([0.0, 1.0]), c=np.array([1.0, 1.5]))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 2)])
+    def test_amplitude_trajectory_rejects_empty_or_stacked_curves(self, shape):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            AmplitudeTrajectory(times=np.zeros(shape), c=np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_amplitude_trajectory_rejects_non_finite_values(self, bad):
+        times = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeTrajectory(times=times, c=np.array([1.0, bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeTrajectory(times=np.array([0.0, bad, 2.0]), c=np.array([1.0, 0.9, 0.5]))
 
 
 class TestDiscreteBath:
