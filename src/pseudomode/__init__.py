@@ -11,6 +11,7 @@ trajectory unraveling, and a JSON-driven CLI.
 
 from .algebra import (
     DensityMatrix,
+    DensityMatrixError,
     HilbertFactorization,
     Operator,
     annihilation,
@@ -23,12 +24,10 @@ from .algebra import (
     trace_distance,
 )
 from .baths import (
-    CorrelationSample,
     Flat,
     Lorentzian,
     SpectralDensity,
     correlation_function,
-    correlation_on_grid,
     markovian_rate,
     spectral_density_eval,
     verify_fourier_pair,

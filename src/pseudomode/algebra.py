@@ -69,8 +69,12 @@ def hermiticity_defect(op: Operator | np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+class DensityMatrixError(ValueError):
+    """A matrix breaks one of the density-matrix invariants; the message names it."""
+
+
 def check_density_matrices(stack: np.ndarray, start: int = 0, total: int | None = None) -> None:
-    """Raise ValueError unless each matrix of an (m, n, n) stack is a density matrix.
+    """Raise DensityMatrixError unless each matrix of an (m, n, n) stack is a density matrix.
 
     The invariants and tolerances are DensityMatrix's, checked in one batched
     pass; a non-finite entry fails them. The stack may be matrices start ..
@@ -88,16 +92,16 @@ def check_density_matrices(stack: np.ndarray, start: int = 0, total: int | None 
     if not defect.max() <= HERMITICITY_TOL:
         defect = defect.reshape(len(stack), -1).max(axis=1)
         i, where = first_bad(defect <= HERMITICITY_TOL)
-        raise ValueError(f"density matrix not Hermitian: defect {defect[i]:.3e}{where}")
+        raise DensityMatrixError(f"density matrix not Hermitian: defect {defect[i]:.3e}{where}")
     tr = stack.trace(axis1=1, axis2=2)
     if not np.abs(tr - 1.0).max() <= TRACE_TOL:
         i, where = first_bad(np.abs(tr - 1.0) <= TRACE_TOL)
-        raise ValueError(
+        raise DensityMatrixError(
             f"density matrix trace {tr[i]:.12g} differs from 1 beyond {TRACE_TOL:g}{where}")
     lam_min = np.linalg.eigvalsh(stack)[:, 0]
     if not lam_min.min() >= -POSITIVITY_TOL:
         i, where = first_bad(lam_min >= -POSITIVITY_TOL)
-        raise ValueError(
+        raise DensityMatrixError(
             f"density matrix has eigenvalue {lam_min[i]:.3e} below -{POSITIVITY_TOL:g}{where}")
 
 
@@ -149,19 +153,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HilbertFactorization:
-    """Ordered tensor-product factor dimensions; the system factor is leftmost."""
+    """Dimensions (d0, d1) of a two-factor space, system (0) tensor ancilla (1)."""
 
-    dims: tuple[int, ...]
+    dims: tuple[int, int]
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be positive, got {dims}")
+        if len(dims) != 2 or any(d < 1 for d in dims):
+            raise ValueError(f"need two positive factor dimensions, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return self.dims[0] * self.dims[1]
 
     def check(self, dim: int) -> None:
         if self.total_dim != dim:
@@ -194,26 +198,15 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat))
 
 
-def _partial_trace_mat(mat: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
-    n = len(dims)
-    tensor = mat.reshape(dims + dims)
-    out = tensor
-    removed = 0
-    for idx in range(n):
-        if idx == keep:
-            continue
-        axis = idx - removed
-        out = np.trace(out, axis1=axis, axis2=axis + (n - removed))
-        removed += 1
-    return out.reshape(dims[keep], dims[keep])
-
-
 def partial_trace(rho: DensityMatrix, fact: HilbertFactorization, keep: int) -> DensityMatrix:
-    """Reduced state on factor `keep`, tracing out all other factors."""
+    """Reduced state on factor `keep` (0 or 1), tracing out the other factor."""
     fact.check(rho.dim)
-    if not 0 <= keep < len(fact.dims):
+    if keep not in (0, 1):
         raise ValueError(f"keep index {keep} outside factorization {fact.dims}")
-    return DensityMatrix(Operator(_partial_trace_mat(rho.mat, fact.dims, keep)))
+    # axes (i0, i1, j0, j1): trace over the pair (i, j) of the factor not kept
+    traced = 1 - keep
+    tensor = rho.mat.reshape(fact.dims + fact.dims)
+    return DensityMatrix(Operator(np.trace(tensor, axis1=traced, axis2=traced + 2)))
 
 
 def expectation(a: Operator, rho: DensityMatrix) -> complex:

@@ -55,12 +55,6 @@ class Lorentzian:
 SpectralDensity = Union[Flat, Lorentzian]
 
 
-@dataclass(frozen=True)
-class CorrelationSample:
-    tau: float
-    value: complex
-
-
 def spectral_density_eval(sd: SpectralDensity, omega):
     """Coupling-weighted spectral density at omega (scalar or array)."""
     omega = np.asarray(omega, dtype=float)
@@ -88,11 +82,6 @@ def correlation_function(sd: SpectralDensity, tau):
     tau = np.asarray(tau, dtype=float)
     out = sd.g**2 * np.exp(-1j * sd.omega0 * tau - 0.5 * sd.gamma * np.abs(tau))
     return complex(out) if out.ndim == 0 else out
-
-
-def correlation_on_grid(sd: Lorentzian, taus) -> list[CorrelationSample]:
-    values = correlation_function(sd, np.asarray(taus, dtype=float))
-    return [CorrelationSample(float(t), complex(v)) for t, v in zip(np.atleast_1d(taus), np.atleast_1d(values))]
 
 
 def markovian_rate(sd: SpectralDensity, omega_system: float) -> float:

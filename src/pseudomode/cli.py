@@ -2,8 +2,11 @@
 
 Usage: pseudomode run <config.json> [--out DIR] [--seed N] [--quiet]
 
-Exit codes: 0 success, 2 config error, 3 integration failure,
-4 ancilla-truncation failure.
+The config's `output` is a plain file name, written inside --out.
+
+Exit codes: 0 success, 2 config error, 3 integration failure (the step size
+underflowed) or invariant failure (a computed state is not Hermitian, not of
+unit trace or not positive; no CSV is written), 4 ancilla-truncation failure.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import DensityMatrix, Operator, expectation, identity, kron
+from .algebra import DensityMatrix, DensityMatrixError, Operator, expectation, identity, kron
 from .baths import Flat, Lorentzian, markovian_rate
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .dynamics import LindbladModel, evolve
@@ -32,6 +36,9 @@ from .oracles import discrete_bath_evolve, volterra_amplitude
 from .trajectories import TrajectoryConfig, ensemble_average
 
 _DEFAULT_STEP_FRACTION = 0.01
+
+# What a scenario runner returns: the CSV columns that follow "t".
+Columns = list[tuple[str, np.ndarray]]
 
 
 def _fmt(value: float) -> str:
@@ -67,6 +74,11 @@ def _initial_density(cfg: ScenarioConfig) -> DensityMatrix:
     return DensityMatrix.fock(cfg.system.d_S, cfg.initial_fock)
 
 
+def _detuning_of(cfg: ScenarioConfig) -> float:
+    h = cfg.system.H_S.mat
+    return float(np.real(h[1, 1] - h[0, 0]))
+
+
 def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
     if isinstance(cfg.bath, Flat):
         rate = cfg.bath.f2
@@ -76,32 +88,17 @@ def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
                          jumps=((rate, cfg.system.V),))
 
 
-def _resolve_d_a(cfg: ScenarioConfig) -> int:
-    if cfg.d_A != "auto":
-        return int(cfg.d_A)
-    return choose_truncation(
-        cfg.system, cfg.bath, _initial_density(cfg), cfg.grid, cfg.integrator,
-        tol=cfg.truncation_tol,
-    )
+def _expectations(cfg: ScenarioConfig, states) -> np.ndarray:
+    obs = _system_observable(cfg)
+    return np.array([expectation(obs, st).real for st in states])
 
 
-def _volterra_step(cfg: ScenarioConfig) -> float:
-    if cfg.h is not None:
-        return cfg.h
-    scale = max(cfg.bath.g, cfg.bath.gamma, 1e-12)
-    return _DEFAULT_STEP_FRACTION / scale
+def _markovian(cfg: ScenarioConfig) -> Columns:
+    states = evolve(_markovian_model(cfg), _initial_density(cfg), cfg.grid, cfg.integrator)
+    return [(_observable_name(cfg), _expectations(cfg, states))]
 
 
-def _half_width(cfg: ScenarioConfig) -> float:
-    return cfg.half_width if cfg.half_width is not None else 20.0 * cfg.bath.gamma
-
-
-def _detuning_of(cfg: ScenarioConfig) -> float:
-    h = cfg.system.H_S.mat
-    return float(np.real(h[1, 1] - h[0, 0]))
-
-
-def _pseudomode_curve(cfg: ScenarioConfig) -> np.ndarray:
+def _pseudomode(cfg: ScenarioConfig) -> Columns:
     if cfg.d_A == "auto":
         # the ladder already computed the curve at the d_A it certifies
         _, states = _truncation_ladder(
@@ -110,98 +107,92 @@ def _pseudomode_curve(cfg: ScenarioConfig) -> np.ndarray:
         )
     else:
         states = simulate_lorentzian(
-            EmbeddingSpec(cfg.system, cfg.bath, int(cfg.d_A)), _initial_density(cfg),
+            EmbeddingSpec(cfg.system, cfg.bath, cfg.d_A), _initial_density(cfg),
             cfg.grid, cfg.integrator,
         )
-    obs = _system_observable(cfg)
-    return np.array([expectation(obs, st).real for st in states])
+    return [(_observable_name(cfg), _expectations(cfg, states))]
+
+
+def _volterra(cfg: ScenarioConfig) -> Columns:
+    h = cfg.h
+    if h is None:
+        h = _DEFAULT_STEP_FRACTION / max(cfg.bath.g, cfg.bath.gamma, 1e-12)
+    traj = volterra_amplitude(cfg.bath, cfg.grid, h, detuning=_detuning_of(cfg))
+    return [("P_e", traj.p_excited)]
+
+
+def _discrete_bath(cfg: ScenarioConfig) -> Columns:
+    half_width = cfg.half_width if cfg.half_width is not None else 20.0 * cfg.bath.gamma
+    traj = discrete_bath_evolve(cfg.system, cfg.bath, cfg.n_modes, half_width, cfg.grid)
+    return [("P_e", traj.p_excited)]
+
+
+def _trajectories(cfg: ScenarioConfig) -> Columns:
+    if isinstance(cfg.bath, Lorentzian):
+        d_a = cfg.d_A
+        if d_a == "auto":
+            d_a = choose_truncation(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
+                                    cfg.integrator, tol=cfg.truncation_tol)
+        emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
+        model = emb.model
+        obs = kron(_system_observable(cfg), identity(d_a))
+    else:
+        d_a = 1  # no ancilla: the system's Fock index is its state index
+        model = _markovian_model(cfg)
+        obs = _system_observable(cfg)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[cfg.initial_fock * d_a] = 1.0
+    tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, grid=cfg.grid,
+                            integrator=cfg.integrator)
+    stats = ensemble_average(model, psi0, tcfg, observables=(obs,))
+    name = _observable_name(cfg)
+    return [(f"{name}_mean", stats.means[0].real), (f"{name}_stderr", stats.stderrs[0])]
+
+
+_COMPARED = ("pseudomode", "volterra", "discrete_bath")
+
+
+def _compare(cfg: ScenarioConfig) -> Columns:
+    curves = {kind: _RUNNERS[kind](cfg)[0][1] for kind in _COMPARED}
+    return [
+        *((f"P_e_{kind}", curves[kind]) for kind in _COMPARED),
+        *((f"abs_diff_{a}_{b}", np.abs(curves[a] - curves[b]))
+          for a, b in combinations(_COMPARED, 2)),
+    ]
+
+
+_RUNNERS = {
+    "markovian": _markovian,
+    "pseudomode": _pseudomode,
+    "volterra": _volterra,
+    "discrete_bath": _discrete_bath,
+    "trajectories": _trajectories,
+    "compare": _compare,
+}
+
+
+def _summary(cfg: ScenarioConfig, columns: Columns) -> list[str]:
+    if cfg.scenario == "compare":
+        lines = []
+        for (a, b), (_, diff) in zip(combinations(_COMPARED, 2), columns[len(_COMPARED):]):
+            label = f"max |{a} - {b}|"
+            lines.append(f"compare: {label:<32} = {diff.max():.6e}")
+        return lines
+    ensemble = f"n_traj = {cfg.n_traj}, " if cfg.scenario == "trajectories" else ""
+    name, curve = columns[0]
+    return [f"{cfg.scenario}: {ensemble}{name}(t1) = {curve[-1]:.9g}"]
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Execute one scenario and return the path of the CSV it wrote."""
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / cfg.output
-    times = cfg.grid.times()
-    name = _observable_name(cfg)
-
-    def say(msg: str) -> None:
-        if not quiet:
-            print(msg)
-
-    if cfg.scenario == "markovian":
-        states = evolve(_markovian_model(cfg), _initial_density(cfg), cfg.grid, cfg.integrator)
-        obs = _system_observable(cfg)
-        curve = np.array([expectation(obs, st).real for st in states])
-        write_csv(out_path, [("t", times), (name, curve)])
-        say(f"markovian: {name}(t1) = {curve[-1]:.9g}")
-
-    elif cfg.scenario == "pseudomode":
-        curve = _pseudomode_curve(cfg)
-        write_csv(out_path, [("t", times), (name, curve)])
-        say(f"pseudomode: {name}(t1) = {curve[-1]:.9g}")
-
-    elif cfg.scenario == "volterra":
-        traj = volterra_amplitude(cfg.bath, cfg.grid, _volterra_step(cfg),
-                                  detuning=_detuning_of(cfg))
-        write_csv(out_path, [("t", times), ("P_e", traj.p_excited)])
-        say(f"volterra: P_e(t1) = {traj.p_excited[-1]:.9g}")
-
-    elif cfg.scenario == "discrete_bath":
-        traj = discrete_bath_evolve(cfg.system, cfg.bath, cfg.n_modes,
-                                    _half_width(cfg), cfg.grid)
-        write_csv(out_path, [("t", times), ("P_e", traj.p_excited)])
-        say(f"discrete_bath: P_e(t1) = {traj.p_excited[-1]:.9g}")
-
-    elif cfg.scenario == "trajectories":
-        if isinstance(cfg.bath, Lorentzian):
-            d_a = _resolve_d_a(cfg)
-            emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
-            model = emb.model
-            psi0 = np.zeros(model.dim, dtype=complex)
-            psi0[cfg.initial_fock * d_a] = 1.0
-            obs = kron(_system_observable(cfg), identity(d_a))
-        else:
-            model = _markovian_model(cfg)
-            psi0 = np.zeros(model.dim, dtype=complex)
-            psi0[cfg.initial_fock] = 1.0
-            obs = _system_observable(cfg)
-        tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, grid=cfg.grid,
-                                integrator=cfg.integrator)
-        stats = ensemble_average(model, psi0, tcfg, observables=(obs,))
-        write_csv(out_path, [
-            ("t", times),
-            (f"{name}_mean", stats.means[0].real),
-            (f"{name}_stderr", stats.stderrs[0]),
-        ])
-        say(f"trajectories: n_traj = {cfg.n_traj}, "
-            f"{name}_mean(t1) = {stats.means[0][-1].real:.9g}")
-
-    elif cfg.scenario == "compare":
-        pm = _pseudomode_curve(cfg)
-        vol = volterra_amplitude(cfg.bath, cfg.grid, _volterra_step(cfg),
-                                 detuning=_detuning_of(cfg)).p_excited
-        disc = discrete_bath_evolve(cfg.system, cfg.bath, cfg.n_modes,
-                                    _half_width(cfg), cfg.grid).p_excited
-        d_pv = np.abs(pm - vol)
-        d_pd = np.abs(pm - disc)
-        d_vd = np.abs(vol - disc)
-        write_csv(out_path, [
-            ("t", times),
-            ("P_e_pseudomode", pm),
-            ("P_e_volterra", vol),
-            ("P_e_discrete_bath", disc),
-            ("abs_diff_pseudomode_volterra", d_pv),
-            ("abs_diff_pseudomode_discrete_bath", d_pd),
-            ("abs_diff_volterra_discrete_bath", d_vd),
-        ])
-        say(f"compare: max |pseudomode - volterra|      = {d_pv.max():.6e}")
-        say(f"compare: max |pseudomode - discrete_bath| = {d_pd.max():.6e}")
-        say(f"compare: max |volterra - discrete_bath|   = {d_vd.max():.6e}")
-
-    else:  # pragma: no cover - parse_scenario already rejects unknown kinds
-        raise ConfigError(f"unknown scenario kind {cfg.scenario!r}")
-
-    say(f"wrote {out_path}")
+    columns = _RUNNERS[cfg.scenario](cfg)
+    write_csv(out_path, [("t", cfg.grid.times()), *columns])
+    if not quiet:
+        for line in _summary(cfg, columns):
+            print(line)
+        print(f"wrote {out_path}")
     return out_path
 
 
@@ -230,6 +221,10 @@ def main(argv=None) -> int:
         return 2
     except IntegrationError as exc:
         print(f"integration failure: {exc} (last good time {exc.t_last:.6g})", file=sys.stderr)
+        return 3
+    except DensityMatrixError as exc:
+        print(f"invariant failure: {exc}; tighten numerics.rel_tol and abs_tol",
+              file=sys.stderr)
         return 3
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)

@@ -150,7 +150,10 @@ def _parse_time(block) -> TimeGrid:
         raise ConfigError("time.t1 is required")
     if t1 <= t0:
         raise ConfigError(f"time.t1 must exceed t0, got [{t0}, {t1}]")
-    return TimeGrid(t0=t0, t1=t1, n_points=n_points)
+    try:
+        return TimeGrid(t0=t0, t1=t1, n_points=n_points)
+    except ValueError as exc:
+        raise ConfigError(f"invalid time: {exc}") from exc
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -217,9 +220,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     elif traj_block is not None:
         raise ConfigError("trajectories block is only valid for scenario 'trajectories'")
 
+    # a plain name, so the CSV lands in the output directory itself
     output = doc["output"]
-    if not isinstance(output, str) or not output:
-        raise ConfigError("output must be a nonempty file name")
+    if (not isinstance(output, str) or output in ("", ".", "..")
+            or any(ch in output for ch in "/\\\0")):
+        raise ConfigError(f"output must be a plain file name, got {output!r}")
 
     return ScenarioConfig(
         scenario=scenario,

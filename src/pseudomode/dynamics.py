@@ -56,6 +56,8 @@ class TimeGrid:
             raise ValueError(f"time interval must be finite, got [{self.t0}, {self.t1}]")
         if self.t1 <= self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError(f"time span t1 - t0 overflows, got [{self.t0}, {self.t1}]")
         if self.n_points < 2:
             raise ValueError(f"need at least 2 output instants, got {self.n_points}")
 

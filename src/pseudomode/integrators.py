@@ -191,9 +191,9 @@ class Dopri5:
         return y_old + theta * (diff + (1.0 - theta) * (bspl + theta * (r4 + (1.0 - theta) * r5)))
 
 
-def fixed_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, h: float,
+def fixed_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, h: float | np.ndarray,
                k1: np.ndarray | None = None) -> np.ndarray:
-    """Single fixed 5th-order step, no error control (used for bisection)."""
+    """Single fixed 5th-order step, no error control; h may be a column of per-row steps."""
     if k1 is None:
         k1 = rhs(y0)
     return _stages(rhs, y0, h, k1)[-1]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import ConfigError
 from .dynamics import LindbladModel, TimeGrid
-from .integrators import Dopri5, IntegratorConfig, _stages, propagator
+from .integrators import Dopri5, IntegratorConfig, fixed_step, propagator
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
 _JUMP_TIME_REL_TOL = 1e-10
@@ -196,7 +196,7 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     while active.size:
         steps += 1
         x_a = x[active]
-        y = _stages(rhs, y_a[active], x_a[:, None], k1[active])[-1]
+        y = fixed_step(rhs, y_a[active], x_a[:, None], k1[active])
         f = _norm_sq(y) - thresholds[active]
         above = f >= 0.0
         lo_a = np.where(above, x_a, lo[active])
@@ -211,7 +211,7 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
                              0.5 * (lo_a + hi_a))
         active = active[hi_a - lo_a > tol]
     tau = 0.5 * (lo + hi)
-    return tau, _stages(rhs, y_a, tau[:, None], k1)[-1]
+    return tau, fixed_step(rhs, y_a, tau[:, None], k1)
 
 
 def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
@@ -245,7 +245,7 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
             thresholds[row] = rng.random()
             jump_log.append((int(row), float(t_jump[j]), channel))
         remaining = (t_end - t_jump)[:, None]
-        y_next = _stages(rhs, collapsed, remaining, rhs(collapsed))[-1]
+        y_next = fixed_step(rhs, collapsed, remaining)
         y_end[pending] = y_next
         y_start[pending] = collapsed
         starts[pending] = t_jump

@@ -116,6 +116,16 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, HilbertFactorization((2, 2)), keep=0)
 
+    @pytest.mark.parametrize("dims", [(), (4,), (2, 2, 2), (2, 0)])
+    def test_factorization_is_two_positive_factors(self, dims):
+        with pytest.raises(ValueError, match="two positive"):
+            HilbertFactorization(dims)
+
+    @pytest.mark.parametrize("keep", [-1, 2])
+    def test_keep_outside_factorization(self, rng, keep):
+        with pytest.raises(ValueError, match="keep index"):
+            partial_trace(random_density(rng, 6), HilbertFactorization((2, 3)), keep=keep)
+
     @given(st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=0, max_value=1))
     def test_either_factor_of_product_state(self, seed, keep):

@@ -7,7 +7,6 @@ from pseudomode import (
     Flat,
     Lorentzian,
     correlation_function,
-    correlation_on_grid,
     markovian_rate,
     spectral_density_eval,
     verify_fourier_pair,
@@ -86,12 +85,6 @@ class TestCorrelationFunction:
         assert correlation_function(sd, -tau) == pytest.approx(
             np.conj(correlation_function(sd, tau)), abs=1e-12
         )
-
-    def test_samples_carry_grid(self):
-        sd = Lorentzian(g=1.0, omega0=1.0, gamma=1.0)
-        samples = correlation_on_grid(sd, [0.0, 0.5, 1.0])
-        assert [s.tau for s in samples] == [0.0, 0.5, 1.0]
-        assert samples[0].value == pytest.approx(1.0)
 
 
 class TestMarkovianRate:

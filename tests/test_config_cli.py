@@ -1,12 +1,21 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudomode import ConfigError, cli, embedding, load_scenario, parse_scenario
+from pseudomode import (
+    BathRecurrenceWarning,
+    ConfigError,
+    cli,
+    embedding,
+    load_scenario,
+    parse_scenario,
+)
 from pseudomode.cli import main
+from pseudomode.config import SCENARIO_KINDS
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "configs").glob("*.json"))
@@ -90,6 +99,18 @@ class TestParsing:
         doc = base_doc()
         doc["bath"] = {"kind": "flat", "f2": -1.0}
         with pytest.raises(ConfigError):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("output", ["", ".", "..", "sub/x.csv", "/tmp/x.csv",
+                                        "x.csv/", "sub\\x.csv", "x\0.csv", 3])
+    def test_output_must_be_a_plain_file_name(self, output):
+        with pytest.raises(ConfigError, match="output must be a plain file name"):
+            parse_scenario(base_doc(output=output))
+
+    def test_overflowing_time_span_rejected(self):
+        doc = base_doc()
+        doc["time"] = {"t0": -1e308, "t1": 1e308, "n_points": 3}
+        with pytest.raises(ConfigError, match="overflows"):
             parse_scenario(doc)
 
 
@@ -200,6 +221,22 @@ class TestCliRuns:
             c = (np.exp(-k * t) * (np.cosh(w * t) + k / w * np.sinh(w * t))).real
         assert np.max(np.abs(rows[:, 1] - n0 * c**2)) <= 1e-8
 
+    def test_one_runner_per_scenario_kind(self):
+        assert tuple(cli._RUNNERS) == SCENARIO_KINDS
+
+    @pytest.mark.parametrize("config", sorted((REPO / "configs").glob("compare_gamma_*.json")),
+                             ids=lambda p: p.stem)
+    def test_regime_comparison_configs(self, tmp_path, config):
+        # criterion 1's bounds, against a discretized bath that must not echo
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BathRecurrenceWarning)
+            assert main(["run", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        header, rows = read_csv(tmp_path / json.loads(config.read_text())["output"])
+        assert header[4:6] == ["abs_diff_pseudomode_volterra",
+                               "abs_diff_pseudomode_discrete_bath"]
+        assert rows[:, 4].max() < 1e-4
+        assert rows[:, 5].max() < 2e-3
+
     def test_csv_full_precision_round_trip(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
@@ -255,6 +292,29 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 4
         assert "truncation failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, bath, invariant", [
+        ("markovian", {"kind": "flat", "f2": 50.0}, "trace"),
+        ("pseudomode", {"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2},
+         "eigenvalue"),
+    ])
+    def test_broken_density_matrix_is_3(self, tmp_path, capsys, scenario, bath, invariant):
+        # tolerances this loose let the integrator step straight off the state space
+        doc = {
+            "scenario": scenario,
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": bath,
+            "time": {"t0": 0.0, "t1": 5.0, "n_points": 3},
+            "numerics": {"d_A": 3, "rel_tol": 0.9, "abs_tol": 0.9,
+                         "max_step": 1.0, "initial_step": 1.0},
+            "output": "x.csv",
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant failure: density matrix") and err.count("\n") == 1
+        assert invariant in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("block, key, value", [
         ("bath", "g", float("nan")),

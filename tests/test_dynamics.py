@@ -80,6 +80,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(bad, 1.0, 3)
 
+    def test_rejects_overflowing_span(self):
+        # both ends finite, but t1 - t0 is inf and times() would start at nan
+        with pytest.raises(ValueError, match="overflows"):
+            TimeGrid(-1e308, 1e308, 3)
+
     def test_times_uniform(self):
         t = TimeGrid(0.0, 1.0, 5).times()
         assert np.allclose(np.diff(t), 0.25)
