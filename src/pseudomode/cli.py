@@ -4,14 +4,20 @@ Usage: pseudomode run <config.json> [--out DIR] [--seed N] [--quiet]
 
 The config's `output` is a plain file name, written inside --out.
 
-Exit codes: 0 success, 2 config error, 3 integration failure (the step size
-underflowed) or invariant failure (a computed state is not Hermitian, not of
-unit trace or not positive; no CSV is written), 4 ancilla-truncation failure.
+Exit codes: 0 success (also when stdout closes before the summary: the CSV
+is complete by then), 2 config error, 3 integration failure (the step size
+underflowed), invariant failure (a computed state is not Hermitian, not of
+unit trace or not positive; no CSV is written) or jump failure (a jump found
+every channel at zero weight), 4 ancilla-truncation failure.
+
+Every Lindblad scenario runs on embedding's one stacked grid-step core (the
+markovian one with no ancilla); dynamics.evolve is the adaptive entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -19,21 +25,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DensityMatrix, DensityMatrixError, Operator, expectation, identity, kron
+from .algebra import DensityMatrix, DensityMatrixError, Operator, identity, kron
 from .baths import Flat, Lorentzian, markovian_rate
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .dynamics import LindbladModel, evolve
+from .dynamics import LindbladModel
 from .embedding import (
     EmbeddingSpec,
     TruncationError,
+    _composite,
+    _reduced_curve,
     _truncation_ladder,
     build_embedding,
     choose_truncation,
-    simulate_lorentzian,
 )
 from .integrators import IntegrationError
 from .oracles import discrete_bath_evolve, volterra_amplitude
-from .trajectories import TrajectoryConfig, ensemble_average
+from .trajectories import JumpDegeneracyError, TrajectoryConfig, ensemble_average
 
 _DEFAULT_STEP_FRACTION = 0.01
 
@@ -88,13 +95,14 @@ def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
                          jumps=((rate, cfg.system.V),))
 
 
-def _expectations(cfg: ScenarioConfig, states) -> np.ndarray:
-    obs = _system_observable(cfg)
-    return np.array([expectation(obs, st).real for st in states])
+def _expectations(cfg: ScenarioConfig, states: np.ndarray) -> np.ndarray:
+    """tr(A rho) at every instant of an (n_t, d_S, d_S) stack of system states."""
+    return np.einsum("ij,tji->t", _system_observable(cfg).mat, states).real
 
 
 def _markovian(cfg: ScenarioConfig) -> Columns:
-    states = evolve(_markovian_model(cfg), _initial_density(cfg), cfg.grid, cfg.integrator)
+    states = _reduced_curve(_markovian_model(cfg), _initial_density(cfg).mat, 1, cfg.grid,
+                            cfg.integrator)
     return [(_observable_name(cfg), _expectations(cfg, states))]
 
 
@@ -106,10 +114,9 @@ def _pseudomode(cfg: ScenarioConfig) -> Columns:
             cfg.truncation_tol,
         )
     else:
-        states = simulate_lorentzian(
-            EmbeddingSpec(cfg.system, cfg.bath, cfg.d_A), _initial_density(cfg),
-            cfg.grid, cfg.integrator,
-        )
+        model, rho0 = _composite(EmbeddingSpec(cfg.system, cfg.bath, cfg.d_A),
+                                 _initial_density(cfg))
+        states = _reduced_curve(model, rho0, cfg.d_A, cfg.grid, cfg.integrator)
     return [(_observable_name(cfg), _expectations(cfg, states))]
 
 
@@ -190,9 +197,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> Pat
     columns = _RUNNERS[cfg.scenario](cfg)
     write_csv(out_path, [("t", cfg.grid.times()), *columns])
     if not quiet:
-        for line in _summary(cfg, columns):
-            print(line)
-        print(f"wrote {out_path}")
+        try:
+            for line in _summary(cfg, columns):
+                print(line)
+            print(f"wrote {out_path}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the CSV is complete and only the summary lost its reader; send
+            # stdout to devnull so that the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return out_path
 
 
@@ -225,6 +240,9 @@ def main(argv=None) -> int:
     except DensityMatrixError as exc:
         print(f"invariant failure: {exc}; tighten numerics.rel_tol and abs_tol",
               file=sys.stderr)
+        return 3
+    except JumpDegeneracyError as exc:
+        print(f"jump failure: {exc}", file=sys.stderr)
         return 3
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from .baths import Flat, Lorentzian, SpectralDensity
 from .dynamics import TimeGrid
 from .embedding import SystemSpec, oscillator_system, tls_system
 from .integrators import IntegratorConfig
+from .oracles import check_volterra_step, check_window
 
 SCENARIO_KINDS = (
     "markovian",
@@ -26,6 +27,8 @@ SCENARIO_KINDS = (
     "compare",
 )
 SYSTEM_PRESETS = ("tls_sigma_minus", "oscillator")
+# the oscillator preset's operators are dense d_S x d_S arrays, built while parsing
+MAX_OSCILLATOR_LEVELS = 1024
 
 
 class ConfigError(ValueError):
@@ -75,9 +78,13 @@ def _number(block: dict, key: str, ctx: str, default=None, *, positive=False, no
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{ctx}.{key} must be a number, got {val!r}")
-    val = float(val)
     # JSON's NaN and Infinity, and literals such as 1e400, parse to non-finite
-    # floats that every sign check below would let through
+    # floats that every sign check below would let through; an integer literal
+    # past the float range cannot be converted at all
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{ctx}.{key} must be finite, got {val}")
     if positive and val <= 0.0:
@@ -87,7 +94,7 @@ def _number(block: dict, key: str, ctx: str, default=None, *, positive=False, no
     return val
 
 
-def _integer(block: dict, key: str, ctx: str, default=None, *, minimum=None):
+def _integer(block: dict, key: str, ctx: str, default=None, *, minimum=None, maximum=None):
     if key not in block:
         return default
     val = block[key]
@@ -95,6 +102,8 @@ def _integer(block: dict, key: str, ctx: str, default=None, *, minimum=None):
         raise ConfigError(f"{ctx}.{key} must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{ctx}.{key} must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{ctx}.{key} must be <= {maximum}, got {val}")
     return val
 
 
@@ -112,7 +121,7 @@ def _parse_system(block) -> tuple[SystemSpec, str, int]:
             raise ConfigError(f"preset tls_sigma_minus is two-level; got d_S = {d_s}")
         spec = tls_system(detuning)
     else:
-        d_s = _integer(block, "d_S", "system", minimum=2)
+        d_s = _integer(block, "d_S", "system", minimum=2, maximum=MAX_OSCILLATOR_LEVELS)
         if d_s is None:
             raise ConfigError("system.d_S is required for the oscillator preset")
         spec = oscillator_system(d_s, detuning)
@@ -208,6 +217,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             )
         if grid.t0 != 0.0:
             raise ConfigError(f"scenario '{scenario}' requires time.t0 = 0")
+        try:
+            if h is not None and scenario != "discrete_bath":
+                check_volterra_step(bath, h)
+            if half_width is not None and scenario != "volterra":
+                check_window(bath, half_width)
+        except ValueError as exc:
+            raise ConfigError(f"invalid numerics: {exc}") from exc
 
     traj_block = doc.get("trajectories")
     n_traj = seed = None

@@ -6,6 +6,9 @@ oscillator out returns the reduced system state. The ancilla damping rate is
 hard-wired to the linewidth: that identification is exactly what makes the
 ancilla's vacuum correlation function match the reservoir's, so it is not a
 tunable parameter.
+
+Every Lindblad scenario the CLI runs takes its curve from one stacked
+grid-step core, _reduced_curve; dynamics.evolve is the adaptive entry point.
 """
 
 from __future__ import annotations
@@ -145,35 +148,32 @@ def _check_curve(curve: np.ndarray, entries: np.ndarray, n: int) -> None:
         check_density_matrices(blocks.reshape(-1, n, n), start=start, total=len(curve))
 
 
-def simulate_lorentzian(
-    spec: EmbeddingSpec,
-    rho_S0: DensityMatrix,
-    grid: TimeGrid,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> list[DensityMatrix]:
-    """Reduced system states at each grid instant for a Lorentzian reservoir.
+def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeGrid,
+                   cfg: IntegratorConfig) -> np.ndarray:
+    """Reduced states of a system x ancilla model on the grid, one (n_t, d_S, d_S) stack.
 
-    The composite master equation is solved only on the density-matrix
-    entries that can become nonzero: rho0's nonzero entries, closed under the
-    operator patterns of the generator on the basis states reachable from
-    rho0. Every other entry stays exactly zero. The generator is time
-    independent and the grid uniform, so each instant is one product with a
-    grid-step propagator, built by integrators.propagator at cfg's
-    tolerances with norm_size the composite matrix's d^2 entries: a weight
-    k^2 / d^2 on the RMS error of the k x k propagator, which holds each of
-    its columns at least as tight as evolve holds one state.
+    The one curve core of every Lindblad scenario; d_A = 1 is a model with
+    no ancilla (the markovian scenario). The master equation is solved only
+    on the density-matrix entries that can become nonzero: rho0's nonzero
+    entries, closed under the operator patterns of the generator on the
+    basis states reachable from rho0. Every other entry stays exactly zero.
+    The generator is time independent and the grid uniform, so each instant
+    is one product with a grid-step propagator, built by
+    integrators.propagator at cfg's tolerances with norm_size the composite
+    matrix's d^2 entries: a weight k^2 / d^2 on the RMS error of the k x k
+    propagator, which holds each of its columns at least as tight as evolve
+    holds one state.
     Above 256 entries the k x k propagator costs more than it saves (k^3
     per Dopri5 stage, against n^3 for the n x n block of reachable states)
     and needs k^2 memory, so the block is integrated adaptively instead, as
     in evolve. Either way the composite curve is validated as a stack with
-    DensityMatrix's tolerances, a bounded chunk of instants at a time, and
-    only the returned reduced states are built as DensityMatrix.
+    DensityMatrix's tolerances, a bounded chunk of instants at a time; the
+    reduced states are partial traces of it and are not validated again.
 
-    Warns with FockTruncationWarning if the top ancilla Fock level ever
-    carries more than 1e-6 population, signalling possible truncation leakage.
+    For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
+    ever carries more than 1e-6 population, signalling possible truncation leakage.
     """
-    model, rho0 = _composite(spec, rho_S0)
-    d_S, d_A = spec.system.d_S, spec.d_A
+    d_S = model.dim // d_A
     states = _reachable(model, rho0)
     n = states.size
     block = _restricted(model, states)
@@ -193,19 +193,35 @@ def simulate_lorentzian(
     row, col = np.divmod(entries, n)
     sys_row, anc_row = np.divmod(states[row], d_A)
     sys_col, anc_col = np.divmod(states[col], d_A)
-    top = float(np.max(curve[:, (row == col) & (anc_row == d_A - 1)].real.sum(axis=1)))
-    if top > TOP_LEVEL_POPULATION_TOL:
-        warnings.warn(
-            f"top ancilla Fock level reached population {top:.3e} "
-            f"(> {TOP_LEVEL_POPULATION_TOL:g}); consider a larger d_A",
-            FockTruncationWarning,
-            stacklevel=2,
-        )
+    if d_A > 1:
+        top = float(np.max(curve[:, (row == col) & (anc_row == d_A - 1)].real.sum(axis=1)))
+        if top > TOP_LEVEL_POPULATION_TOL:
+            warnings.warn(
+                f"top ancilla Fock level reached population {top:.3e} "
+                f"(> {TOP_LEVEL_POPULATION_TOL:g}); consider a larger d_A",
+                FockTruncationWarning,
+                stacklevel=3,
+            )
     traced = np.flatnonzero(anc_row == anc_col)
     to_reduced = np.zeros((traced.size, d_S * d_S))
     to_reduced[np.arange(traced.size), sys_row[traced] * d_S + sys_col[traced]] = 1.0
-    reduced = (curve[:, traced] @ to_reduced).reshape(-1, d_S, d_S)
-    return [DensityMatrix(Operator(r)) for r in reduced]
+    return (curve[:, traced] @ to_reduced).reshape(-1, d_S, d_S)
+
+
+def simulate_lorentzian(
+    spec: EmbeddingSpec,
+    rho_S0: DensityMatrix,
+    grid: TimeGrid,
+    cfg: IntegratorConfig = IntegratorConfig(),
+) -> list[DensityMatrix]:
+    """Reduced system states at each grid instant for a Lorentzian reservoir.
+
+    One DensityMatrix per instant of _reduced_curve on the composite model.
+    Warns with FockTruncationWarning if the top ancilla Fock level ever
+    carries more than 1e-6 population.
+    """
+    model, rho0 = _composite(spec, rho_S0)
+    return [DensityMatrix(Operator(r)) for r in _reduced_curve(model, rho0, spec.d_A, grid, cfg)]
 
 
 def choose_truncation(
@@ -231,20 +247,21 @@ def _truncation_ladder(
     grid: TimeGrid,
     cfg: IntegratorConfig,
     tol: float,
-) -> tuple[int, list[DensityMatrix]]:
-    """choose_truncation's d_A together with the reduced curve it certified."""
+) -> tuple[int, np.ndarray]:
+    """choose_truncation's d_A together with the reduced curve it certified, as a stack."""
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    def reduced_curve(d_A: int) -> list[DensityMatrix]:
+    def reduced_curve(d_A: int) -> np.ndarray:
+        model, rho0 = _composite(EmbeddingSpec(system, bath, d_A), rho_S0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FockTruncationWarning)
-            return simulate_lorentzian(EmbeddingSpec(system, bath, d_A), rho_S0, grid, cfg)
+            return _reduced_curve(model, rho0, d_A, grid, cfg)
 
     prev = reduced_curve(_TRUNCATION_LADDER[0])
     for d_A in _TRUNCATION_LADDER:
         doubled = reduced_curve(2 * d_A)
-        diff = np.stack([r.mat for r in prev]) - np.stack([s.mat for s in doubled])
+        diff = prev - doubled
         diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
         # algebra.trace_distance at every instant, in one stacked eigvalsh
         dist = 0.5 * float(np.max(np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)))

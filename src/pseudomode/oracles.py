@@ -147,6 +147,16 @@ def solve_volterra_kernel(kernel: np.ndarray, h: float, detuning: float = 0.0) -
     return c
 
 
+def check_volterra_step(bath: Lorentzian, h: float) -> None:
+    """Raise ValueError unless g h and gamma h are both at most STEP_KERNEL_LIMIT."""
+    if bath.g * h > STEP_KERNEL_LIMIT or bath.gamma * h > STEP_KERNEL_LIMIT:
+        raise ValueError(
+            f"step h = {h:g} too coarse: need g*h <= {STEP_KERNEL_LIMIT} and "
+            f"gamma*h <= {STEP_KERNEL_LIMIT} (g = {bath.g:g}, gamma = {bath.gamma:g}); "
+            f"reduce h to at most {STEP_KERNEL_LIMIT / max(bath.g, bath.gamma):.3g}"
+        )
+
+
 def volterra_amplitude(
     bath: Lorentzian,
     grid: TimeGrid,
@@ -163,12 +173,7 @@ def volterra_amplitude(
         raise ValueError("amplitude equation starts at t = 0; use a grid with t0 = 0")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step must be finite and positive, got {h}")
-    if bath.g * h > STEP_KERNEL_LIMIT or bath.gamma * h > STEP_KERNEL_LIMIT:
-        raise ValueError(
-            f"step h = {h:g} too coarse: need g*h <= {STEP_KERNEL_LIMIT} and "
-            f"gamma*h <= {STEP_KERNEL_LIMIT} (g = {bath.g:g}, gamma = {bath.gamma:g}); "
-            f"reduce h to at most {STEP_KERNEL_LIMIT / max(bath.g, bath.gamma):.3g}"
-        )
+    check_volterra_step(bath, h)
     dt_out = grid.dt
     n_sub = max(1, int(np.ceil(dt_out / h - 1e-12)))
     h_eff = dt_out / n_sub
@@ -200,14 +205,19 @@ class DiscreteBath:
         return float(self.frequencies[1] - self.frequencies[0])
 
 
-def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> DiscreteBath:
-    """Sample the line at n_modes midpoints across omega0 +/- half_width."""
-    if n_modes < 50:
-        raise ValueError(f"need at least 50 modes for a faithful bath, got {n_modes}")
+def check_window(bath: Lorentzian, half_width: float) -> None:
+    """Raise ValueError unless the window half-width is at least 10 gamma."""
     if half_width < 10.0 * bath.gamma:
         raise ValueError(
             f"window half-width {half_width:g} below 10 gamma = {10 * bath.gamma:g}"
         )
+
+
+def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> DiscreteBath:
+    """Sample the line at n_modes midpoints across omega0 +/- half_width."""
+    if n_modes < 50:
+        raise ValueError(f"need at least 50 modes for a faithful bath, got {n_modes}")
+    check_window(bath, half_width)
     d_omega = 2.0 * half_width / n_modes
     freqs = bath.omega0 - half_width + (np.arange(n_modes) + 0.5) * d_omega
     weights = spectral_density_eval(bath, freqs)

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -9,8 +11,16 @@ import pytest
 from pseudomode import (
     BathRecurrenceWarning,
     ConfigError,
+    DensityMatrix,
+    FockTruncationWarning,
+    JumpDegeneracyError,
+    Operator,
+    TimeGrid,
     cli,
+    dynamics,
     embedding,
+    evolve,
+    expectation,
     load_scenario,
     parse_scenario,
 )
@@ -200,14 +210,14 @@ class TestCliRuns:
         }
         path = write_config(tmp_path, doc)
         curves = []
-        real_simulate = embedding.simulate_lorentzian
+        real_curve = embedding._reduced_curve
 
-        def counted(spec, *args):
-            curves.append(spec.d_A)
-            return real_simulate(spec, *args)
+        def counted(model, rho0, d_A, *args):
+            curves.append(d_A)
+            return real_curve(model, rho0, d_A, *args)
 
         for module in (cli, embedding):
-            monkeypatch.setattr(module, "simulate_lorentzian", counted)
+            monkeypatch.setattr(module, "_reduced_curve", counted)
         assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
         # the ladder certifies d_A = 4 against 8; its curve at 4 is written as is
         assert curves == [2, 4, 8]
@@ -355,6 +365,177 @@ class TestExitCodes:
         assert err.startswith("config error: PSEUDOMODE_NUM_THREADS")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("scenario, numerics, message", [
+        ("volterra", {"h": 1.0}, "step h = 1 too coarse"),
+        ("compare", {"h": 1.0}, "step h = 1 too coarse"),
+        ("discrete_bath", {"W": 1.0}, "window half-width 1 below 10 gamma"),
+        ("compare", {"W": 1.0}, "window half-width 1 below 10 gamma"),
+    ])
+    def test_out_of_range_reference_numerics_is_2(self, tmp_path, capsys, scenario, numerics,
+                                                  message):
+        doc = {
+            "scenario": scenario,
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 0.2},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "numerics": numerics,
+            "output": "x.csv",
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid numerics: " + message)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_oversized_oscillator_is_2(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["system"] = {"preset": "oscillator", "d_S": 10**30}
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "system.d_S must be <= 1024" in capsys.readouterr().err
+
+    def test_jump_degeneracy_is_3(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise JumpDegeneracyError("all jump channels have zero or non-finite weight (total 0)")
+
+        monkeypatch.setattr(cli, "ensemble_average", degenerate)
+        doc = {
+            "scenario": "trajectories",
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "flat", "f2": 1.0},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "trajectories": {"n_traj": 4, "seed": 1},
+            "output": "traj.csv",
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "jump failure: all jump channels have zero or non-finite weight (total 0)\n"
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_closed_stdout_is_0(self, tmp_path, monkeypatch):
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        path = write_config(tmp_path, base_doc())
+        try:
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+            # what the flush at exit writes now goes to devnull, not the pipe
+            os.write(fd, b"flushed at exit")
+        finally:
+            os.close(fd)
+        assert sink.read_bytes() == b""
+        _, rows = read_csv(tmp_path / "out.csv")
+        assert len(rows) == 11
+
+
+class TestStackedCore:
+    """Every Lindblad scenario runs on embedding's stacked grid-step core."""
+
+    MARKOVIAN = REPO / "configs" / "markovian_tls.json"
+
+    @pytest.mark.parametrize("doc", [
+        json.loads(MARKOVIAN.read_text()),
+        base_doc(system={"preset": "oscillator", "d_S": 4, "initial_fock": 3},
+                 time={"t0": 0.0, "t1": 5.0, "n_points": 101}),
+    ], ids=["markovian_tls", "oscillator-fock3"])
+    def test_markovian_matches_adaptive_evolve(self, tmp_path, doc):
+        path = write_config(tmp_path, doc)
+        cfg = load_scenario(path)
+        with warnings.catch_warnings():
+            # one level is not an ancilla whose top Fock level could fill
+            warnings.simplefilter("error", FockTruncationWarning)
+            assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        _, rows = read_csv(tmp_path / cfg.output)
+        states = evolve(cli._markovian_model(cfg), cli._initial_density(cfg), cfg.grid,
+                        cfg.integrator)
+        obs = cli._system_observable(cfg)
+        adaptive = np.array([expectation(obs, st).real for st in states])
+        assert np.max(np.abs(rows[:, 1] - adaptive)) <= 1e-10
+        # a flat bath damps every quantum at rate f2
+        decay = cfg.initial_fock * np.exp(-cfg.bath.f2 * rows[:, 0])
+        assert np.max(np.abs(rows[:, 1] - decay)) <= 1e-6
+
+    def test_markovian_never_calls_evolve(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the markovian runner took the adaptive path")
+
+        monkeypatch.setattr(dynamics, "evolve", forbidden)
+        monkeypatch.setattr(cli, "evolve", forbidden, raising=False)
+        monkeypatch.setattr(dynamics, "iter_instants", forbidden)
+        assert main(["run", str(self.MARKOVIAN), "--out", str(tmp_path), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        base_doc(),
+        base_doc(system={"preset": "oscillator", "d_S": 4, "initial_fock": 3}),
+        base_doc(scenario="pseudomode", numerics={"d_A": 3},
+                 bath={"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2}),
+        base_doc(scenario="pseudomode", numerics={"d_A": "auto"},
+                 system={"preset": "oscillator", "d_S": 4, "initial_fock": 3},
+                 bath={"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2}),
+    ], ids=["markovian-tls", "markovian-oscillator", "pseudomode-dA3", "pseudomode-auto"])
+    def test_no_density_matrix_per_instant(self, tmp_path, monkeypatch, doc):
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.dim)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        counts = []
+        for n_points in (11, 201):
+            doc["time"] = {"t0": 0.0, "t1": 5.0, "n_points": n_points}
+            path = write_config(tmp_path, doc)
+            built.clear()
+            assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2
+
+    def test_trace_breaking_propagator_is_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(embedding, "propagator",
+                            lambda generator, *args, **kwargs: 1.01 * np.eye(len(generator)))
+        assert main(["run", str(self.MARKOVIAN), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant failure: density matrix trace") and "trace" in err
+        assert not (tmp_path / "markovian_tls.csv").exists()
+
+    def test_expectations_match_the_per_state_trace(self):
+        # one einsum over the stack against tr(A rho) state by state; only the
+        # summation order differs
+        cfg = parse_scenario(base_doc(system={"preset": "oscillator", "d_S": 4,
+                                              "initial_fock": 3}))
+        stack = embedding._reduced_curve(cli._markovian_model(cfg), cli._initial_density(cfg).mat,
+                                         1, cfg.grid, cfg.integrator)
+        obs = cli._system_observable(cfg)
+        per_state = [expectation(obs, DensityMatrix(Operator(r))).real for r in stack]
+        assert np.max(np.abs(cli._expectations(cfg, stack) - per_state)) <= 1e-14
+
+    def test_core_returns_the_stack_of_the_public_wrapper(self):
+        cfg = parse_scenario(base_doc(
+            scenario="pseudomode", numerics={"d_A": 3},
+            bath={"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2}))
+        spec = embedding.EmbeddingSpec(cfg.system, cfg.bath, 3)
+        rho = cli._initial_density(cfg)
+        grid = TimeGrid(0.0, 2.0, 21)
+        stack = embedding._reduced_curve(*embedding._composite(spec, rho), 3, grid,
+                                         cfg.integrator)
+        states = embedding.simulate_lorentzian(spec, rho, grid, cfg.integrator)
+        assert stack.shape == (21, 2, 2)
+        assert np.array_equal(stack, np.stack([st.mat for st in states]))
 
 
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
