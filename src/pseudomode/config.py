@@ -29,6 +29,8 @@ SCENARIO_KINDS = (
 SYSTEM_PRESETS = ("tls_sigma_minus", "oscillator")
 # the oscillator preset's operators are dense d_S x d_S arrays, built while parsing
 MAX_OSCILLATOR_LEVELS = 1024
+# the discretized-bath reference costs O(n_modes^2) time and O(n_modes) memory
+MAX_BATH_MODES = 8192
 
 
 class ConfigError(ValueError):
@@ -119,12 +121,16 @@ def _parse_system(block) -> tuple[SystemSpec, str, int]:
         d_s = _integer(block, "d_S", "system", default=2)
         if d_s != 2:
             raise ConfigError(f"preset tls_sigma_minus is two-level; got d_S = {d_s}")
-        spec = tls_system(detuning)
     else:
         d_s = _integer(block, "d_S", "system", minimum=2, maximum=MAX_OSCILLATOR_LEVELS)
         if d_s is None:
             raise ConfigError("system.d_S is required for the oscillator preset")
-        spec = oscillator_system(d_s, detuning)
+    # a finite detuning times the top Fock index can still overflow
+    try:
+        spec = (tls_system(detuning) if preset == "tls_sigma_minus"
+                else oscillator_system(d_s, detuning))
+    except ValueError as exc:
+        raise ConfigError(f"invalid system: {exc}") from exc
     initial_fock = _integer(block, "initial_fock", "system", default=1, minimum=0)
     if initial_fock >= spec.d_S:
         raise ConfigError(f"system.initial_fock {initial_fock} outside 0..{spec.d_S - 1}")
@@ -202,7 +208,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if d_a != "auto" and not (isinstance(d_a, int) and not isinstance(d_a, bool) and d_a >= 2):
         raise ConfigError(f"numerics.d_A must be an integer >= 2 or 'auto', got {d_a!r}")
     truncation_tol = _number(numerics, "truncation_tol", "numerics", default=1e-7, positive=True)
-    n_modes = _integer(numerics, "n_modes", "numerics", default=400, minimum=50)
+    n_modes = _integer(numerics, "n_modes", "numerics", default=400, minimum=50,
+                       maximum=MAX_BATH_MODES)
     half_width = _number(numerics, "W", "numerics", default=None, positive=True)
     h = _number(numerics, "h", "numerics", default=None, positive=True)
 

@@ -31,6 +31,9 @@ class LindbladModel:
         object.__setattr__(self, "jumps", tuple((float(r), L) for r, L in self.jumps))
         if self.H.dim != self.dim:
             raise ValueError(f"H has dim {self.H.dim}, model dim is {self.dim}")
+        # the defect of a non-finite H is NaN, which no comparison rejects
+        if not np.isfinite(self.H.mat).all():
+            raise ValueError("Hamiltonian must have finite entries")
         defect = hermiticity_defect(self.H)
         if defect > 1e-12:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")

@@ -72,6 +72,9 @@ class SystemSpec:
                 f"system operators must have dim {self.d_S}, "
                 f"got H_S {self.H_S.dim}, V {self.V.dim}"
             )
+        # the defect of a non-finite H_S is NaN, which no comparison rejects
+        if not np.isfinite(self.H_S.mat).all():
+            raise ValueError("H_S must have finite entries")
         defect = hermiticity_defect(self.H_S)
         if defect > 1e-12:
             raise ValueError(f"H_S not Hermitian: defect {defect:.3e}")
@@ -85,7 +88,8 @@ def tls_system(detuning: float = 0.0) -> SystemSpec:
 
 def oscillator_system(d_S: int, detuning: float = 0.0) -> SystemSpec:
     """Truncated harmonic system with ladder coupling operator."""
-    h = float(detuning) * np.diag(np.arange(d_S, dtype=float)).astype(complex)
+    with np.errstate(over="ignore"):  # an overflow is an inf entry, which SystemSpec rejects
+        h = float(detuning) * np.diag(np.arange(d_S, dtype=float)).astype(complex)
     return SystemSpec(d_S=d_S, H_S=Operator(h), V=annihilation(d_S))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import time
 import warnings
@@ -25,7 +26,7 @@ from pseudomode import (
     parse_scenario,
 )
 from pseudomode.cli import main
-from pseudomode.config import SCENARIO_KINDS
+from pseudomode.config import MAX_BATH_MODES, SCENARIO_KINDS
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "configs").glob("*.json"))
@@ -396,6 +397,39 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "system.d_S must be <= 1024" in capsys.readouterr().err
 
+    def test_non_finite_hamiltonian_is_2(self, tmp_path, capsys):
+        # every number is finite, but the detuning times Fock index 2 overflows
+        doc = {
+            "scenario": "pseudomode",
+            "system": {"preset": "oscillator", "d_S": 4, "detuning": 1e308, "initial_fock": 3},
+            "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "numerics": {"d_A": "auto"},
+            "output": "x.csv",
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid system: H_S must have finite entries")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_too_many_bath_modes_is_2(self, tmp_path, capsys):
+        doc = {
+            "scenario": "discrete_bath",
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 0.2},
+            "time": {"t0": 0.0, "t1": 1.0, "n_points": 3},
+            "numerics": {"n_modes": MAX_BATH_MODES + 1},
+            "output": "x.csv",
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: numerics.n_modes must be <= {MAX_BATH_MODES}")
+        doc["numerics"]["n_modes"] = MAX_BATH_MODES
+        assert parse_scenario(doc).n_modes == MAX_BATH_MODES
+
     def test_jump_degeneracy_is_3(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise JumpDegeneracyError("all jump channels have zero or non-finite weight (total 0)")
@@ -440,6 +474,23 @@ class TestExitCodes:
         assert sink.read_bytes() == b""
         _, rows = read_csv(tmp_path / "out.csv")
         assert len(rows) == 11
+
+
+def test_discrete_bath_run_loads_no_scipy(tmp_path):
+    # scipy is not a dependency; a fresh interpreter shows whether anything imports it
+    path = write_config(tmp_path, json.loads((REPO / "configs" / "discrete_bath_strong_coupling.json")
+                                             .read_text()))
+    code = (
+        "import sys\n"
+        "from pseudomode.cli import main\n"
+        f"assert main(['run', {str(path)!r}, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestStackedCore:

@@ -1,15 +1,18 @@
 """parse_scenario on arbitrary JSON values raises ConfigError and nothing else.
 
-Runs under the `ci` Hypothesis profile that tests/conftest.py loads.
+Every config it returns for an extreme detuning has a finite H_S. Runs under
+the `ci` Hypothesis profile that tests/conftest.py loads.
 """
 
 import copy
 import json
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pseudomode import ConfigError, parse_scenario
+from pseudomode.config import MAX_BATH_MODES
 
 # every key the schema knows, so that generated objects reach the nested blocks
 KEYS = (
@@ -119,3 +122,40 @@ def test_huge_integer_literal_is_a_config_error():
         assert "time.t1 must be finite" in str(exc)
     else:
         raise AssertionError("a 401-digit time.t1 parsed")
+
+
+def parses_finite_or_config_error(doc):
+    try:
+        cfg = parse_scenario(doc)
+    except ConfigError:
+        return
+    assert np.isfinite(cfg.system.H_S.mat).all()
+
+
+@given(st.sampled_from(VALID), st.floats(allow_nan=False, allow_infinity=False) | st.integers())
+@example(VALID[1], 1e308)
+@example(VALID[1], -1.7976931348623157e308)
+@example(VALID[1], 6e307)
+@example(VALID[2], 1e308)
+@example(VALID[1], 10**400)
+def test_extreme_detuning(doc, value):
+    # d_S = 4 multiplies the detuning by up to 3, which overflows past about 6e307
+    doc = copy.deepcopy(doc)
+    doc["system"]["detuning"] = value
+    parses_finite_or_config_error(doc)
+
+
+@given(st.integers() | st.floats(allow_nan=False))
+@example(MAX_BATH_MODES)
+@example(MAX_BATH_MODES + 1)
+@example(10**30)
+@example(49)
+@example(50)
+def test_extreme_mode_count(value):
+    doc = copy.deepcopy(VALID[2])
+    doc["numerics"]["n_modes"] = value
+    try:
+        cfg = parse_scenario(doc)
+    except ConfigError:
+        return
+    assert 50 <= cfg.n_modes <= MAX_BATH_MODES

@@ -63,6 +63,11 @@ class TestLindbladModel:
         with pytest.raises(ValueError):
             LindbladModel(dim=3, H=zero_op(3), jumps=((1.0, sigma_minus()),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_hamiltonian(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(dim=2, H=Operator(np.diag([0.0, bad])))
+
 
 class TestTimeGrid:
     def test_rejects_reversed_interval(self):

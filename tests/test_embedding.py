@@ -37,6 +37,18 @@ def p_excited(states):
     return np.array([st.mat[1, 1].real for st in states])
 
 
+class TestSystemSpec:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_hamiltonian(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SystemSpec(d_S=2, H_S=Operator(np.diag([0.0, bad])), V=annihilation(2))
+
+    def test_overflowing_oscillator_detuning_rejected(self):
+        # 1e308 is finite, but 2 * 1e308 on the next Fock level is not
+        with pytest.raises(ValueError, match="finite"):
+            oscillator_system(4, 1e308)
+
+
 class TestBuildEmbedding:
     def test_zero_coupling_leaves_system_hamiltonian(self):
         sys = tls_system(detuning=0.4)

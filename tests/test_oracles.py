@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from pseudomode import (
     tls_system,
     volterra_amplitude,
 )
-from pseudomode.oracles import _LEAF
+from pseudomode.oracles import _LEAF, _tls_detuning
 
 GRID = TimeGrid(0.0, 10.0, 101)
 
@@ -249,6 +250,79 @@ class TestDiscreteBath:
                          V=Operator([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="sigma_minus"):
             discrete_bath_evolve(bad, self.BATH, 100, 4.0, GRID)
+
+
+def _dense_reference(system, bath, n_modes, half_width, grid) -> AmplitudeTrajectory:
+    """The dense route: one numpy.linalg.eigh of the (n_modes + 1)-square matrix, O(n^3)."""
+    detuning = _tls_detuning(system)
+    discrete = build_discrete_bath(bath, n_modes, half_width)
+    n = discrete.n_modes
+    m = np.zeros((n + 1, n + 1), dtype=float)
+    m[0, 0] = detuning
+    m[0, 1:] = discrete.couplings
+    m[1:, 0] = discrete.couplings
+    idx = np.arange(1, n + 1)
+    m[idx, idx] = discrete.frequencies - bath.omega0
+    evals, evecs = np.linalg.eigh(m)
+    amp0 = evecs[0, :]
+    times = grid.times()
+    phases = np.exp(-1j * np.outer(evals, times))
+    states = evecs @ (phases * amp0[:, None])
+    norms = np.linalg.norm(states, axis=0)
+    return AmplitudeTrajectory(
+        times=times,
+        c=states[0, :].copy(),
+        norm_defect=float(np.max(np.abs(norms - 1.0))),
+    )
+
+
+def _mode_frequency(gamma, n_modes, w_factor, k):
+    bath = Lorentzian(g=1.0, omega0=0.0, gamma=gamma)
+    return float(build_discrete_bath(bath, n_modes, w_factor * gamma).frequencies[k])
+
+
+class TestSecularMatchesDense:
+    """The secular-equation route gives the dense eigh's amplitude."""
+
+    GRID = TimeGrid(0.0, 10.0, 201)
+
+    @pytest.mark.parametrize("gamma,n_modes,w_factor,detuning", [
+        pytest.param(0.1, 400, 40, 0.0, id="gamma0.1"),
+        pytest.param(1.0, 400, 20, 0.0, id="gamma1"),
+        pytest.param(4.0, 800, 20, 0.0, id="gamma4-800"),
+        pytest.param(10.0, 1600, 20, 0.0, id="gamma10-1600"),
+        pytest.param(1.0, 50, 20, 0.0, id="50-modes"),
+        pytest.param(1.0, 3200, 20, 0.0, id="3200-modes"),
+        pytest.param(1.0, 400, 20, 1.3, id="detuned1.3"),
+        pytest.param(1.0, 400, 20, _mode_frequency(1.0, 400, 20, 123), id="detuning-on-a-mode"),
+        pytest.param(1.0, 400, 20, 50.0, id="detuned+50"),
+        pytest.param(1.0, 400, 20, -50.0, id="detuned-50"),
+    ])
+    def test_cases(self, gamma, n_modes, w_factor, detuning):
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=gamma)
+        system = tls_system(detuning)
+        with warnings.catch_warnings():
+            # both routes solve the same finite bath, echo included (50 modes echo at t = 7.9)
+            warnings.simplefilter("ignore", BathRecurrenceWarning)
+            new = discrete_bath_evolve(system, bath, n_modes, w_factor * gamma, self.GRID)
+        ref = _dense_reference(system, bath, n_modes, w_factor * gamma, self.GRID)
+        assert np.max(np.abs(new.c - ref.c)) <= 1e-12
+
+    def test_sum_rule_at_3200_modes(self):
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
+        traj = discrete_bath_evolve(tls_system(), bath, 3200, 20.0, self.GRID)
+        assert traj.norm_defect <= 1e-12
+
+    def test_no_square_matrix_is_allocated(self):
+        n_modes = 3200
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
+        tracemalloc.start()
+        try:
+            discrete_bath_evolve(tls_system(), bath, n_modes, 20.0, self.GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n_modes + 1) ** 2 / 4
 
 
 class TestThreeWayAgreement:
