@@ -55,16 +55,22 @@ class Lorentzian:
 SpectralDensity = Union[Flat, Lorentzian]
 
 
-def spectral_density_eval(sd: SpectralDensity, omega):
-    """Coupling-weighted spectral density at omega (scalar or array)."""
-    omega = np.asarray(omega, dtype=float)
+def _line_shape(sd: SpectralDensity, detuning):
+    """Coupling-weighted spectral density at a detuning from the line center."""
+    detuning = np.asarray(detuning, dtype=float)
     if isinstance(sd, Flat):
-        out = np.full_like(omega, sd.f2)
+        out = np.full_like(detuning, sd.f2)
     elif isinstance(sd, Lorentzian):
-        out = sd.g**2 * sd.gamma / ((omega - sd.omega0) ** 2 + (sd.gamma / 2.0) ** 2)
+        out = sd.g**2 * sd.gamma / (detuning**2 + (sd.gamma / 2.0) ** 2)
     else:
         raise TypeError(f"unknown spectral density {type(sd).__name__}")
     return float(out) if out.ndim == 0 else out
+
+
+def spectral_density_eval(sd: SpectralDensity, omega):
+    """Coupling-weighted spectral density at omega (scalar or array)."""
+    center = sd.omega0 if isinstance(sd, Lorentzian) else 0.0
+    return _line_shape(sd, np.asarray(omega, dtype=float) - center)
 
 
 def correlation_function(sd: SpectralDensity, tau):
@@ -86,8 +92,6 @@ def correlation_function(sd: SpectralDensity, tau):
 
 def markovian_rate(sd: SpectralDensity, omega_system: float) -> float:
     """Effective Lindblad decay rate: the spectral weight at the system frequency."""
-    if isinstance(sd, Flat):
-        return sd.f2
     return float(spectral_density_eval(sd, omega_system))
 
 

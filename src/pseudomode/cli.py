@@ -26,17 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import DensityMatrix, DensityMatrixError, Operator, identity, kron
-from .baths import Flat, Lorentzian, markovian_rate
+from .baths import Lorentzian, _line_shape
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .dynamics import LindbladModel
 from .embedding import (
     EmbeddingSpec,
     TruncationError,
     _composite,
+    _detuning,
     _reduced_curve,
     _truncation_ladder,
-    build_embedding,
-    choose_truncation,
 )
 from .integrators import IntegrationError
 from .oracles import discrete_bath_evolve, volterra_amplitude
@@ -46,10 +45,6 @@ _DEFAULT_STEP_FRACTION = 0.01
 
 # What a scenario runner returns: the CSV columns that follow "t".
 Columns = list[tuple[str, np.ndarray]]
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
@@ -62,11 +57,10 @@ def write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
             expanded.append((f"{name}_im", values.imag))
         else:
             expanded.append((name, values))
-    n_rows = len(expanded[0][1])
+    row = ",".join(["%.17g"] * len(expanded)) + "\n"
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(",".join(name for name, _ in expanded) + "\n")
-        for i in range(n_rows):
-            f.write(",".join(_fmt(vals[i]) for _, vals in expanded) + "\n")
+        f.writelines(row % values for values in zip(*(vals.tolist() for _, vals in expanded)))
 
 
 def _observable_name(cfg: ScenarioConfig) -> str:
@@ -81,16 +75,8 @@ def _initial_density(cfg: ScenarioConfig) -> DensityMatrix:
     return DensityMatrix.fock(cfg.system.d_S, cfg.initial_fock)
 
 
-def _detuning_of(cfg: ScenarioConfig) -> float:
-    h = cfg.system.H_S.mat
-    return float(np.real(h[1, 1] - h[0, 0]))
-
-
 def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
-    if isinstance(cfg.bath, Flat):
-        rate = cfg.bath.f2
-    else:
-        rate = markovian_rate(cfg.bath, cfg.bath.omega0 + _detuning_of(cfg))
+    rate = _line_shape(cfg.bath, _detuning(cfg.system))
     return LindbladModel(dim=cfg.system.d_S, H=cfg.system.H_S,
                          jumps=((rate, cfg.system.V),))
 
@@ -124,7 +110,7 @@ def _volterra(cfg: ScenarioConfig) -> Columns:
     h = cfg.h
     if h is None:
         h = _DEFAULT_STEP_FRACTION / max(cfg.bath.g, cfg.bath.gamma, 1e-12)
-    traj = volterra_amplitude(cfg.bath, cfg.grid, h, detuning=_detuning_of(cfg))
+    traj = volterra_amplitude(cfg.bath, cfg.grid, h, detuning=_detuning(cfg.system))
     return [("P_e", traj.p_excited)]
 
 
@@ -138,15 +124,13 @@ def _trajectories(cfg: ScenarioConfig) -> Columns:
     if isinstance(cfg.bath, Lorentzian):
         d_a = cfg.d_A
         if d_a == "auto":
-            d_a = choose_truncation(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
-                                    cfg.integrator, tol=cfg.truncation_tol)
-        emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
-        model = emb.model
-        obs = kron(_system_observable(cfg), identity(d_a))
+            d_a, _ = _truncation_ladder(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
+                                        cfg.integrator, cfg.truncation_tol)
+        model, _ = _composite(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
     else:
         d_a = 1  # no ancilla: the system's Fock index is its state index
         model = _markovian_model(cfg)
-        obs = _system_observable(cfg)
+    obs = kron(_system_observable(cfg), identity(d_a))
     psi0 = np.zeros(model.dim, dtype=complex)
     psi0[cfg.initial_fock * d_a] = 1.0
     tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, grid=cfg.grid,

@@ -161,10 +161,6 @@ def _parse_time(block) -> TimeGrid:
     t0 = _number(block, "t0", "time", default=0.0)
     t1 = _number(block, "t1", "time")
     n_points = _integer(block, "n_points", "time", minimum=2)
-    if t1 is None:
-        raise ConfigError("time.t1 is required")
-    if t1 <= t0:
-        raise ConfigError(f"time.t1 must exceed t0, got [{t0}, {t1}]")
     try:
         return TimeGrid(t0=t0, t1=t1, n_points=n_points)
     except ValueError as exc:

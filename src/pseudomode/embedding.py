@@ -86,6 +86,12 @@ def tls_system(detuning: float = 0.0) -> SystemSpec:
     return SystemSpec(d_S=2, H_S=Operator(h), V=annihilation(2))
 
 
+def _detuning(system: SystemSpec) -> float:
+    """H_S[1,1] - H_S[0,0]: the detuning from the line center, for either preset."""
+    h = system.H_S.mat
+    return float(np.real(h[1, 1] - h[0, 0]))
+
+
 def oscillator_system(d_S: int, detuning: float = 0.0) -> SystemSpec:
     """Truncated harmonic system with ladder coupling operator."""
     with np.errstate(over="ignore"):  # an overflow is an inf entry, which SystemSpec rejects

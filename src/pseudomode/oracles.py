@@ -11,9 +11,9 @@ Two deliberately different routes to the same decay curve:
 * unitary evolution of the emitter plus a finely discretized reservoir in
   the single-excitation sector, solved exactly from the spectrum of the
   single-excitation Hamiltonian. That matrix is an arrowhead (the bath
-  frequencies on the diagonal, the couplings in one row and column), so its
+  detunings on the diagonal, the couplings in one row and column), so its
   eigenvalues are the roots of a secular equation, one per gap between
-  consecutive mode frequencies, and the emitter's weight on each follows in
+  consecutive mode detunings, and the emitter's weight on each follows in
   closed form: O(n^2) time and O(n) memory in the mode count n, against
   O(n^3) and O(n^2) for a dense eigendecomposition.
 """
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import Lorentzian, spectral_density_eval
+from .baths import Lorentzian, _line_shape
 from .dynamics import TimeGrid
-from .embedding import SystemSpec
+from .embedding import SystemSpec, _detuning
 
 STEP_KERNEL_LIMIT = 0.05
 _LEAF = 64  # unknowns per divide-and-conquer leaf, solved by one dense product
@@ -194,23 +194,28 @@ def volterra_amplitude(
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBath:
-    """Uniform midpoint sampling of a Lorentzian line into discrete modes."""
+    """Uniform midpoint sampling of a Lorentzian line into modes, held by detuning from omega0."""
 
     n_modes: int
-    frequencies: np.ndarray
+    omega0: float
+    detunings: np.ndarray
     couplings: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
+        detunings = np.asarray(self.detunings, dtype=float)
         coups = np.asarray(self.couplings, dtype=float)
-        if freqs.shape != (self.n_modes,) or coups.shape != (self.n_modes,):
-            raise ValueError("frequencies and couplings must both have length n_modes")
-        object.__setattr__(self, "frequencies", freqs)
+        if detunings.shape != (self.n_modes,) or coups.shape != (self.n_modes,):
+            raise ValueError("detunings and couplings must both have length n_modes")
+        object.__setattr__(self, "detunings", detunings)
         object.__setattr__(self, "couplings", coups)
 
     @property
+    def frequencies(self) -> np.ndarray:
+        return self.omega0 + self.detunings
+
+    @property
     def spacing(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
+        return float(self.detunings[1] - self.detunings[0])
 
 
 def check_window(bath: Lorentzian, half_width: float) -> None:
@@ -222,15 +227,15 @@ def check_window(bath: Lorentzian, half_width: float) -> None:
 
 
 def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> DiscreteBath:
-    """Sample the line at n_modes midpoints across omega0 +/- half_width."""
+    """Sample the line at n_modes midpoints across detunings +/- half_width."""
     if n_modes < 50:
         raise ValueError(f"need at least 50 modes for a faithful bath, got {n_modes}")
     check_window(bath, half_width)
     d_omega = 2.0 * half_width / n_modes
-    freqs = bath.omega0 - half_width + (np.arange(n_modes) + 0.5) * d_omega
-    weights = spectral_density_eval(bath, freqs)
-    couplings = np.sqrt(weights * d_omega / (2.0 * np.pi))
-    return DiscreteBath(n_modes=n_modes, frequencies=freqs, couplings=couplings)
+    detunings = -half_width + (np.arange(n_modes) + 0.5) * d_omega
+    couplings = np.sqrt(_line_shape(bath, detunings) * d_omega / (2.0 * np.pi))
+    return DiscreteBath(n_modes=n_modes, omega0=bath.omega0, detunings=detunings,
+                        couplings=couplings)
 
 
 def _tls_detuning(system: SystemSpec) -> float:
@@ -243,7 +248,7 @@ def _tls_detuning(system: SystemSpec) -> float:
     h = system.H_S.mat
     if np.max(np.abs(h - np.diag(np.diag(h)))) > 1e-12:
         raise ValueError("single-excitation bath oracle requires a diagonal H_S")
-    return float(np.real(h[1, 1] - h[0, 0]))
+    return _detuning(system)
 
 
 def _arrowhead_spectrum(
@@ -414,7 +419,7 @@ def discrete_bath_evolve(
 
     In the sector spanned by |excited, vacuum> and |ground, one photon in
     mode k>, the Hamiltonian is the arrowhead H = [[detuning, z^T], [z,
-    diag(d)]] with d_k = omega_k - omega0 and z the mode couplings. The
+    diag(d)]] with d the mode detunings and z the mode couplings. The
     amplitude c(t) = <e| exp(-i H t) |e> = sum_j w_j exp(-i lam_j t) needs
     only H's eigenvalues lam_j and their weights w_j = |<e|v_j>|^2 on the
     excited state, which `_arrowhead_spectrum` finds from the secular
@@ -436,9 +441,7 @@ def discrete_bath_evolve(
             BathRecurrenceWarning,
             stacklevel=2,
         )
-    levels, weights = _arrowhead_spectrum(
-        detuning, discrete.frequencies - bath.omega0, discrete.couplings
-    )
+    levels, weights = _arrowhead_spectrum(detuning, discrete.detunings, discrete.couplings)
     # t_k = t0 + (span h + l) dt, so e^{-i lam t_k} is a coarse phase times a
     # fine one, and c on the grid is one product of two span-column tables
     times = grid.times()

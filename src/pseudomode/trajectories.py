@@ -20,7 +20,6 @@ scheduled.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -37,6 +36,8 @@ _JUMP_TIME_REL_TOL = 1e-10
 _PROPAGATOR_TOL_FACTOR = 1e-3
 # Newton evaluations per jump-time search before it falls back to bisection.
 _NEWTON_STEPS = 8
+# Step cap of the adaptive probe that sizes the grid propagator's substeps.
+_DT_MAX = 0.5
 
 
 class JumpDegeneracyError(RuntimeError):
@@ -48,7 +49,6 @@ class TrajectoryConfig:
     n_traj: int
     seed: int
     grid: TimeGrid
-    dt_max: float = 0.5
     integrator: IntegratorConfig = field(
         default_factory=lambda: IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     )
@@ -56,10 +56,6 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"need at least one trajectory, got {self.n_traj}")
-        if not math.isfinite(self.dt_max):
-            raise ValueError(f"dt_max must be finite, got {self.dt_max}")
-        if self.dt_max <= 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +127,7 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
     """No-jump propagator over one grid step, or over 1/m of it.
 
     m is the number of steps the adaptive integrator takes across one grid
-    step at the run's tolerances (and the step cap min(dt_max, max_step)),
+    step at the run's tolerances (and the step cap min(_DT_MAX, max_step)),
     trying the whole step first; a single fixed Runge-Kutta step of size
     grid step / m is then as accurate as the run asks, which the jump-time
     search relies on. The propagator itself comes from a solve on the
@@ -145,7 +141,7 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
     run = cfg.integrator
     probe = Dopri5(rhs, 0.0, identity, IntegratorConfig(
         rel_tol=run.rel_tol, abs_tol=run.abs_tol,
-        max_step=min(cfg.dt_max, run.max_step), initial_step=dt,
+        max_step=min(_DT_MAX, run.max_step), initial_step=dt,
     ))
     substeps = 0
     while probe.t < dt:

@@ -256,6 +256,44 @@ class TestCliRuns:
         header, rows = read_csv(tmp_path / "out.csv")
         assert rows[1, 1] != round(rows[1, 1], 6)  # more than 6 significant digits survive
 
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "table.csv"
+        cli.write_csv(path, [("t", np.array([0.0, 0.1])),
+                             ("x", np.array([-0.0, np.nan])),
+                             ("z", np.array([1e-300 + 1j / 3, -np.inf - 2.5j]))])
+        assert path.read_bytes() == (
+            b"t,x,z_re,z_im\n"
+            b"0,-0,1e-300,0.33333333333333331\n"
+            b"0.10000000000000001,nan,-inf,-2.5\n"
+        )
+        rng = np.random.default_rng(5)
+        real = rng.standard_normal(201) * 10.0 ** rng.integers(-300, 300, 201)
+        cplx = rng.standard_normal(201) + 1j * rng.standard_normal(201)
+        cli.write_csv(path, [("a", real), ("b", cplx)])
+        expected = "a,b_re,b_im\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n"
+            for row in zip(real, cplx.real, cplx.imag))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("doc", [
+        base_doc(system={"preset": "tls_sigma_minus", "detuning": 0.5}),
+        base_doc(system={"preset": "oscillator", "d_S": 4, "initial_fock": 3,
+                         "detuning": 0.5}),
+        base_doc(scenario="discrete_bath", numerics={"n_modes": 400}),
+    ], ids=["markovian-tls", "markovian-oscillator", "discrete_bath"])
+    def test_curves_do_not_depend_on_line_center(self, tmp_path, doc):
+        # everything runs in the frame rotating at omega0: a huge line center
+        # must not round the detunings away
+        doc["time"] = {"t0": 0.0, "t1": 10.0, "n_points": 51}
+        written = []
+        for omega0 in (0.0, 1e16):
+            doc["bath"] = {"kind": "lorentzian", "g": 1.0, "omega0": omega0, "gamma": 0.2}
+            out = tmp_path / f"omega0_{omega0:g}"
+            path = write_config(tmp_path, doc)
+            assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+            written.append((out / "out.csv").read_bytes())
+        assert written[0] == written[1]
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):

@@ -113,11 +113,6 @@ class TestMcwfRun:
         with pytest.raises(ValueError, match="normalized"):
             mcwf_run(tls_decay_model(), np.array([2.0, 0.0], dtype=complex), cfg)
 
-    @pytest.mark.parametrize("dt_max", [float("nan"), float("inf"), float("-inf")])
-    def test_config_rejects_non_finite_dt_max(self, dt_max):
-        with pytest.raises(ValueError, match="finite"):
-            TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 1, 3), dt_max=dt_max)
-
     def test_single_decay_has_at_most_one_jump(self):
         cfg = TrajectoryConfig(n_traj=64, seed=13, grid=TimeGrid(0, 1, 3), integrator=LOOSE)
         psi0 = np.array([0.0, 1.0], dtype=complex)
