@@ -46,11 +46,6 @@ class Lorentzian:
         if self.gamma <= 0.0:
             raise ValueError(f"linewidth gamma must be positive, got {self.gamma}")
 
-    @property
-    def peak(self) -> float:
-        """On-resonance spectral weight 4 g^2 / gamma."""
-        return 4.0 * self.g**2 / self.gamma
-
 
 SpectralDensity = Union[Flat, Lorentzian]
 

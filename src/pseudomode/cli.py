@@ -41,8 +41,6 @@ from .integrators import IntegrationError
 from .oracles import discrete_bath_evolve, volterra_amplitude
 from .trajectories import JumpDegeneracyError, TrajectoryConfig, ensemble_average
 
-_DEFAULT_STEP_FRACTION = 0.01
-
 # What a scenario runner returns: the CSV columns that follow "t".
 Columns = list[tuple[str, np.ndarray]]
 
@@ -107,16 +105,12 @@ def _pseudomode(cfg: ScenarioConfig) -> Columns:
 
 
 def _volterra(cfg: ScenarioConfig) -> Columns:
-    h = cfg.h
-    if h is None:
-        h = _DEFAULT_STEP_FRACTION / max(cfg.bath.g, cfg.bath.gamma, 1e-12)
-    traj = volterra_amplitude(cfg.bath, cfg.grid, h, detuning=_detuning(cfg.system))
+    traj = volterra_amplitude(cfg.bath, cfg.grid, cfg.h, detuning=_detuning(cfg.system))
     return [("P_e", traj.p_excited)]
 
 
 def _discrete_bath(cfg: ScenarioConfig) -> Columns:
-    half_width = cfg.half_width if cfg.half_width is not None else 20.0 * cfg.bath.gamma
-    traj = discrete_bath_evolve(cfg.system, cfg.bath, cfg.n_modes, half_width, cfg.grid)
+    traj = discrete_bath_evolve(cfg.system, cfg.bath, cfg.n_modes, cfg.half_width, cfg.grid)
     return [("P_e", traj.p_excited)]
 
 

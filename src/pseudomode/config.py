@@ -16,7 +16,7 @@ from .baths import Flat, Lorentzian, SpectralDensity
 from .dynamics import TimeGrid
 from .embedding import SystemSpec, oscillator_system, tls_system
 from .integrators import IntegratorConfig
-from .oracles import check_volterra_step, check_window
+from .oracles import _volterra_substeps, check_volterra_step, check_window
 
 SCENARIO_KINDS = (
     "markovian",
@@ -31,6 +31,15 @@ SYSTEM_PRESETS = ("tls_sigma_minus", "oscillator")
 MAX_OSCILLATOR_LEVELS = 1024
 # the discretized-bath reference costs O(n_modes^2) time and O(n_modes) memory
 MAX_BATH_MODES = 8192
+# unknowns of the Volterra trapezoid system; a run at 2**20 takes about 2.6 s
+# and 200 MiB peak on a 2-core host
+MAX_VOLTERRA_STEPS = 2**20
+# integrator steps of size max_step across one output interval
+MAX_STEPS_PER_INTERVAL = 10**5
+# the Volterra step defaults to this fraction of 1 / max(g, gamma), the
+# discretized bath's half-width to this many linewidths
+_DEFAULT_STEP_FRACTION = 0.01
+_DEFAULT_WINDOW_LINEWIDTHS = 20.0
 
 
 class ConfigError(ValueError):
@@ -49,8 +58,8 @@ class ScenarioConfig:
     d_A: int | str  # positive int or "auto"
     truncation_tol: float
     n_modes: int
-    half_width: float | None  # None means the 20-linewidth default
-    h: float | None  # None means the conservative default step
+    half_width: float | None  # None when the scenario builds no discretized bath
+    h: float | None  # None when the scenario runs no Volterra solve
     n_traj: int | None
     seed: int | None
     output: str
@@ -191,13 +200,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         set(),
         "numerics",
     )
+    given = {key: _number(numerics, key, "numerics", positive=True)
+             for key in ("rel_tol", "abs_tol", "max_step", "initial_step") if key in numerics}
     try:
-        integrator = IntegratorConfig(
-            rel_tol=_number(numerics, "rel_tol", "numerics", default=1e-9, positive=True),
-            abs_tol=_number(numerics, "abs_tol", "numerics", default=1e-11, positive=True),
-            max_step=_number(numerics, "max_step", "numerics", default=1.0, positive=True),
-            initial_step=_number(numerics, "initial_step", "numerics", default=1e-3, positive=True),
-        )
+        integrator = IntegratorConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"invalid numerics: {exc}") from exc
     d_a = numerics.get("d_A", "auto")
@@ -206,8 +212,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     truncation_tol = _number(numerics, "truncation_tol", "numerics", default=1e-7, positive=True)
     n_modes = _integer(numerics, "n_modes", "numerics", default=400, minimum=50,
                        maximum=MAX_BATH_MODES)
-    half_width = _number(numerics, "W", "numerics", default=None, positive=True)
-    h = _number(numerics, "h", "numerics", default=None, positive=True)
+    half_width = _number(numerics, "W", "numerics", positive=True)
+    h = _number(numerics, "h", "numerics", positive=True)
 
     needs_lorentzian = scenario in ("pseudomode", "volterra", "discrete_bath", "compare")
     if needs_lorentzian and not isinstance(bath, Lorentzian):
@@ -220,13 +226,37 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             )
         if grid.t0 != 0.0:
             raise ConfigError(f"scenario '{scenario}' requires time.t0 = 0")
+        # the defaults go in here, so that cfg.h and cfg.half_width are what the run uses
+        if scenario == "discrete_bath":
+            h = None
+        elif h is None:
+            h = _DEFAULT_STEP_FRACTION / max(bath.g, bath.gamma, 1e-12)
+        if scenario == "volterra":
+            half_width = None
+        elif half_width is None:
+            half_width = _DEFAULT_WINDOW_LINEWIDTHS * bath.gamma
         try:
-            if h is not None and scenario != "discrete_bath":
+            if h is not None:
                 check_volterra_step(bath, h)
-            if half_width is not None and scenario != "volterra":
+            if half_width is not None:
                 check_window(bath, half_width)
         except ValueError as exc:
             raise ConfigError(f"invalid numerics: {exc}") from exc
+        if h is not None:
+            unknowns = _volterra_substeps(grid.dt, h) * (grid.n_points - 1)
+            if unknowns > MAX_VOLTERRA_STEPS:
+                raise ConfigError(
+                    f"Volterra solve needs {unknowns:.7g} steps of h <= {h:g}, above "
+                    f"MAX_VOLTERRA_STEPS = {MAX_VOLTERRA_STEPS}; raise numerics.h or shorten time"
+                )
+    if scenario in ("markovian", "pseudomode", "trajectories", "compare"):
+        per_interval = grid.dt / integrator.max_step
+        if per_interval > MAX_STEPS_PER_INTERVAL:
+            raise ConfigError(
+                f"output interval {grid.dt:g} spans {per_interval:.7g} integrator steps of "
+                f"max_step {integrator.max_step:g}, above MAX_STEPS_PER_INTERVAL = "
+                f"{MAX_STEPS_PER_INTERVAL}; raise time.n_points or numerics.max_step"
+            )
 
     traj_block = doc.get("trajectories")
     n_traj = seed = None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -21,7 +22,11 @@ STATIONARITY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Hamiltonian plus (rate, jump operator) channels on one Hilbert space."""
+    """Hamiltonian plus (rate, jump operator) channels on one Hilbert space.
+
+    Solvers read d rho/dt = G rho + rho G^dag + sum rate L rho L^dag from the cached
+    `drift` G = -iH - 1/2 sum rate L^dag L and `channels`, the (rate, L) with rate > 0.
+    """
 
     dim: int
     H: Operator
@@ -44,6 +49,18 @@ class LindbladModel:
                 raise ValueError(f"jump rate must be nonnegative, got {rate}")
             if L.dim != self.dim:
                 raise ValueError(f"jump operator dim {L.dim} != model dim {self.dim}")
+
+    @cached_property
+    def channels(self) -> tuple[tuple[float, np.ndarray], ...]:
+        return tuple((rate, L.mat) for rate, L in self.jumps if rate > 0.0)
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        g = -1j * self.H.mat.astype(complex)
+        for rate, L in self.channels:
+            g = g - 0.5 * rate * (L.conj().T @ L)
+        g.flags.writeable = False
+        return g
 
 
 @dataclass(frozen=True)
@@ -74,14 +91,14 @@ class TimeGrid:
 
 def rhs_function(model: LindbladModel) -> Callable[[np.ndarray], np.ndarray]:
     """Compiled matrix-form right-hand side of the master equation."""
-    H = model.H.mat
-    channels = [(rate, L.mat, L.mat.conj().T) for rate, L in model.jumps if rate > 0.0]
-    channels = [(rate, L, Ld, Ld @ L) for rate, L, Ld in channels]
+    G = model.drift
+    G_dag = G.conj().T
+    channels = [(rate, L, L.conj().T) for rate, L in model.channels]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (H @ rho - rho @ H)
-        for rate, L, Ld, LdL in channels:
-            out += rate * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
+        out = G @ rho + rho @ G_dag
+        for rate, L, L_dag in channels:
+            out += rate * (L @ rho @ L_dag)
         return out
 
     return rhs
@@ -118,13 +135,10 @@ def superoperator(model: LindbladModel, entries: np.ndarray) -> np.ndarray:
     def right(b):  # kron(1, b^T) on the entries
         return np.where(same_row, b.T[cols], 0.0)
 
-    H = model.H.mat
-    s = -1j * (left(H) - right(H))
-    for rate, L in model.jumps:
-        if rate > 0.0:
-            L = L.mat
-            LdL = L.conj().T @ L
-            s += rate * (L[rows] * L.conj()[cols] - 0.5 * (left(LdL) + right(LdL)))
+    G = model.drift
+    s = left(G) + right(G.conj().T)
+    for rate, L in model.channels:
+        s += rate * (L[rows] * L.conj()[cols])
     return s
 
 
@@ -135,17 +149,16 @@ def _resymmetrize(rho: np.ndarray) -> np.ndarray:
 def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     """Indices of the basis states that rho(t) can ever occupy, sorted.
 
-    The closure of rho0's support under the nonzero patterns of H (both
-    directions), of each damped jump operator L (forward only: i -> j when
-    L[j, i] != 0) and of L^dag L. Entries of rho(t) outside the block on
-    these indices stay exactly zero, and the block of L^dag L equals the
-    product of the blocks of L^dag and L, so the block evolves on its own.
+    The closure of rho0's support under the nonzero patterns of the drift G
+    (both directions) and of each channel's L (forward only: i -> j when
+    L[j, i] != 0). Entries of rho(t) outside the block on these indices stay
+    exactly zero, and the block of L^dag L equals the product of the blocks
+    of L^dag and L, so the block evolves on its own.
     """
-    h = model.H.mat != 0
-    links = h | h.T
-    for rate, L in model.jumps:
-        if rate > 0.0:
-            links |= (L.mat != 0) | (L.mat.conj().T @ L.mat != 0)
+    g = model.drift != 0
+    links = g | g.T
+    for _, L in model.channels:
+        links |= L != 0
     occupied = rho0 != 0
     reached = occupied.any(axis=0) | occupied.any(axis=1)
     while True:
@@ -159,18 +172,13 @@ def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     """Flat indices i * dim + j of the entries rho(t)[i, j] that can ever be nonzero, sorted.
 
     The closure of rho0's nonzero entries under the operator patterns of the
-    generator: A rho and rho A^dag for A = H or L^dag L move an entry along a
-    nonzero of A in its row or column index, and L rho L^dag along a nonzero
-    of L in both at once. Every other entry stays exactly zero. Built from
-    dim x dim patterns only, so it costs no superoperator.
+    generator: G rho and rho G^dag move an entry along a nonzero of the drift
+    G in its row or column index, and L rho L^dag along a nonzero of L in
+    both at once. Every other entry stays exactly zero. Built from dim x dim
+    patterns only, so it costs no superoperator.
     """
-    h = model.H.mat != 0
-    one_sided = (h | h.T).astype(float)
-    two_sided = []
-    for rate, L in model.jumps:
-        if rate > 0.0:
-            one_sided += (L.mat.conj().T @ L.mat != 0)
-            two_sided.append((L.mat != 0).astype(float))
+    one_sided = (model.drift != 0).astype(float)
+    two_sided = [(L != 0).astype(float) for _, L in model.channels]
     reached = rho0 != 0
     while True:
         grown = one_sided @ reached + reached @ one_sided.T

@@ -165,6 +165,11 @@ def check_volterra_step(bath: Lorentzian, h: float) -> None:
         )
 
 
+def _volterra_substeps(dt_out: float, h: float) -> float:
+    """Solver steps per output interval, the fewest of size at most h (inf if dt_out / h is)."""
+    return max(1.0, float(np.ceil(dt_out / h - 1e-12)))
+
+
 def volterra_amplitude(
     bath: Lorentzian,
     grid: TimeGrid,
@@ -183,7 +188,7 @@ def volterra_amplitude(
         raise ValueError(f"step must be finite and positive, got {h}")
     check_volterra_step(bath, h)
     dt_out = grid.dt
-    n_sub = max(1, int(np.ceil(dt_out / h - 1e-12)))
+    n_sub = int(_volterra_substeps(dt_out, h))
     h_eff = dt_out / n_sub
     n_steps = n_sub * (grid.n_points - 1)
     delays = h_eff * np.arange(n_steps + 1)

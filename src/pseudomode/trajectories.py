@@ -97,13 +97,6 @@ def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _drift_matrix(model: LindbladModel) -> np.ndarray:
-    g = -1j * model.H.mat.astype(complex)
-    for rate, L in model.jumps:
-        g = g - 0.5 * rate * (L.mat.conj().T @ L.mat)
-    return g
-
-
 def _select_channel(weights: np.ndarray, u: float) -> int:
     total = float(np.sum(weights))
     if not np.isfinite(total) or total <= 0.0:
@@ -134,7 +127,7 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
     identity at tighter tolerances. The drift can be defective (at the
     exceptional point g = gamma/4), so no eigendecomposition is used.
     """
-    g = _drift_matrix(model)
+    g = model.drift
     rhs = lambda y: g @ y  # noqa: E731
     identity = np.eye(model.dim, dtype=complex)
     dt = cfg.grid.dt

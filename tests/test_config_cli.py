@@ -14,9 +14,11 @@ from pseudomode import (
     ConfigError,
     DensityMatrix,
     FockTruncationWarning,
+    IntegratorConfig,
     JumpDegeneracyError,
     Operator,
     TimeGrid,
+    choose_truncation,
     cli,
     dynamics,
     embedding,
@@ -26,7 +28,12 @@ from pseudomode import (
     parse_scenario,
 )
 from pseudomode.cli import main
-from pseudomode.config import MAX_BATH_MODES, SCENARIO_KINDS
+from pseudomode.config import (
+    MAX_BATH_MODES,
+    MAX_STEPS_PER_INTERVAL,
+    MAX_VOLTERRA_STEPS,
+    SCENARIO_KINDS,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "configs").glob("*.json"))
@@ -122,6 +129,46 @@ class TestParsing:
         doc = base_doc()
         doc["time"] = {"t0": -1e308, "t1": 1e308, "n_points": 3}
         with pytest.raises(ConfigError, match="overflows"):
+            parse_scenario(doc)
+
+    def test_integrator_defaults_come_from_integrator_config(self):
+        assert parse_scenario(base_doc()).integrator == IntegratorConfig()
+        cfg = parse_scenario(base_doc(numerics={"rel_tol": 1e-6, "max_step": 0.5}))
+        assert cfg.integrator == IntegratorConfig(rel_tol=1e-6, max_step=0.5)
+
+    @pytest.mark.parametrize("scenario, h, half_width", [
+        ("volterra", 0.01, None), ("discrete_bath", None, 4.0), ("compare", 0.01, 4.0),
+    ])
+    def test_reference_steps_resolved_at_parse_time(self, scenario, h, half_width):
+        # g = 1 and gamma = 0.2: the step defaults to 0.01 / max(g, gamma), the window to 20 gamma
+        doc = base_doc(scenario=scenario,
+                       bath={"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2})
+        cfg = parse_scenario(doc)
+        assert cfg.h == h
+        assert cfg.half_width == pytest.approx(half_width)
+
+    def test_volterra_work_bound_is_inclusive(self):
+        # one output interval of 2**20 steps of h = 2**-10 is allowed, one more step is not
+        h = 2.0 ** -10
+        doc = base_doc(scenario="volterra", numerics={"h": h},
+                       bath={"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 0.2})
+        doc["time"] = {"t0": 0.0, "t1": MAX_VOLTERRA_STEPS * h, "n_points": 2}
+        assert parse_scenario(doc).h == h
+        doc["time"]["t1"] += h
+        with pytest.raises(ConfigError, match="MAX_VOLTERRA_STEPS"):
+            parse_scenario(doc)
+        doc["scenario"] = "discrete_bath"  # builds no Volterra system
+        assert parse_scenario(doc).h is None
+
+    @pytest.mark.parametrize("scenario", ["markovian", "trajectories"])
+    def test_steps_per_interval_bound_is_inclusive(self, scenario):
+        doc = base_doc(scenario=scenario, numerics={"max_step": 0.5})
+        if scenario == "trajectories":
+            doc["trajectories"] = {"n_traj": 1, "seed": 0}
+        doc["time"] = {"t0": 0.0, "t1": MAX_STEPS_PER_INTERVAL * 0.5, "n_points": 2}
+        parse_scenario(doc)
+        doc["time"]["t1"] += 1.0
+        with pytest.raises(ConfigError, match="MAX_STEPS_PER_INTERVAL"):
             parse_scenario(doc)
 
 
@@ -275,6 +322,27 @@ class TestCliRuns:
             for row in zip(real, cplx.real, cplx.imag))
         assert path.read_bytes() == expected.encode("ascii")
 
+    def test_auto_ancilla_trajectories_match_the_chosen_size(self, tmp_path):
+        doc = {
+            "scenario": "trajectories",
+            "system": {"preset": "tls_sigma_minus"},
+            "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.5},
+            "time": {"t0": 0.0, "t1": 4.0, "n_points": 21},
+            "numerics": {"d_A": "auto"},
+            "trajectories": {"n_traj": 100, "seed": 3},
+            "output": "traj.csv",
+        }
+        cfg = parse_scenario(doc)
+        d_a = choose_truncation(cfg.system, cfg.bath, DensityMatrix.fock(2, 1), cfg.grid,
+                                cfg.integrator, cfg.truncation_tol)
+        written = []
+        for name, value in (("auto", "auto"), ("fixed", d_a)):
+            doc["numerics"]["d_A"] = value
+            path = write_config(tmp_path, doc, name=f"{name}.json")
+            assert main(["run", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
+            written.append((tmp_path / name / "traj.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("doc", [
         base_doc(system={"preset": "tls_sigma_minus", "detuning": 0.5}),
         base_doc(system={"preset": "oscillator", "d_S": 4, "initial_fock": 3,
@@ -427,6 +495,24 @@ class TestExitCodes:
         assert err.startswith("config error: invalid numerics: " + message)
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("config, block, key, value, bound", [
+        ("volterra_strong_coupling", "numerics", "h", 1e-300, "MAX_VOLTERRA_STEPS"),
+        ("volterra_strong_coupling", "time", "t1", 1e9, "MAX_VOLTERRA_STEPS"),
+        ("volterra_strong_coupling", "bath", "gamma", 1e10, "MAX_VOLTERRA_STEPS"),
+        ("markovian_tls", "time", "t1", 1e300, "MAX_STEPS_PER_INTERVAL"),
+    ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1"])
+    def test_unbounded_work_is_2(self, tmp_path, capsys, config, block, key, value, bound):
+        # each of these ended in a traceback or ran without end before it was bounded
+        doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
+        doc.setdefault(block, {})[key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert bound in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / doc["output"]).exists()
 
     def test_oversized_oscillator_is_2(self, tmp_path, capsys):
         doc = base_doc()

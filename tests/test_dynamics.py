@@ -68,6 +68,36 @@ class TestLindbladModel:
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(dim=2, H=Operator(np.diag([0.0, bad])))
 
+    def test_drift_and_channels_hold_the_damped_channels_only(self):
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        ls = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
+        model = LindbladModel(dim=3, H=Operator(h + h.conj().T),
+                              jumps=tuple(zip((0.7, 0.0, 0.3), map(Operator, ls))))
+        assert [rate for rate, _ in model.channels] == [0.7, 0.3]
+        expected = -1j * model.H.mat - 0.5 * sum(
+            rate * L.conj().T @ L for rate, L in zip((0.7, 0.3), (ls[0], ls[2])))
+        assert np.max(np.abs(model.drift - expected)) <= 1e-12
+        assert model.drift is model.drift
+        with pytest.raises(ValueError, match="read-only"):
+            model.drift[0, 0] = 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rhs_is_the_commutator_plus_dissipators(self, seed):
+        # -i[H, rho] + sum rate (L rho L^dag - {L^dag L, rho} / 2), a zero-rate channel included
+        rng = np.random.default_rng(seed)
+        base = random_model(seed)
+        l2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        model = LindbladModel(dim=3, H=base.H, jumps=(*base.jumps, (0.0, Operator(l2))))
+        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        H = model.H.mat
+        expected = -1j * (H @ rho - rho @ H)
+        for rate, L in model.jumps:
+            LdL = L.mat.conj().T @ L.mat
+            expected = expected + rate * (L.mat @ rho @ L.mat.conj().T
+                                          - 0.5 * (LdL @ rho + rho @ LdL))
+        assert np.max(np.abs(rhs_function(model)(rho) - expected)) <= 1e-12
+
 
 class TestTimeGrid:
     def test_rejects_reversed_interval(self):

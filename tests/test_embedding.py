@@ -311,6 +311,23 @@ class TestAncillaCorrelationMechanism:
         expected = correlation_function(bath, taus.times())
         assert np.max(np.abs(restored - expected)) <= 1e-7 * bath.g**2
 
+    def test_damped_ancilla_reproduces_bath_correlation_from_a_later_delay(self):
+        # delays starting after 0: the seed is propagated from 0 and the first instant dropped
+        from pseudomode import LindbladModel, correlation_function, regression_correlator
+
+        bath = Lorentzian(g=0.6, omega0=3.0, gamma=0.9)
+        d_a = 4
+        a = annihilation(d_a)
+        ancilla = LindbladModel(dim=d_a, H=Operator(np.zeros((d_a, d_a))),
+                                jumps=((bath.gamma, a),))
+        taus = TimeGrid(1.5 / bath.gamma, 6.0 / bath.gamma, 46)
+        c = regression_correlator(ancilla, a, a.dagger(), DensityMatrix.fock(d_a, 0),
+                                  taus, TIGHT)
+        assert c.shape == (46,)
+        restored = bath.g**2 * c * np.exp(-1j * bath.omega0 * taus.times())
+        expected = correlation_function(bath, taus.times())
+        assert np.max(np.abs(restored - expected)) <= 1e-7 * bath.g**2
+
 
 class TestChooseTruncation:
     CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
