@@ -36,6 +36,8 @@ MAX_BATH_MODES = 8192
 MAX_VOLTERRA_STEPS = 2**20
 # integrator steps of size max_step across one output interval
 MAX_STEPS_PER_INTERVAL = 10**5
+# instants of the output grid; every stored curve and ensemble grows with it
+MAX_OUTPUT_POINTS = 2**20
 # the Volterra step defaults to this fraction of 1 / max(g, gamma), the
 # discretized bath's half-width to this many linewidths
 _DEFAULT_STEP_FRACTION = 0.01
@@ -170,6 +172,10 @@ def _parse_time(block) -> TimeGrid:
     t0 = _number(block, "t0", "time", default=0.0)
     t1 = _number(block, "t1", "time")
     n_points = _integer(block, "n_points", "time", minimum=2)
+    if n_points > MAX_OUTPUT_POINTS:
+        raise ConfigError(
+            f"time.n_points = {n_points} is above MAX_OUTPUT_POINTS = {MAX_OUTPUT_POINTS}"
+        )
     try:
         return TimeGrid(t0=t0, t1=t1, n_points=n_points)
     except ValueError as exc:

@@ -7,15 +7,21 @@ crossing time, collapses through a randomly selected channel and continues.
 
 Trajectories advance together in blocks, as the rows of one (n, dim) array.
 The drift is time independent and the output grid uniform, so the no-jump
-propagator over one grid step (or over an equal fraction of it) is computed
-once per ensemble, by running the adaptive integrator on the identity, and
-each step is one matrix product. Only rows whose norm fell below their
-threshold take further work: their jump times are located together on a
-fixed Runge-Kutta step from the start of the step, each row to its own
-tolerance. Every trajectory owns a counter-based random stream keyed by
-(seed, trajectory index) and no row depends on the other rows of its block,
-so ensembles are reproducible bit-for-bit no matter how the work is
-scheduled.
+propagator over one grid step (or over an equal fraction of it, a sub-step)
+is computed once per ensemble, by running the adaptive integrator on the
+identity, and each step is one matrix product. A block runs in waves. The
+first wave carries every row along the grid; a row whose norm falls below its
+threshold within a sub-step leaves the wave there, and the others go on. At
+the end of the wave, the jump times of all rows that left are located
+together, each row to its own tolerance on one fixed Runge-Kutta step from
+the start of its sub-step; they are collapsed, given new thresholds and
+carried to the end of that sub-step, where the next wave resumes them. So a
+block searches once per wave (again only for a row that jumps twice within
+one sub-step), not once per sub-step in which some row jumped.
+States are stored a window of instants at a time, of bounded size. Every
+trajectory owns a counter-based random stream keyed by (seed, trajectory
+index) and no row depends on the other rows of its block, so ensembles are
+reproducible bit-for-bit no matter how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .dynamics import LindbladModel, TimeGrid
 from .integrators import Dopri5, IntegratorConfig, fixed_step, propagator
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
+_WINDOW_ENTRIES = 1 << 16  # state entries (instants x rows x dim) a block holds at once
+_REDUCED_ENTRIES = 1 << 12  # state entries reduced to ensemble sums at once
 _JUMP_TIME_REL_TOL = 1e-10
 # The grid propagator is solved this much tighter than the run's tolerances.
 _PROPAGATOR_TOL_FACTOR = 1e-3
@@ -97,14 +105,17 @@ def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _select_channel(weights: np.ndarray, u: float) -> int:
-    total = float(np.sum(weights))
-    if not np.isfinite(total) or total <= 0.0:
+def _select_channel(weights: np.ndarray, u):
+    """Per row of weights (..., n_channels), the channel that the uniform draw u picks."""
+    total = np.sum(weights, axis=-1)
+    bad = ~(np.isfinite(total) & (total > 0.0))
+    if np.any(bad):
         raise JumpDegeneracyError(
-            f"all jump channels have zero or non-finite weight (total {total})"
+            f"all jump channels have zero or non-finite weight (total {np.asarray(total)[bad][0]})"
         )
-    edges = np.cumsum(weights) / total
-    return int(np.searchsorted(edges, u, side="right").clip(max=len(weights) - 1))
+    edges = np.cumsum(weights, axis=-1) / np.expand_dims(total, -1)
+    picked = np.sum(edges <= np.expand_dims(u, -1), axis=-1)
+    return np.minimum(picked, weights.shape[-1] - 1)
 
 
 def _checked_state(model: LindbladModel, psi0) -> np.ndarray:
@@ -163,17 +174,29 @@ def _norm_sq(y: np.ndarray) -> np.ndarray:
     return (y.real ** 2 + y.imag ** 2).sum(axis=-1)
 
 
+def _rows_times(y: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
+    """y @ mat_t with the same rounding for any number of rows.
+
+    numpy hands a single row to BLAS's matrix-vector product, which rounds
+    differently from the matrix-matrix one, so a single row goes in twice.
+    A trajectory then computes the same bits alone as inside a block.
+    """
+    if len(y) == 1:
+        return (np.concatenate([y, y]) @ mat_t)[:1]
+    return y @ mat_t
+
+
 def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     """Per row, the offset in (0, width] where |y|^2 falls to the threshold, and y there.
 
     y(tau) is one fixed Runge-Kutta step of size tau from y_a, and norm_end is
     |y|^2 at the far end. Each row keeps a bracket [lo, hi] with
-    |y(lo)|^2 >= threshold > |y(hi)|^2 and stops as soon as its own bracket
-    is narrower than tol. The first point is the secant through the ends, the
-    next ones Newton steps on the norm, kept tol/2 inside the bracket so that
-    a converged row closes its bracket with the following evaluation. A row
-    bisects instead when Newton leaves the bracket, and after _NEWTON_STEPS
-    evaluations.
+    |y(lo)|^2 >= threshold > |y(hi)|^2 and stops as soon as its bracket is
+    narrower than its own tol. The first point is the secant through the
+    ends, the next ones Newton steps on the norm, kept tol/2 inside the
+    bracket so that a converged row closes its bracket with the following
+    evaluation. A row bisects instead when Newton leaves the bracket, and
+    after _NEWTON_STEPS evaluations.
     """
     k1 = rhs(y_a)
     lo = np.zeros(len(y_a))
@@ -185,6 +208,7 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     while active.size:
         steps += 1
         x_a = x[active]
+        tol_a = tol[active]
         y = fixed_step(rhs, y_a[active], x_a[:, None], k1[active])
         f = _norm_sq(y) - thresholds[active]
         above = f >= 0.0
@@ -196,9 +220,9 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x_a - f / slope
         ok = (newton > lo_a) & (newton < hi_a) & (steps < _NEWTON_STEPS)
-        x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol, hi_a - 0.5 * tol),
+        x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol_a, hi_a - 0.5 * tol_a),
                              0.5 * (lo_a + hi_a))
-        active = active[hi_a - lo_a > tol]
+        active = active[hi_a - lo_a > tol_a]
     tau = 0.5 * (lo + hi)
     return tau, fixed_step(rhs, y_a, tau[:, None], k1)
 
@@ -206,35 +230,33 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
 def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
     """States at t_a + h of the rows whose norm crossed within (t_a, t_a + h].
 
-    y_a holds their states at t_a and norm_end their squared norms at t_a + h.
-    Each row is collapsed at its crossing, given a new threshold and carried
-    to the end of the sub-step; a row that crosses again is handled again.
+    t_a holds each row's sub-step start, y_a its state there and norm_end its
+    squared norm at t_a + h. Each row is collapsed at its crossing, given a
+    new threshold and carried to the end of its sub-step; a row that crosses
+    again is handled again. Jump times are located to
+    _JUMP_TIME_REL_TOL * max(|t_a + h|, 1), per row.
     """
-    rhs = lambda y: y @ prop.drift_t  # noqa: E731
+    rhs = lambda y: _rows_times(y, prop.drift_t)  # noqa: E731
     t_end = t_a + prop.h
-    tol = _JUMP_TIME_REL_TOL * max(abs(t_end), 1.0)
-    starts = np.full(len(rows), t_a)
+    tol = _JUMP_TIME_REL_TOL * np.maximum(np.abs(t_end), 1.0)
+    starts = t_a.copy()
     y_start = y_a.copy()
     y_end = np.empty_like(y_a)
     norm_end = norm_end.copy()
     pending = np.arange(len(rows))
     while pending.size:
         owners = rows[pending]
-        widths = t_end - starts[pending]
-        tau, y_star = _locate_crossings(rhs, y_start[pending], widths,
-                                        thresholds[owners], norm_end[pending], tol)
+        tau, y_star = _locate_crossings(rhs, y_start[pending], t_end[pending] - starts[pending],
+                                        thresholds[owners], norm_end[pending], tol[pending])
         t_jump = starts[pending] + tau
-        branches = np.matmul(y_star[:, None, :], prop.jumps_t)  # (k, n_channels, dim)
-        weights = prop.rates * _norm_sq(branches)
-        collapsed = np.empty_like(y_star)
-        for j, row in enumerate(owners):
-            rng = rngs[row]
-            channel = _select_channel(weights[j], rng.random())
-            collapsed[j] = branches[j, channel] / np.linalg.norm(branches[j, channel])
-            thresholds[row] = rng.random()
-            jump_log.append((int(row), float(t_jump[j]), channel))
-        remaining = (t_end - t_jump)[:, None]
-        y_next = fixed_step(rhs, collapsed, remaining)
+        branches = np.einsum("kd,cde->kce", y_star, prop.jumps_t)
+        channels = _select_channel(prop.rates * _norm_sq(branches),
+                                   np.array([rngs[row].random() for row in owners]))
+        chosen = branches[np.arange(len(owners)), channels]
+        collapsed = chosen / np.sqrt(_norm_sq(chosen))[:, None]
+        thresholds[owners] = [rngs[row].random() for row in owners]
+        jump_log.extend(zip(owners.tolist(), t_jump.tolist(), channels.tolist()))
+        y_next = fixed_step(rhs, collapsed, (t_end[pending] - t_jump)[:, None])
         y_end[pending] = y_next
         y_start[pending] = collapsed
         starts[pending] = t_jump
@@ -243,29 +265,96 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
     return y_end
 
 
-def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
-    """Advance the trajectories `indices` together; yield their states at each instant.
+def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
+    """Carry each rows[j] from sub-step position starts[j], in state y0[j], by y @ step_t.
 
-    The first yield is psi0 for every row, later ones are normalized (n, dim)
-    arrays. Each jump is appended to jump_log as (row, time, channel), rows
-    counted from 0 within the block.
+    Positions count sub-steps from t0 and starts is ascending. The states at
+    instants first + 1 .. first + len(out) go to out, normalized. A row whose
+    norm falls below its threshold within a sub-step leaves the wave there;
+    the others reach instant first + len(out), where their states go to
+    y_last. Returns, per sub-step in which rows left, (rows, their states at
+    the sub-step's start, their squared norms at its end, its position per row).
+    """
+    sub = prop.substeps
+    p_first = first * sub
+    p_last = (first + len(out)) * sub
+    positions, heads = np.unique(starts, return_index=True)
+    bounds = np.append(heads, len(rows)).tolist()
+    joins = {p: (a, b) for p, a, b in zip(positions.tolist(), bounds, bounds[1:])}
+    live = rows[:0]
+    y = y0[:0]
+    norms = thr = thresholds[live]
+    aside = []
+    for p in range(int(positions[0]), p_last + 1):
+        if p in joins:
+            a, b = joins[p]
+            live = np.concatenate([live, rows[a:b]])
+            y = np.concatenate([y, y0[a:b]])
+            norms = np.concatenate([norms, _norm_sq(y0[a:b])])
+            thr = thresholds[live]
+        if p % sub == 0 and p > p_first:
+            out[p // sub - first - 1, live] = y / np.sqrt(norms)[:, None]
+        if p == p_last:
+            break
+        y_a = y
+        y = _rows_times(y_a, prop.step_t)
+        norms = _norm_sq(y)
+        crossed = norms < thr
+        if crossed.any():
+            aside.append((live[crossed], y_a[crossed], norms[crossed],
+                          np.full(np.count_nonzero(crossed), p)))
+            kept = ~crossed
+            live, y, norms, thr = live[kept], y[kept], norms[kept], thr[kept]
+            if not live.size and p >= positions[-1]:
+                break  # every row has left and none is still to join
+    y_last[live] = y
+    return aside
+
+
+def _advance(prop, y, first, out, thresholds, rngs, jump_log):
+    """Carry the block's rows y from instant `first` over len(out) grid steps, in waves.
+
+    The first wave carries every row; each later wave carries the rows that
+    left the one before, from the end of the sub-step in which they left,
+    after one _jump_rows call for all of them. Returns the states at instant
+    first + len(out), not normalized.
+    """
+    sub = prop.substeps
+    y_last = np.empty_like(y)
+    rows = np.arange(len(y))
+    starts = np.full(len(y), first * sub)
+    while True:
+        aside = _wave(prop, rows, starts, y, first, out, thresholds, y_last)
+        if not aside:
+            return y_last
+        rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
+        t_a = prop.times[at // sub] + (at % sub) * prop.h
+        y = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log)
+        starts = at + 1
+
+
+def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
+    """Advance the trajectories `indices` together; yield their states a window at a time.
+
+    Each yield is a (w, n, dim) array holding the next w instants; instant 0
+    is psi0 for every row, later ones are normalized. A window holds at most
+    _WINDOW_ENTRIES entries (at least one instant), so memory does not grow
+    with the grid. Each jump is appended to jump_log as (row, time,
+    channel), rows counted from 0 within the block.
     """
     rngs = [_trajectory_rng(seed, idx) for idx in indices]
     thresholds = np.array([rng.random() for rng in rngs])
     y = np.tile(psi0, (len(rngs), 1))
-    yield y
-    times = prop.times
-    for i in range(1, len(times)):
-        for s in range(prop.substeps):
-            y_a = y
-            y = y_a @ prop.step_t
-            norms = _norm_sq(y)
-            crossed = np.flatnonzero(norms < thresholds)
-            if crossed.size:
-                t_a = times[i - 1] + s * prop.h
-                y[crossed] = _jump_rows(prop, crossed, y_a[crossed], norms[crossed], t_a,
-                                        thresholds, rngs, jump_log)
-        yield y / np.sqrt(_norm_sq(y))[:, None]
+    n_t = len(prop.times)
+    width = max(1, _WINDOW_ENTRIES // y.size)
+    for start in range(0, n_t, width):
+        out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
+        if start == 0:
+            out[0] = y
+            y = _advance(prop, y, 0, out[1:], thresholds, rngs, jump_log)
+        else:
+            y = _advance(prop, y, start - 1, out, thresholds, rngs, jump_log)
+        yield out
 
 
 def mcwf_run(
@@ -278,7 +367,8 @@ def mcwf_run(
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
     jump_log: list[tuple[int, float, int]] = []
-    states = np.array([y[0] for y in _run_block(prop, psi0, cfg.seed, [traj_index], jump_log)])
+    states = np.concatenate([w[:, 0] for w in _run_block(prop, psi0, cfg.seed, [traj_index],
+                                                         jump_log)])
     return TrajectoryResult(
         times=prop.times,
         states=states,
@@ -296,13 +386,18 @@ def _accumulate_block(args):
     obs_mean = np.empty((len(obs_mats), n_t), dtype=complex)
     obs_m2 = np.empty((len(obs_mats), n_t), dtype=float)
     jump_log: list[tuple[int, float, int]] = []
-    for i, psi in enumerate(_run_block(prop, psi0, seed, range(start, stop), jump_log)):
-        rho_sum[i] = psi.T @ psi.conj()
-        for j, a in enumerate(obs_mats):
-            vals = np.sum((psi.conj() @ a) * psi, axis=1)
-            mean = vals.mean()
-            obs_mean[j, i] = mean
-            obs_m2[j, i] = np.sum(np.abs(vals - mean) ** 2)
+    first = 0
+    for window in _run_block(prop, psi0, seed, range(start, stop), jump_log):
+        chunk = max(1, _REDUCED_ENTRIES // window[0].size)
+        for psi in np.split(window, range(chunk, len(window), chunk)):
+            at = slice(first, first + len(psi))
+            rho_sum[at] = np.matmul(psi.transpose(0, 2, 1), psi.conj())
+            for j, a in enumerate(obs_mats):
+                vals = np.sum((psi.conj() @ a) * psi, axis=2)
+                mean = vals.mean(axis=1)
+                obs_mean[j, at] = mean
+                obs_m2[j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
+            first = at.stop
     rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
     jumps_per_row = np.bincount(rows, minlength=stop - start)
     return stop - start, rho_sum, obs_mean, obs_m2, np.bincount(jumps_per_row)

@@ -30,6 +30,7 @@ from pseudomode import (
 from pseudomode.cli import main
 from pseudomode.config import (
     MAX_BATH_MODES,
+    MAX_OUTPUT_POINTS,
     MAX_STEPS_PER_INTERVAL,
     MAX_VOLTERRA_STEPS,
     SCENARIO_KINDS,
@@ -169,6 +170,14 @@ class TestParsing:
         parse_scenario(doc)
         doc["time"]["t1"] += 1.0
         with pytest.raises(ConfigError, match="MAX_STEPS_PER_INTERVAL"):
+            parse_scenario(doc)
+
+    def test_output_points_bound_is_inclusive(self):
+        doc = base_doc()
+        doc["time"] = {"t0": 0.0, "t1": 1.0, "n_points": MAX_OUTPUT_POINTS}
+        assert parse_scenario(doc).grid.n_points == MAX_OUTPUT_POINTS
+        doc["time"]["n_points"] += 1
+        with pytest.raises(ConfigError, match="MAX_OUTPUT_POINTS"):
             parse_scenario(doc)
 
 
@@ -501,7 +510,8 @@ class TestExitCodes:
         ("volterra_strong_coupling", "time", "t1", 1e9, "MAX_VOLTERRA_STEPS"),
         ("volterra_strong_coupling", "bath", "gamma", 1e10, "MAX_VOLTERRA_STEPS"),
         ("markovian_tls", "time", "t1", 1e300, "MAX_STEPS_PER_INTERVAL"),
-    ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1"])
+        ("markovian_tls", "time", "n_points", 10**12, "MAX_OUTPUT_POINTS"),
+    ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1", "markovian-n_points"])
     def test_unbounded_work_is_2(self, tmp_path, capsys, config, block, key, value, bound):
         # each of these ended in a traceback or ran without end before it was bounded
         doc = json.loads((REPO / "configs" / f"{config}.json").read_text())

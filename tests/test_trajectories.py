@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +24,15 @@ from pseudomode import (
     kron,
     load_scenario,
     mcwf_run,
+    oscillator_system,
     sigma_minus,
     tls_system,
 )
 from pseudomode import trajectories
-from pseudomode.integrators import integrate_to_instants
+from pseudomode.integrators import fixed_step, integrate_to_instants
 from pseudomode.trajectories import _select_channel, _trajectory_rng
+
+REPO = Path(__file__).resolve().parents[1]
 
 LOOSE = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
 P_E = Operator(np.diag([0.0, 1.0]).astype(complex))
@@ -65,6 +71,22 @@ def no_jump_crossing(u, gamma, t1):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def pump_model():
+    """Two-level system driven by 0.7 sigma_x, with decay (rate 1) and pumping (rate 0.5)."""
+    sigma_x = Operator(np.array([[0.0, 0.7], [0.7, 0.0]], dtype=complex))
+    return LindbladModel(dim=2, H=sigma_x,
+                         jumps=((1.0, sigma_minus()), (0.5, sigma_minus().dagger())))
+
+
+def oscillator_setup():
+    """Oscillator d_S = 4 in Fock 3, ancilla d_A = 4, g = gamma = 1: up to three jumps."""
+    bath = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
+    emb = build_embedding(EmbeddingSpec(oscillator_system(4), bath, 4), DensityMatrix.fock(4, 3))
+    psi0 = np.zeros(emb.model.dim, dtype=complex)
+    psi0[3 * 4] = 1.0  # |3, vacuum>
+    return emb.model, psi0
 
 
 def embedded_setup(gamma=0.2, d_a=2):
@@ -250,7 +272,7 @@ class TestSharedPropagatorBuilder:
 
     @staticmethod
     def shipped(seed):
-        cfg = load_scenario(Path(__file__).parents[1] / "configs" / "trajectories_embedded.json")
+        cfg = load_scenario(REPO / "configs" / "trajectories_embedded.json")
         d_a = cfg.d_A
         emb = build_embedding(EmbeddingSpec(cfg.system, cfg.bath, d_a),
                               DensityMatrix.fock(cfg.system.d_S, cfg.initial_fock))
@@ -292,3 +314,220 @@ class TestSharedPropagatorBuilder:
         assert np.array_equal(shared.stderrs, inline.stderrs)
         assert np.array_equal(shared.jump_histogram, inline.jump_histogram)
         assert shared.jump_histogram.tolist() == self.RECORDED_HISTOGRAMS[seed]
+
+
+def _reference_locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
+    """_locate_crossings as it was before waves: one scalar tolerance for the group."""
+    k1 = rhs(y_a)
+    lo = np.zeros(len(y_a))
+    hi = widths.copy()
+    f_a = trajectories._norm_sq(y_a) - thresholds
+    x = np.clip(widths * f_a / (f_a - (norm_end - thresholds)), 0.5 * tol, widths - 0.5 * tol)
+    steps = 0
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        steps += 1
+        x_a = x[active]
+        y = fixed_step(rhs, y_a[active], x_a[:, None], k1[active])
+        f = trajectories._norm_sq(y) - thresholds[active]
+        above = f >= 0.0
+        lo_a = np.where(above, x_a, lo[active])
+        hi_a = np.where(above, hi[active], x_a)
+        lo[active] = lo_a
+        hi[active] = hi_a
+        slope = 2.0 * np.sum((y.conj() * rhs(y)).real, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x_a - f / slope
+        ok = (newton > lo_a) & (newton < hi_a) & (steps < trajectories._NEWTON_STEPS)
+        x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol, hi_a - 0.5 * tol),
+                             0.5 * (lo_a + hi_a))
+        active = active[hi_a - lo_a > tol]
+    tau = 0.5 * (lo + hi)
+    return tau, fixed_step(rhs, y_a, tau[:, None], k1)
+
+
+def _reference_jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
+    """_jump_rows as it was before waves: one t_a and one tolerance per group.
+
+    Two things differ from that code: the channel broadcast is fixed, and
+    products go through _rows_times, so that both cores round alike.
+    """
+    rhs = lambda y: trajectories._rows_times(y, prop.drift_t)  # noqa: E731
+    t_end = t_a + prop.h
+    tol = trajectories._JUMP_TIME_REL_TOL * max(abs(t_end), 1.0)
+    starts = np.full(len(rows), t_a)
+    y_start = y_a.copy()
+    y_end = np.empty_like(y_a)
+    norm_end = norm_end.copy()
+    pending = np.arange(len(rows))
+    while pending.size:
+        owners = rows[pending]
+        widths = t_end - starts[pending]
+        tau, y_star = _reference_locate_crossings(rhs, y_start[pending], widths,
+                                                  thresholds[owners], norm_end[pending], tol)
+        t_jump = starts[pending] + tau
+        branches = np.einsum("kd,cde->kce", y_star, prop.jumps_t)
+        weights = prop.rates * trajectories._norm_sq(branches)
+        collapsed = np.empty_like(y_star)
+        for j, row in enumerate(owners):
+            rng = rngs[row]
+            channel = int(_select_channel(weights[j], rng.random()))
+            collapsed[j] = branches[j, channel] / np.linalg.norm(branches[j, channel])
+            thresholds[row] = rng.random()
+            jump_log.append((int(row), float(t_jump[j]), channel))
+        remaining = (t_end - t_jump)[:, None]
+        y_next = fixed_step(rhs, collapsed, remaining)
+        y_end[pending] = y_next
+        y_start[pending] = collapsed
+        starts[pending] = t_jump
+        norm_end[pending] = trajectories._norm_sq(y_next)
+        pending = pending[norm_end[pending] < thresholds[owners]]
+    return y_end
+
+
+def _per_substep_reference(prop, psi0, seed, indices, jump_log):
+    """The block core before waves: it stops at every sub-step in which a row crossed.
+
+    Yields the block's (n, dim) states one instant at a time.
+    """
+    rngs = [_trajectory_rng(seed, idx) for idx in indices]
+    thresholds = np.array([rng.random() for rng in rngs])
+    y = np.tile(psi0, (len(rngs), 1))
+    yield y
+    times = prop.times
+    for i in range(1, len(times)):
+        for s in range(prop.substeps):
+            y_a = y
+            y = y_a @ prop.step_t
+            norms = trajectories._norm_sq(y)
+            crossed = np.flatnonzero(norms < thresholds)
+            if crossed.size:
+                t_a = times[i - 1] + s * prop.h
+                y[crossed] = _reference_jump_rows(prop, crossed, y_a[crossed], norms[crossed],
+                                                  t_a, thresholds, rngs, jump_log)
+        yield y / np.sqrt(trajectories._norm_sq(y))[:, None]
+
+
+def _reference_windows(prop, psi0, seed, indices, jump_log):
+    """The reference core behind _run_block's interface: windows of one instant."""
+    for y in _per_substep_reference(prop, psi0, seed, indices, jump_log):
+        yield y[None]
+
+
+def _both_cores(monkeypatch, model, psi0, cfg, observables):
+    monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+    waves = ensemble_average(model, psi0, cfg, observables=observables)
+    monkeypatch.setattr(trajectories, "_run_block", _reference_windows)
+    return waves, ensemble_average(model, psi0, cfg, observables=observables)
+
+
+class TestWavesMatchPerSubstepCore:
+    """The wave-batched block core against the per-sub-step core it replaced."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_shipped_ensemble_is_bit_identical(self, monkeypatch, seed):
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(seed)
+        waves, reference = _both_cores(monkeypatch, model, psi0, tcfg, (obs,))
+        assert np.array_equal(waves.means, reference.means)
+        assert np.array_equal(waves.stderrs, reference.stderrs)
+        assert np.array_equal(waves.mean_states, reference.mean_states)
+        assert np.array_equal(waves.jump_histogram, reference.jump_histogram)
+
+    @pytest.mark.parametrize("n_points", [101, 6])  # the 6-point grid needs sub-steps
+    @pytest.mark.parametrize("setup", ["pump", "oscillator"])
+    def test_multi_jump_ensembles_agree(self, monkeypatch, setup, n_points):
+        if setup == "pump":
+            model, psi0 = pump_model(), np.array([0.0, 1.0], dtype=complex)
+            obs = P_E
+        else:
+            model, psi0 = oscillator_setup()
+            obs = kron(Operator(np.diag(np.arange(4.0)).astype(complex)), identity(4))
+        cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, n_points),
+                               integrator=LOOSE)
+        waves, reference = _both_cores(monkeypatch, model, psi0, cfg, (obs,))
+        assert len(waves.jump_histogram) > 3
+        assert np.array_equal(waves.jump_histogram, reference.jump_histogram)
+        assert np.max(np.abs(waves.means - reference.means)) <= 1e-12
+        assert np.max(np.abs(waves.mean_states - reference.mean_states)) <= 1e-12
+
+    def test_window_size_does_not_move_the_ensemble(self, monkeypatch):
+        # one instant per window: every wave ends at a window edge
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        whole = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        monkeypatch.setattr(trajectories, "_WINDOW_ENTRIES", 1)
+        windowed = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert np.array_equal(whole.means, windowed.means)
+        assert np.array_equal(whole.mean_states, windowed.mean_states)
+        assert np.array_equal(whole.jump_histogram, windowed.jump_histogram)
+
+    def test_one_crossing_search_per_wave(self, monkeypatch):
+        # the per-sub-step core made about 46 searches per block here
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        calls = []
+        search = trajectories._locate_crossings
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return search(*args)
+
+        monkeypatch.setattr(trajectories, "_locate_crossings", counted)
+        stats = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        n_blocks = -(-tcfg.n_traj // trajectories._BLOCK)
+        assert len(calls) <= 2 * n_blocks
+        assert sum(calls) == np.dot(np.arange(len(stats.jump_histogram)), stats.jump_histogram)
+
+
+class TestMultiChannelJumps:
+    """Models with more than one jump channel (decay and pumping)."""
+
+    PSI0 = np.array([0.0, 1.0], dtype=complex)
+
+    def test_ensemble_tracks_master_equation(self):
+        model = pump_model()
+        grid = TimeGrid(0.0, 5.0, 26)
+        cfg = TrajectoryConfig(n_traj=2000, seed=19, grid=grid, integrator=LOOSE)
+        stats = ensemble_average(model, self.PSI0, cfg, observables=(P_E,))
+        rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+        ref = np.array([expectation(P_E, st).real for st in evolve(model, rho0, grid)])
+        dev = np.abs(stats.means[0].real - ref)
+        assert np.all(dev <= 3 * stats.stderrs[0] + 1e-12)
+
+    def test_single_run_records_both_channels(self):
+        cfg = TrajectoryConfig(n_traj=1, seed=19, grid=TimeGrid(0, 10, 41), integrator=LOOSE)
+        traj = mcwf_run(pump_model(), self.PSI0, cfg, traj_index=0)
+        assert set(traj.jump_channels.tolist()) == {0, 1}
+        assert np.all(np.diff(traj.jump_times) > 0)
+
+    def test_ensemble_equals_mean_of_single_runs(self):
+        model = pump_model()
+        cfg = TrajectoryConfig(n_traj=150, seed=19, grid=TimeGrid(0, 10, 41), integrator=LOOSE)
+        stats = ensemble_average(model, self.PSI0, cfg, observables=(P_E,))
+        runs = [mcwf_run(model, self.PSI0, cfg, traj_index=idx) for idx in range(cfg.n_traj)]
+        states = np.array([r.states for r in runs])
+        pe = np.einsum("kti,ij,ktj->kt", states.conj(), P_E.mat, states)
+        rho = np.einsum("kti,ktj->tij", states, states.conj()) / cfg.n_traj
+        assert np.max(np.abs(stats.means[0] - pe.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(stats.mean_states - rho)) <= 1e-12
+        hist = np.bincount([len(r.jump_times) for r in runs])
+        assert np.array_equal(stats.jump_histogram, hist)
+
+    def test_channel_selection_is_per_row(self):
+        weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        u = np.array([0.99, 0.01, 0.25, 0.75])
+        assert _select_channel(weights, u).tolist() == [0, 1, 0, 1]
+        with pytest.raises(JumpDegeneracyError, match="total 0"):
+            _select_channel(np.array([[1.0, 0.0], [0.0, 0.0]]), u[:2])
+
+
+def test_unraveling_convergence_script_runs():
+    script = REPO / "scripts" / "run_unraveling_convergence.py"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, str(script), "--sizes", "100", "200"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.strip().splitlines()
+    assert header.split()[0] == "n_traj"
+    assert [int(row.split()[0]) for row in rows] == [100, 200]
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split()[1:])
