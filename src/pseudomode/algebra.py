@@ -81,24 +81,38 @@ def check_density_matrices(stack: np.ndarray, start: int = 0, total: int | None 
     start + m - 1 of a sequence of `total` (default m); when that sequence
     holds more than one matrix, the message names the first that breaks one.
     """
-    total = len(stack) if total is None else total
+    check_block_diagonal([stack[:, None]], start, total)
+
+
+def check_block_diagonal(blocks: list[np.ndarray], start: int = 0,
+                         total: int | None = None) -> None:
+    """check_density_matrices for m block-diagonal matrices given by their blocks.
+
+    Each entry of `blocks` is an (m, b, s, s) stack: matrix t holds the b
+    blocks [t, 0] .. [t, b - 1] of every stack on its diagonal and zeros
+    elsewhere. The invariants are those of the whole matrix: Hermiticity is
+    checked block by block, the trace summed over all blocks, and positivity
+    on the smallest eigenvalue of any block, one batched eigvalsh per stack.
+    """
+    m = len(blocks[0])
+    total = m if total is None else total
 
     def first_bad(ok: np.ndarray) -> tuple[int, str]:
         i = int(np.argmin(ok))
         return i, (f" (matrix {start + i} of {total})" if total > 1 else "")
 
     # `not x <= tol` rather than `x > tol`, so that NaN fails
-    defect = np.abs(stack - stack.conj().transpose(0, 2, 1))
-    if not defect.max() <= HERMITICITY_TOL:
-        defect = defect.reshape(len(stack), -1).max(axis=1)
+    defects = [np.abs(b - b.conj().swapaxes(-1, -2)).reshape(m, -1) for b in blocks]
+    if not np.max([d.max() for d in defects]) <= HERMITICITY_TOL:
+        defect = np.max([d.max(axis=1) for d in defects], axis=0)
         i, where = first_bad(defect <= HERMITICITY_TOL)
         raise DensityMatrixError(f"density matrix not Hermitian: defect {defect[i]:.3e}{where}")
-    tr = stack.trace(axis1=1, axis2=2)
+    tr = sum(b.trace(axis1=2, axis2=3).sum(axis=1) for b in blocks)
     if not np.abs(tr - 1.0).max() <= TRACE_TOL:
         i, where = first_bad(np.abs(tr - 1.0) <= TRACE_TOL)
         raise DensityMatrixError(
             f"density matrix trace {tr[i]:.12g} differs from 1 beyond {TRACE_TOL:g}{where}")
-    lam_min = np.linalg.eigvalsh(stack)[:, 0]
+    lam_min = np.min([np.linalg.eigvalsh(b)[..., 0].min(axis=1) for b in blocks], axis=0)
     if not lam_min.min() >= -POSITIVITY_TOL:
         i, where = first_bad(lam_min >= -POSITIVITY_TOL)
         raise DensityMatrixError(

@@ -23,7 +23,7 @@ from .algebra import (
     HilbertFactorization,
     Operator,
     annihilation,
-    check_density_matrices,
+    check_block_diagonal,
     hermiticity_defect,
     identity,
     kron,
@@ -42,8 +42,12 @@ from .integrators import IntegratorConfig, propagator
 
 TOP_LEVEL_POPULATION_TOL = 1e-6
 _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
+# Past this many reachable entries the curve is integrated adaptively: the
+# k x k propagator takes k^2 floats and k^3 real multiply-adds per Dopri5
+# stage, against n^3 complex ones for the n x n block of reachable states.
+# The cut was measured when the propagator was complex (4x the flops).
 _MAX_PROPAGATED_ENTRIES = 256
-_VALIDATION_CHUNK = 1 << 16  # composite entries validated in one stacked pass
+_VALIDATION_CHUNK = 1 << 16  # block entries validated in one stacked pass
 
 
 class TruncationError(RuntimeError):
@@ -148,14 +152,89 @@ def build_embedding(spec: EmbeddingSpec, rho_S0: DensityMatrix) -> EmbeddingResu
     )
 
 
-def _check_curve(curve: np.ndarray, entries: np.ndarray, n: int) -> None:
-    """Validate the n x n composite block at every instant, a bounded chunk at a time."""
-    chunk = max(1, _VALIDATION_CHUNK // (n * n))
+class _HermitianCoordinates:
+    """Real coordinates of the Hermitian matrices supported on a set of entries.
+
+    `entries` are the sorted flat indices i * n + j of an n x n matrix's
+    possibly nonzero entries, closed under transposition. Coordinate e keeps
+    the position of entry e: rho_ii for a diagonal entry, sqrt(2) Re rho_ij
+    at i < j and sqrt(2) Im rho_ij at its partner j > i. The map from the k
+    complex entries is unitary, and orthogonal on the Hermitian matrices.
+
+    The entries also split the states into connected blocks, on which every
+    supported matrix is block diagonal; `groups` gathers them by size.
+    """
+
+    def __init__(self, entries: np.ndarray, n: int):
+        k = entries.size
+        row, col = np.divmod(entries, n)
+        self.upper = np.flatnonzero(row < col)
+        self.lower = np.searchsorted(entries, col[self.upper] * n + row[self.upper])
+        linked = np.zeros(n * n, dtype=bool)
+        linked[entries] = True
+        linked = linked.reshape(n, n)
+        label = np.arange(n)  # falls to the smallest state of each one's block
+        while True:
+            grown = np.minimum(label, np.where(linked, label, n).min(axis=1))
+            grown = grown[grown]
+            if np.array_equal(grown, label):
+                break
+            label = grown
+        by_size: dict[int, list[np.ndarray]] = {}
+        for first in np.flatnonzero(label == np.arange(n)):
+            members = np.flatnonzero(label == first)
+            by_size.setdefault(members.size, []).append(members)
+        at = np.full(n * n, k)  # position of each entry; k is a zero appended to the entries
+        at[entries] = np.arange(k)
+        # per block size, an (b, s, s) gather of the b blocks' entries
+        self.groups = [at[np.array(m)[:, :, None] * n + np.array(m)[:, None, :]]
+                       for _, m in sorted(by_size.items())]
+        self.block_entries = sum(g.size for g in self.groups)
+
+    def _combine(self, a: np.ndarray, phase: complex) -> None:
+        """Rows (u, l) of each pair become sqrt(1/2) (a_u + a_l) and phase sqrt(1/2) (a_u - a_l)."""
+        c = np.sqrt(0.5)
+        a_u, a_l = a[self.upper], a[self.lower]
+        a[self.upper] = c * (a_u + a_l)
+        a[self.lower] = (phase * c) * (a_u - a_l)
+
+    def of_entries(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of the Hermitian matrix with entries v."""
+        x = v.real.copy()
+        x[self.lower] = np.sqrt(2.0) * v[self.upper].imag
+        x[self.upper] *= np.sqrt(2.0)
+        return x
+
+    def generator(self, s: np.ndarray) -> np.ndarray:
+        """T S T^dag for T the map to coordinates: real when S preserves Hermiticity.
+
+        Built by combining the rows, then the columns, of each pair; s is overwritten.
+        """
+        self._combine(s, -1j)
+        self._combine(s.T, 1j)
+        return np.ascontiguousarray(s.real)
+
+    def functionals(self, r: np.ndarray) -> np.ndarray:
+        """W with x W = v r for the coordinates x of every Hermitian v: conj(T) r."""
+        w = r.astype(complex)
+        self._combine(w, 1j)
+        return w
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve."""
+        v = np.zeros((len(x), x.shape[1] + 1), dtype=complex)
+        v[:, :-1] = x
+        v[:, self.upper] = np.sqrt(0.5) * (x[:, self.upper] + 1j * x[:, self.lower])
+        v[:, self.lower] = v[:, self.upper].conj()
+        return [v[:, g] for g in self.groups]
+
+
+def _check_curve(curve: np.ndarray, coords: _HermitianCoordinates) -> None:
+    """Validate the composite state at every instant, block by block, a bounded chunk at a time."""
+    chunk = max(1, _VALIDATION_CHUNK // coords.block_entries)
     for start in range(0, len(curve), chunk):
-        part = curve[start:start + chunk]
-        blocks = np.zeros((len(part), n * n), dtype=complex)
-        blocks[:, entries] = part
-        check_density_matrices(blocks.reshape(-1, n, n), start=start, total=len(curve))
+        check_block_diagonal(coords.blocks(curve[start:start + chunk]),
+                             start=start, total=len(curve))
 
 
 def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeGrid,
@@ -164,21 +243,25 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
 
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
     no ancilla (the markovian scenario). The master equation is solved only
-    on the density-matrix entries that can become nonzero: rho0's nonzero
-    entries, closed under the operator patterns of the generator on the
-    basis states reachable from rho0. Every other entry stays exactly zero.
+    on the density-matrix entries that can become nonzero: the nonzero
+    entries of rho0's Hermitian part, closed under the operator patterns of
+    the generator on the basis states reachable from rho0. Every other entry
+    stays exactly zero. The state is Hermitian, so its k entries carry k
+    real coordinates (_HermitianCoordinates), and the generator, which
+    preserves Hermiticity, is a real k x k matrix on them.
     The generator is time independent and the grid uniform, so each instant
-    is one product with a grid-step propagator, built by
+    is one real product with a grid-step propagator, built by
     integrators.propagator at cfg's tolerances with norm_size the composite
     matrix's d^2 entries: a weight k^2 / d^2 on the RMS error of the k x k
     propagator, which holds each of its columns at least as tight as evolve
     holds one state.
-    Above 256 entries the k x k propagator costs more than it saves (k^3
-    per Dopri5 stage, against n^3 for the n x n block of reachable states)
-    and needs k^2 memory, so the block is integrated adaptively instead, as
-    in evolve. Either way the composite curve is validated as a stack with
-    DensityMatrix's tolerances, a bounded chunk of instants at a time; the
-    reduced states are partial traces of it and are not validated again.
+    Above 256 entries the k x k propagator costs more than it saves (see
+    _MAX_PROPAGATED_ENTRIES), so the block is integrated adaptively
+    instead, as in evolve. Either way the curve is kept as its (n_t, k) real
+    coordinates. The composite state is validated with DensityMatrix's
+    tolerances on its diagonal blocks, a bounded chunk of instants at a
+    time; the reduced states are partial traces of it, taken on the
+    coordinates, and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
@@ -188,23 +271,26 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     n = states.size
     block = _restricted(model, states)
     block0 = rho0[np.ix_(states, states)]
+    block0 = (block0 + block0.conj().T) / 2.0
     entries = _reachable_entries(block, block0)
-    curve = np.empty((grid.n_points, entries.size), dtype=complex)
+    coords = _HermitianCoordinates(entries, n)
+    curve = np.empty((grid.n_points, entries.size))
     if entries.size <= _MAX_PROPAGATED_ENTRIES:
-        step = propagator(superoperator(block, entries), grid.dt, cfg, norm_size=rho0.size)
-        curve[0] = block0.reshape(-1)[entries]
+        step = propagator(coords.generator(superoperator(block, entries)), grid.dt, cfg,
+                          norm_size=rho0.size)
+        curve[0] = coords.of_entries(block0.reshape(-1)[entries])
         for i in range(1, grid.n_points):
-            curve[i] = step @ curve[i - 1]
+            np.matmul(step, curve[i - 1], out=curve[i])
     else:
         for i, m in enumerate(_evolve_block(block, block0, grid, cfg, rho0.size)):
-            curve[i] = m.reshape(-1)[entries]
-    _check_curve(curve, entries, n)
+            curve[i] = coords.of_entries(m.reshape(-1)[entries])
+    _check_curve(curve, coords)
 
     row, col = np.divmod(entries, n)
     sys_row, anc_row = np.divmod(states[row], d_A)
     sys_col, anc_col = np.divmod(states[col], d_A)
     if d_A > 1:
-        top = float(np.max(curve[:, (row == col) & (anc_row == d_A - 1)].real.sum(axis=1)))
+        top = float(np.max(curve[:, (row == col) & (anc_row == d_A - 1)].sum(axis=1)))
         if top > TOP_LEVEL_POPULATION_TOL:
             warnings.warn(
                 f"top ancilla Fock level reached population {top:.3e} "
@@ -213,9 +299,10 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
                 stacklevel=3,
             )
     traced = np.flatnonzero(anc_row == anc_col)
-    to_reduced = np.zeros((traced.size, d_S * d_S))
-    to_reduced[np.arange(traced.size), sys_row[traced] * d_S + sys_col[traced]] = 1.0
-    return (curve[:, traced] @ to_reduced).reshape(-1, d_S, d_S)
+    to_reduced = np.zeros((entries.size, d_S * d_S))
+    to_reduced[traced, sys_row[traced] * d_S + sys_col[traced]] = 1.0
+    w = coords.functionals(to_reduced)
+    return (curve @ w.real + 1j * (curve @ w.imag)).reshape(-1, d_S, d_S)
 
 
 def simulate_lorentzian(

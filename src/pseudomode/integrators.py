@@ -1,9 +1,10 @@
-"""Adaptive embedded Runge-Kutta 4(5) propagation of complex array states.
+"""Adaptive embedded Runge-Kutta 4(5) propagation of real or complex array states.
 
 One Dormand-Prince stepper serves both density matrices and wavefunctions,
-and builds the grid-step propagators of both: the state is any complex
-ndarray and the vector field must be autonomous (all generators in this
-package are written in the rotating frame, where they are time independent).
+and builds the grid-step propagators of both: the state is any real or
+complex ndarray, kept in its own kind, and the vector field must be
+autonomous (all generators in this package are written in the rotating
+frame, where they are time independent).
 The stage loop is unrolled because trajectory ensembles hit it millions of
 times.
 """
@@ -91,6 +92,9 @@ class Dopri5:
     replacement (e.g. Hermitian re-symmetrization). It invalidates the FSAL
     reuse, so pass it only where the cleanup matters.
 
+    A real y0 is stepped as float64 and any other as complex128, so a real
+    vector field runs in real arithmetic.
+
     `norm_size` is the number of entries the RMS error norm averages over
     (default: the size of y0). A caller that integrates only the nonzero
     block of a larger state, whose other entries stay exactly zero, passes
@@ -108,7 +112,7 @@ class Dopri5:
     ):
         self.rhs = rhs
         self.t = float(t0)
-        self.y = np.array(y0, dtype=complex)
+        self.y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
         self.cfg = cfg
         self.step_callback = step_callback
         self._norm_weight = 1.0 if norm_size is None else self.y.size / norm_size
@@ -252,8 +256,9 @@ def propagator(
     N of one state it will propagate weights the norm by k^2 / N. That
     bounds the step error of the propagator, not of the products with it,
     which compound over a grid. No eigendecomposition is used: the generator
-    may be defective, as at the exceptional point g = gamma/4.
+    may be defective, as at the exceptional point g = gamma/4. A real
+    generator gives a real propagator, stepped in real arithmetic.
     """
-    identity = np.eye(len(generator), dtype=complex)
+    identity = np.eye(len(generator), dtype=generator.dtype)
     return integrate_to_instants(lambda y: generator @ y, identity, [0.0, h], cfg,
                                  norm_size=norm_size)[-1]

@@ -1,14 +1,17 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudomode import (
     DensityMatrix,
+    DensityMatrixError,
     EmbeddingSpec,
     FockTruncationWarning,
     IntegratorConfig,
+    LindbladModel,
     Lorentzian,
     Operator,
     SystemSpec,
@@ -27,7 +30,8 @@ from pseudomode import (
     trace_distance,
     volterra_amplitude,
 )
-from pseudomode import dynamics, embedding
+from pseudomode import cli, dynamics, embedding, integrators
+from pseudomode.config import load_scenario
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 EXCITED = DensityMatrix.fock(2, 1)
@@ -232,6 +236,246 @@ class TestGridStepPath:
         spec = EmbeddingSpec(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=1.0), 3)
         with pytest.raises(ValueError, match=r"trace .* \(matrix 1 of 3\)"):
             simulate_lorentzian(spec, EXCITED, TimeGrid(0.0, 1.0, 3))
+
+
+def _entry_layout(model, rho0):
+    """The reachable states, their block model and initial block, and the reachable entries."""
+    states = dynamics._reachable(model, rho0)
+    block = dynamics._restricted(model, states)
+    block0 = rho0[np.ix_(states, states)]
+    return states, block, block0, dynamics._reachable_entries(block, block0)
+
+
+def _complex_entry_reference(model, rho0, d_a, grid, cfg):
+    """The grid-step curve core as it was before real coordinates: k complex entries,
+    a complex k x k propagator, and the partial trace taken on the complex curve."""
+    d_s = model.dim // d_a
+    states, block, block0, entries = _entry_layout(model, rho0)
+    step = dynamics.superoperator(block, entries)
+    step = integrators.propagator(step, grid.dt, cfg, norm_size=rho0.size)
+    curve = np.empty((grid.n_points, entries.size), dtype=complex)
+    curve[0] = block0.reshape(-1)[entries]
+    for i in range(1, grid.n_points):
+        curve[i] = step @ curve[i - 1]
+    row, col = np.divmod(entries, states.size)
+    sys_row, anc_row = np.divmod(states[row], d_a)
+    sys_col, anc_col = np.divmod(states[col], d_a)
+    traced = np.flatnonzero(anc_row == anc_col)
+    to_reduced = np.zeros((traced.size, d_s * d_s))
+    to_reduced[np.arange(traced.size), sys_row[traced] * d_s + sys_col[traced]] = 1.0
+    return (curve[:, traced] @ to_reduced).reshape(-1, d_s, d_s)
+
+
+def _quiet_curve(model, rho0, d_a, grid, cfg=IntegratorConfig()):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FockTruncationWarning)
+        return embedding._reduced_curve(model, rho0, d_a, grid, cfg)
+
+
+PLUS = DensityMatrix.from_state([1.0, 1.0])  # (|g> + |e>) / sqrt(2)
+
+
+class TestRealCoordinates:
+    """The curve core runs on the real coordinates of the Hermitian state; it must
+    reproduce the complex-entry core it replaced."""
+
+    GRID = TimeGrid(0.0, 10.0, 201)
+    CASES = {
+        "tls-gamma10": (tls_system(), 10.0, 3, EXCITED),
+        "tls-gamma4": (tls_system(), 4.0, 3, EXCITED),
+        "tls-gamma1": (tls_system(), 1.0, 3, EXCITED),
+        "tls-gamma0.2": (tls_system(), 0.2, 3, EXCITED),
+        "fock3-dS4-gamma0.2-dA4": (oscillator_system(4), 0.2, 4, DensityMatrix.fock(4, 3)),
+        "fock5-dS6-gamma1-dA8": (oscillator_system(6), 1.0, 8, DensityMatrix.fock(6, 5)),
+        "fock5-dS6-gamma1-dA16": (oscillator_system(6), 1.0, 16, DensityMatrix.fock(6, 5)),
+        "plus-resonant-gamma0.2": (tls_system(), 0.2, 3, PLUS),
+        "plus-resonant-exceptional": (tls_system(), 4.0, 3, PLUS),
+        "plus-detuned-gamma1": (tls_system(0.7), 1.0, 3, PLUS),
+        "plus-detuned-exceptional": (tls_system(-1.3), 4.0, 3, PLUS),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_complex_entry_core(self, case):
+        system, gamma, d_a, rho = self.CASES[case]
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
+        fast = _quiet_curve(model, rho0, d_a, self.GRID)
+        reference = _complex_entry_reference(model, rho0, d_a, self.GRID, IntegratorConfig())
+        assert np.max(np.abs(fast - reference)) <= 1e-10
+
+    def test_markovian_matches_the_complex_entry_core(self):
+        model = LindbladModel(dim=2, H=Operator(np.zeros((2, 2))), jumps=((0.7, annihilation(2)),))
+        for rho in (EXCITED, PLUS):
+            fast = embedding._reduced_curve(model, rho.mat, 1, self.GRID, IntegratorConfig())
+            reference = _complex_entry_reference(model, rho.mat, 1, self.GRID, IntegratorConfig())
+            assert np.max(np.abs(fast - reference)) <= 1e-10
+
+    @pytest.mark.parametrize("detuning", [0.0, 0.7])
+    @pytest.mark.parametrize("gamma", [0.2, 4.0], ids=["gamma0.2", "exceptional"])
+    def test_coherent_state_matches_evolve(self, detuning, gamma):
+        # a superposition populates both members of each transposed pair, so the
+        # sqrt(2) Re / sqrt(2) Im coordinates carry the coherence
+        spec = EmbeddingSpec(tls_system(detuning), Lorentzian(g=1.0, omega0=0.0, gamma=gamma), 3)
+        emb = build_embedding(spec, PLUS)
+        reference = [partial_trace(st, emb.factorization, keep=0).mat
+                     for st in evolve(emb.model, emb.rho0, self.GRID)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FockTruncationWarning)
+            fast = [st.mat for st in simulate_lorentzian(spec, PLUS, self.GRID)]
+        assert np.max(np.abs(np.array(fast) - np.array(reference))) <= 1e-8
+        assert np.min(np.abs(np.array(fast)[:20, 0, 1])) > 1e-3
+        if detuning:
+            assert np.max(np.abs(np.array(fast)[:, 0, 1].imag)) > 1e-2
+
+    def test_hermitian_part_of_the_initial_state_is_propagated(self):
+        # a coherence below DensityMatrix's Hermiticity tolerance, without its
+        # transpose partner, is symmetrized on entry, so the entry set stays
+        # closed under transposition
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(tls_system(), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 3), EXCITED)
+        tilted = rho0.copy()
+        tilted[0, 3] = 4e-13
+        curve = _quiet_curve(model, tilted, 3, self.GRID)
+        assert np.max(np.abs(curve - _quiet_curve(model, rho0, 3, self.GRID))) <= 1e-12
+        assert np.max(np.abs(curve[:, 0, 1] - curve[:, 1, 0].conj())) <= 1e-15
+        assert np.max(np.abs(curve[:, 0, 1])) > 0.0
+
+    @pytest.mark.parametrize("d_s, gamma, d_a", [(4, 0.2, 4), (6, 1.0, 8)])
+    def test_oscillator_ladder_certifies_the_same_truncation(self, d_s, gamma, d_a):
+        chosen, _ = embedding._truncation_ladder(
+            oscillator_system(d_s), Lorentzian(g=1.0, omega0=5.0, gamma=gamma),
+            DensityMatrix.fock(d_s, d_s - 1), self.GRID, IntegratorConfig(), 1e-7)
+        assert chosen == d_a
+
+
+class TestBlockValidation:
+    """The composite state is validated on the diagonal blocks its entries link."""
+
+    @staticmethod
+    def coordinates():
+        # Fock 5 of a six-level oscillator: the blocks are the excitation sectors
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(oscillator_system(6), Lorentzian(g=1.0, omega0=0, gamma=1.0), 8),
+            DensityMatrix.fock(6, 5))
+        states, _, _, entries = _entry_layout(model, rho0)
+        return embedding._HermitianCoordinates(entries, states.size), entries, states.size
+
+    @staticmethod
+    def mixed_curve(entries, n, m=7):
+        # the maximally mixed state on the reachable states, at m instants
+        curve = np.zeros((m, entries.size))
+        diag = np.flatnonzero(entries // n == entries % n)
+        curve[:, diag] = 1.0 / diag.size
+        return curve
+
+    def test_blocks_are_the_excitation_sectors(self):
+        coords, _, _ = self.coordinates()
+        assert [g.shape for g in coords.groups] == [(1, s, s) for s in range(1, 7)]
+        assert coords.block_entries == 91
+
+    def test_blocks_are_the_connected_components(self):
+        # random transposition-closed entry sets against a breadth-first search
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            linked = rng.random((n, n)) < 0.3 * rng.random()
+            linked = linked | linked.T | np.eye(n, dtype=bool)
+            coords = embedding._HermitianCoordinates(np.flatnonzero(linked), n)
+            component = np.full(n, -1)
+            for first in range(n):
+                frontier = [first] if component[first] < 0 else []
+                component[frontier] = first
+                while frontier:
+                    nxt = np.flatnonzero(linked[frontier].any(axis=0) & (component < 0))
+                    component[nxt] = first
+                    frontier = list(nxt)
+            sizes = sorted(np.bincount(component)[np.flatnonzero(np.bincount(component))])
+            assert sorted(g.shape[1] for g in coords.groups for _ in g) == sizes
+            gathered = np.concatenate([g.ravel() for g in coords.groups])
+            assert sorted(gathered[gathered < linked.sum()]) == list(range(linked.sum()))
+
+    def test_negative_eigenvalue_in_one_block_is_named(self):
+        coords, entries, n = self.coordinates()
+        curve = self.mixed_curve(entries, n)
+        embedding._check_curve(curve, coords)
+        # couple the two states of the two-state block beyond their populations
+        pair = coords.groups[1][0, 0, 1]
+        curve[4, pair] = np.sqrt(2.0) * 2.0 / 21
+        with pytest.raises(DensityMatrixError, match=r"eigenvalue .* \(matrix 4 of 7\)"):
+            embedding._check_curve(curve, coords)
+
+    def test_trace_defect_spread_over_blocks_is_caught(self):
+        # each block moves by less than the trace tolerance, the whole state by more
+        coords, entries, n = self.coordinates()
+        curve = self.mixed_curve(entries, n)
+        top_sector = coords.groups[-1][0]
+        curve[2, coords.groups[0][0, 0, 0]] += 0.6e-9
+        curve[2, top_sector[0, 0]] += 0.6e-9
+        with pytest.raises(DensityMatrixError, match=r"trace .* \(matrix 2 of 7\)"):
+            embedding._check_curve(curve, coords)
+
+    @pytest.mark.parametrize("config", ["markovian_tls", "pseudomode_strong_coupling",
+                                        "compare_gamma_1", "compare_gamma_10"])
+    def test_block_spectrum_is_the_full_spectrum(self, monkeypatch, config):
+        cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+        rho = cli._initial_density(cfg)
+        if cfg.scenario == "markovian":
+            model, rho0, d_a = cli._markovian_model(cfg), rho.mat, 1
+        else:
+            d_a = cfg.d_A
+            model, rho0 = embedding._composite(EmbeddingSpec(cfg.system, cfg.bath, d_a), rho)
+        seen = []
+        check = embedding._check_curve
+
+        def recorded(curve, coords):
+            seen.append((curve, coords))
+            check(curve, coords)
+
+        monkeypatch.setattr(embedding, "_check_curve", recorded)
+        _quiet_curve(model, rho0, d_a, cfg.grid, cfg.integrator)
+        (curve, coords), = seen
+        blockwise = np.min([np.linalg.eigvalsh(b)[..., 0].min(axis=1)
+                            for b in coords.blocks(curve)], axis=0)
+        states, _, _, entries = _entry_layout(model, rho0)
+        n = states.size
+        entry = curve.astype(complex)
+        entry[:, coords.upper] = (curve[:, coords.upper] + 1j * curve[:, coords.lower]) / np.sqrt(2)
+        entry[:, coords.lower] = entry[:, coords.upper].conj()
+        full = np.zeros((len(curve), n * n), dtype=complex)
+        full[:, entries] = entry
+        full_min = np.linalg.eigvalsh(full.reshape(-1, n, n))[:, 0]
+        assert np.max(np.abs(blockwise - full_min)) <= 1e-14
+
+
+class TestPinnedRungMargin:
+    """test_unreachable_tolerance_raises and test_truncation_failure_is_4 raise only
+    while consecutive ladder rungs differ by more than their 1e-12 tolerance."""
+
+    CASES = {
+        "test_unreachable_tolerance_raises": TimeGrid(0, 0.2, 2),
+        "test_truncation_failure_is_4": TimeGrid(0.0, 0.5, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rung_distances_keep_a_margin(self, case):
+        grid = self.CASES[case]
+        cfg = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8)
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=0.5)
+
+        def curve(d_a):
+            model, rho0 = embedding._composite(EmbeddingSpec(tls_system(), bath, d_a), EXCITED)
+            return _quiet_curve(model, rho0, d_a, grid, cfg)
+
+        rungs = [curve(d_a) for d_a in (2, 4, 8, 16, 32, 64, 128)]
+        smallest = min(
+            max(trace_distance(DensityMatrix(Operator(a)), DensityMatrix(Operator(b)))
+                for a, b in zip(lo, hi))
+            for lo, hi in zip(rungs, rungs[1:]))
+        assert smallest >= 1e-11, (
+            f"smallest consecutive-rung distance {smallest:.3e} on the {case} config is "
+            "within 1e-11 of the 1e-12 tolerance that "
+            "TestChooseTruncation::test_unreachable_tolerance_raises and "
+            "TestExitCodes::test_truncation_failure_is_4 rely on to exhaust the ladder")
 
 
 def _sigma_x_system():

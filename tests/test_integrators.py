@@ -38,6 +38,24 @@ def test_propagator_of_a_defective_generator():
     assert np.max(np.abs(step - exact)) <= 1e-9
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_state_keeps_its_kind(dtype):
+    stepper = Dopri5(lambda y: -y, 0.0, np.ones(3, dtype=dtype), IntegratorConfig())
+    stepper.step(1.0)
+    assert stepper.y.dtype == np.dtype(dtype)
+
+
+def test_real_generator_gives_a_real_propagator():
+    # a real generator steps in real arithmetic, with the steps of its complex copy
+    rng = np.random.default_rng(3)
+    generator = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    real = propagator(generator, 0.3, cfg, norm_size=36)
+    complex_build = propagator(generator.astype(complex), 0.3, cfg, norm_size=36)
+    assert real.dtype == np.float64 and complex_build.dtype == np.complex128
+    assert np.max(np.abs(real - complex_build)) <= 1e-14
+
+
 def test_exponential_decay_accuracy():
     lam = -1.3 + 0.9j
     out = integrate_to_instants(lambda y: lam * y, np.array([1.0 + 0j]),
