@@ -38,6 +38,10 @@ MAX_VOLTERRA_STEPS = 2**20
 MAX_STEPS_PER_INTERVAL = 10**5
 # instants of the output grid; every stored curve and ensemble grows with it
 MAX_OUTPUT_POINTS = 2**20
+# trajectory instants, n_traj x n_points; the shipped trajectory model ran at
+# 2.4e6 to 3.9e6 instants/s with 2 workers on a 2-core host, so a run at the
+# bound takes about 35 to 60 s there
+MAX_TRAJECTORY_INSTANTS = 2**27
 # the Volterra step defaults to this fraction of 1 / max(g, gamma), the
 # discretized bath's half-width to this many linewidths
 _DEFAULT_STEP_FRACTION = 0.01
@@ -272,6 +276,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         _check_keys(traj_block, {"n_traj", "seed"}, {"n_traj", "seed"}, "trajectories")
         n_traj = _integer(traj_block, "n_traj", "trajectories", minimum=1)
         seed = _integer(traj_block, "seed", "trajectories")
+        if n_traj * grid.n_points > MAX_TRAJECTORY_INSTANTS:
+            raise ConfigError(
+                f"trajectories.n_traj x time.n_points = {n_traj} x {grid.n_points} is above "
+                f"MAX_TRAJECTORY_INSTANTS = {MAX_TRAJECTORY_INSTANTS}; lower either"
+            )
     elif traj_block is not None:
         raise ConfigError("trajectories block is only valid for scenario 'trajectories'")
 

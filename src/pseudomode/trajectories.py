@@ -5,23 +5,29 @@ squared norm of the unnormalized state is the no-jump probability, so each
 trajectory runs until the norm crosses a uniform random threshold, locates the
 crossing time, collapses through a randomly selected channel and continues.
 
-Trajectories advance together in blocks, as the rows of one (n, dim) array.
-The drift is time independent and the output grid uniform, so the no-jump
-propagator over one grid step (or over an equal fraction of it, a sub-step)
-is computed once per ensemble, by running the adaptive integrator on the
-identity, and each step is one matrix product. A block runs in waves. The
-first wave carries every row along the grid; a row whose norm falls below its
-threshold within a sub-step leaves the wave there, and the others go on. At
-the end of the wave, the jump times of all rows that left are located
-together, each row to its own tolerance on one fixed Runge-Kutta step from
-the start of its sub-step; they are collapsed, given new thresholds and
-carried to the end of that sub-step, where the next wave resumes them. So a
-block searches once per wave (again only for a row that jumps twice within
-one sub-step), not once per sub-step in which some row jumped.
-States are stored a window of instants at a time, of bounded size. Every
+Trajectories advance together, as the rows of one (n, dim) array. The drift
+is time independent and the output grid uniform, so the no-jump propagator
+over one grid step (or over an equal fraction of it, a sub-step) is computed
+once per ensemble, by running the adaptive integrator on the identity, and
+each step is one matrix product. The rows run in waves. The first wave
+carries every row along the grid; a row whose norm falls below its threshold
+within a sub-step leaves the wave there, and the others go on. At the end of
+the wave, the jump times of all rows that left are located together, each
+row to its own tolerance on one fixed Runge-Kutta step from the start of its
+sub-step; they are collapsed, given new thresholds and carried to the end of
+that sub-step, where the next wave resumes them. So the array searches once
+per wave (again only for a row that jumps twice within one sub-step), not
+once per sub-step in which some row jumped. States are stored a window of
+instants at a time, of bounded size.
+
+An ensemble is cut into fixed blocks of 128 trajectories, and consecutive
+whole blocks into batches; each batch advances as one array, so the waves,
+the crossing searches and the state window serve all rows of the batch at
+once. Each window is still reduced to ensemble sums block by block. Every
 trajectory owns a counter-based random stream keyed by (seed, trajectory
-index) and no row depends on the other rows of its block, so ensembles are
-reproducible bit-for-bit no matter how the work is scheduled.
+index), read by draw index from one Philox generator per batch, and no row
+depends on the other rows of its array, so ensembles are reproducible
+bit-for-bit no matter how the work is batched or scheduled.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .dynamics import LindbladModel, TimeGrid
 from .integrators import Dopri5, IntegratorConfig, fixed_step, propagator
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
-_WINDOW_ENTRIES = 1 << 16  # state entries (instants x rows x dim) a block holds at once
+_BATCH_BLOCKS = 8  # at most this many blocks advance together as one array
+_WINDOW_ENTRIES = 1 << 16  # state entries (instants x rows x dim) a batch holds at once
 _REDUCED_ENTRIES = 1 << 12  # state entries reduced to ensemble sums at once
 _JUMP_TIME_REL_TOL = 1e-10
 # The grid propagator is solved this much tighter than the run's tolerances.
@@ -86,7 +93,7 @@ class EnsembleStats:
 
 @dataclass(frozen=True, eq=False)
 class _GridPropagator:
-    """What a block needs to advance its rows over the output grid.
+    """What a batch needs to advance its rows over the output grid.
 
     Row states evolve as y -> y @ M.T, so every matrix is stored transposed.
     """
@@ -101,8 +108,47 @@ class _GridPropagator:
 
 
 def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
+    """The random stream of trajectory traj_index; _Streams reads the same draws by index."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _Streams:
+    """The streams _trajectory_rng(seed, idx) of a batch's rows, read from one Philox.
+
+    Philox turns counter c into four words, so draw j of a stream is the
+    (j mod 4 + 1)-th draw after setting the counter to j // 4 with an empty
+    buffer; that costs one state assignment instead of building a Generator
+    per trajectory. Each row keeps the count of draws it has used.
+    """
+
+    def __init__(self, seed: int, indices):
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bitgen = np.random.Philox(key=self._key)
+        self._gen = np.random.Generator(self._bitgen)
+        self._indices = indices
+        self._drawn = [0] * len(self._indices)
+
+    def draw(self, rows, n: int = 1) -> np.ndarray:
+        """The next n uniform draws of each row's stream, as (len(rows), n)."""
+        out = np.empty((len(rows), n))
+        for k, row in enumerate(rows):
+            j = self._drawn[row]
+            self._counter[0] = j // 4
+            self._key[1] = self._indices[row]
+            self._bitgen.state = self._state
+            out[k] = self._gen.random(j % 4 + n)[j % 4:]
+            self._drawn[row] = j + n
+        return out
 
 
 def _select_channel(weights: np.ndarray, u):
@@ -122,6 +168,8 @@ def _checked_state(model: LindbladModel, psi0) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dim {psi0.shape[0]} != model dim {model.dim}")
+    if not np.all(np.isfinite(psi0)):
+        raise ValueError("initial state must have finite entries")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     return psi0
@@ -179,7 +227,7 @@ def _rows_times(y: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
 
     numpy hands a single row to BLAS's matrix-vector product, which rounds
     differently from the matrix-matrix one, so a single row goes in twice.
-    A trajectory then computes the same bits alone as inside a block.
+    A trajectory then computes the same bits alone as inside a batch.
     """
     if len(y) == 1:
         return (np.concatenate([y, y]) @ mat_t)[:1]
@@ -227,13 +275,14 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     return tau, fixed_step(rhs, y_a, tau[:, None], k1)
 
 
-def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
+def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log):
     """States at t_a + h of the rows whose norm crossed within (t_a, t_a + h].
 
     t_a holds each row's sub-step start, y_a its state there and norm_end its
     squared norm at t_a + h. Each row is collapsed at its crossing, given a
     new threshold and carried to the end of its sub-step; a row that crosses
-    again is handled again. Jump times are located to
+    again is handled again. Each jump takes a row's next two draws: the
+    channel's, then the new threshold. Jump times are located to
     _JUMP_TIME_REL_TOL * max(|t_a + h|, 1), per row.
     """
     rhs = lambda y: _rows_times(y, prop.drift_t)  # noqa: E731
@@ -250,11 +299,11 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
                                         thresholds[owners], norm_end[pending], tol[pending])
         t_jump = starts[pending] + tau
         branches = np.einsum("kd,cde->kce", y_star, prop.jumps_t)
-        channels = _select_channel(prop.rates * _norm_sq(branches),
-                                   np.array([rngs[row].random() for row in owners]))
+        u = streams.draw(owners.tolist(), 2)
+        channels = _select_channel(prop.rates * _norm_sq(branches), u[:, 0])
         chosen = branches[np.arange(len(owners)), channels]
         collapsed = chosen / np.sqrt(_norm_sq(chosen))[:, None]
-        thresholds[owners] = [rngs[row].random() for row in owners]
+        thresholds[owners] = u[:, 1]
         jump_log.extend(zip(owners.tolist(), t_jump.tolist(), channels.tolist()))
         y_next = fixed_step(rhs, collapsed, (t_end[pending] - t_jump)[:, None])
         y_end[pending] = y_next
@@ -311,8 +360,8 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     return aside
 
 
-def _advance(prop, y, first, out, thresholds, rngs, jump_log):
-    """Carry the block's rows y from instant `first` over len(out) grid steps, in waves.
+def _advance(prop, y, first, out, thresholds, streams, jump_log):
+    """Carry the rows y from instant `first` over len(out) grid steps, in waves.
 
     The first wave carries every row; each later wave carries the rows that
     left the one before, from the end of the sub-step in which they left,
@@ -329,7 +378,7 @@ def _advance(prop, y, first, out, thresholds, rngs, jump_log):
             return y_last
         rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
         t_a = prop.times[at // sub] + (at % sub) * prop.h
-        y = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log)
+        y = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
         starts = at + 1
 
 
@@ -340,20 +389,21 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     is psi0 for every row, later ones are normalized. A window holds at most
     _WINDOW_ENTRIES entries (at least one instant), so memory does not grow
     with the grid. Each jump is appended to jump_log as (row, time,
-    channel), rows counted from 0 within the block.
+    channel), rows counted from 0 within `indices`.
     """
-    rngs = [_trajectory_rng(seed, idx) for idx in indices]
-    thresholds = np.array([rng.random() for rng in rngs])
-    y = np.tile(psi0, (len(rngs), 1))
+    streams = _Streams(seed, indices)
+    rows = range(len(indices))
+    thresholds = streams.draw(rows)[:, 0]
+    y = np.tile(psi0, (len(rows), 1))
     n_t = len(prop.times)
     width = max(1, _WINDOW_ENTRIES // y.size)
     for start in range(0, n_t, width):
         out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
         if start == 0:
             out[0] = y
-            y = _advance(prop, y, 0, out[1:], thresholds, rngs, jump_log)
+            y = _advance(prop, y, 0, out[1:], thresholds, streams, jump_log)
         else:
-            y = _advance(prop, y, start - 1, out, thresholds, rngs, jump_log)
+            y = _advance(prop, y, start - 1, out, thresholds, streams, jump_log)
         yield out
 
 
@@ -377,30 +427,42 @@ def mcwf_run(
     )
 
 
-def _accumulate_block(args):
-    """Sum of rho, and per-observable mean and centred sum of squares (M2), per instant."""
+def _accumulate_batch(args):
+    """Per block of the batch: its size, sum of rho, per-observable mean and
+    centred sum of squares (M2) per instant, and its jump-count histogram.
+
+    The batch's trajectories advance together; each window is reduced block
+    by block, on a contiguous copy of the block's rows, so a block's sums do
+    not depend on the batch it ran in.
+    """
     prop, psi0, seed, obs_mats, start, stop = args
     n_t = len(prop.times)
     dim = len(psi0)
-    rho_sum = np.empty((n_t, dim, dim), dtype=complex)
-    obs_mean = np.empty((len(obs_mats), n_t), dtype=complex)
-    obs_m2 = np.empty((len(obs_mats), n_t), dtype=float)
+    edges = list(range(0, stop - start, _BLOCK)) + [stop - start]
+    blocks = list(zip(edges, edges[1:]))
+    rho_sum = np.empty((len(blocks), n_t, dim, dim), dtype=complex)
+    obs_mean = np.empty((len(blocks), len(obs_mats), n_t), dtype=complex)
+    obs_m2 = np.empty((len(blocks), len(obs_mats), n_t), dtype=float)
     jump_log: list[tuple[int, float, int]] = []
     first = 0
     for window in _run_block(prop, psi0, seed, range(start, stop), jump_log):
-        chunk = max(1, _REDUCED_ENTRIES // window[0].size)
-        for psi in np.split(window, range(chunk, len(window), chunk)):
-            at = slice(first, first + len(psi))
-            rho_sum[at] = np.matmul(psi.transpose(0, 2, 1), psi.conj())
-            for j, a in enumerate(obs_mats):
-                vals = np.sum((psi.conj() @ a) * psi, axis=2)
-                mean = vals.mean(axis=1)
-                obs_mean[j, at] = mean
-                obs_m2[j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
-            first = at.stop
+        for b, (lo, hi) in enumerate(blocks):
+            block = np.ascontiguousarray(window[:, lo:hi])
+            chunk = max(1, _REDUCED_ENTRIES // block[0].size)
+            for offset in range(0, len(block), chunk):
+                psi = block[offset:offset + chunk]
+                at = slice(first + offset, first + offset + len(psi))
+                rho_sum[b, at] = np.matmul(psi.transpose(0, 2, 1), psi.conj())
+                for j, a in enumerate(obs_mats):
+                    vals = np.sum((psi.conj() @ a) * psi, axis=2)
+                    mean = vals.mean(axis=1)
+                    obs_mean[b, j, at] = mean
+                    obs_m2[b, j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
+        first += len(window)
     rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
     jumps_per_row = np.bincount(rows, minlength=stop - start)
-    return stop - start, rho_sum, obs_mean, obs_m2, np.bincount(jumps_per_row)
+    return [(hi - lo, rho_sum[b], obs_mean[b], obs_m2[b], np.bincount(jumps_per_row[lo:hi]))
+            for b, (lo, hi) in enumerate(blocks)]
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -412,6 +474,8 @@ def _worker_count(n_blocks: int) -> int:
             workers = 0
         if workers < 1:
             raise ConfigError(f"PSEUDOMODE_NUM_THREADS must be a positive integer, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_blocks))
@@ -425,25 +489,32 @@ def ensemble_average(
 ) -> EnsembleStats:
     """Trajectory-ensemble means with per-instant standard errors.
 
-    Trajectories run in fixed blocks of 128, and the block results (sums of
-    rho, observable means and centred sums of squares) are merged in index
-    order with the pairwise update of Chan, Golub & LeVeque, so the result is
-    bit-identical for any worker count (set PSEUDOMODE_NUM_THREADS to cap
-    parallelism).
+    Trajectories are cut into fixed blocks of 128, and consecutive blocks
+    into batches of at most _BATCH_BLOCKS, and fewer when that leaves a
+    worker without a batch. Each batch advances as one array, one batch per
+    task. The results of each block (sums of rho, observable means and
+    centred sums of squares) are still reduced per block and merged in
+    index order with the pairwise update of Chan, Golub & LeVeque, so the
+    result is bit-identical for any worker count (set
+    PSEUDOMODE_NUM_THREADS to cap parallelism; by default, one worker per
+    CPU the process may run on).
     """
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
     obs_mats = [a.mat for a in observables]
-    blocks = [
-        (prop, psi0, cfg.seed, obs_mats, start, min(start + _BLOCK, cfg.n_traj))
-        for start in range(0, cfg.n_traj, _BLOCK)
+    n_blocks = -(-cfg.n_traj // _BLOCK)
+    workers = _worker_count(n_blocks)
+    per_batch = _BLOCK * min(_BATCH_BLOCKS, -(-n_blocks // workers))
+    batches = [
+        (prop, psi0, cfg.seed, obs_mats, start, min(start + per_batch, cfg.n_traj))
+        for start in range(0, cfg.n_traj, per_batch)
     ]
-    workers = _worker_count(len(blocks))
     if workers == 1:
-        partials = [_accumulate_block(b) for b in blocks]
+        parts = [_accumulate_batch(b) for b in batches]
     else:
-        with Pool(processes=workers) as pool:
-            partials = pool.map(_accumulate_block, blocks)
+        with Pool(processes=min(workers, len(batches))) as pool:
+            parts = pool.map(_accumulate_batch, batches)
+    partials = [block for part in parts for block in part]
 
     hist = np.zeros(max(len(p[4]) for p in partials), dtype=np.int64)
     n, rho_sum, means, m2, _ = partials[0]

@@ -32,6 +32,7 @@ from pseudomode.config import (
     MAX_BATH_MODES,
     MAX_OUTPUT_POINTS,
     MAX_STEPS_PER_INTERVAL,
+    MAX_TRAJECTORY_INSTANTS,
     MAX_VOLTERRA_STEPS,
     SCENARIO_KINDS,
 )
@@ -178,6 +179,15 @@ class TestParsing:
         assert parse_scenario(doc).grid.n_points == MAX_OUTPUT_POINTS
         doc["time"]["n_points"] += 1
         with pytest.raises(ConfigError, match="MAX_OUTPUT_POINTS"):
+            parse_scenario(doc)
+
+    def test_trajectory_instants_bound_is_inclusive(self):
+        doc = base_doc(scenario="trajectories")
+        doc["trajectories"] = {"n_traj": MAX_TRAJECTORY_INSTANTS // 1024, "seed": 0}
+        doc["time"] = {"t0": 0.0, "t1": 1.0, "n_points": 1024}
+        assert parse_scenario(doc).n_traj * 1024 == MAX_TRAJECTORY_INSTANTS
+        doc["trajectories"]["n_traj"] += 1
+        with pytest.raises(ConfigError, match="MAX_TRAJECTORY_INSTANTS"):
             parse_scenario(doc)
 
 
@@ -511,7 +521,9 @@ class TestExitCodes:
         ("volterra_strong_coupling", "bath", "gamma", 1e10, "MAX_VOLTERRA_STEPS"),
         ("markovian_tls", "time", "t1", 1e300, "MAX_STEPS_PER_INTERVAL"),
         ("markovian_tls", "time", "n_points", 10**12, "MAX_OUTPUT_POINTS"),
-    ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1", "markovian-n_points"])
+        ("trajectories_embedded", "trajectories", "n_traj", 10**9, "MAX_TRAJECTORY_INSTANTS"),
+    ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1", "markovian-n_points",
+            "trajectories-n_traj"])
     def test_unbounded_work_is_2(self, tmp_path, capsys, config, block, key, value, bound):
         # each of these ended in a traceback or ran without end before it was bounded
         doc = json.loads((REPO / "configs" / f"{config}.json").read_text())

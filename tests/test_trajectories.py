@@ -30,7 +30,7 @@ from pseudomode import (
 )
 from pseudomode import trajectories
 from pseudomode.integrators import fixed_step, integrate_to_instants
-from pseudomode.trajectories import _select_channel, _trajectory_rng
+from pseudomode.trajectories import _select_channel, _Streams, _trajectory_rng, _worker_count
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -135,6 +135,16 @@ class TestMcwfRun:
         with pytest.raises(ValueError, match="normalized"):
             mcwf_run(tls_decay_model(), np.array([2.0, 0.0], dtype=complex), cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_requires_finite_state(self, bad):
+        emb, _, _ = embedded_setup()
+        psi0 = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+        cfg = TrajectoryConfig(n_traj=2, seed=0, grid=TimeGrid(0, 1, 3))
+        with pytest.raises(ValueError, match="finite"):
+            ensemble_average(emb.model, psi0, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            mcwf_run(emb.model, psi0, cfg)
+
     def test_single_decay_has_at_most_one_jump(self):
         cfg = TrajectoryConfig(n_traj=64, seed=13, grid=TimeGrid(0, 1, 3), integrator=LOOSE)
         psi0 = np.array([0.0, 1.0], dtype=complex)
@@ -172,6 +182,37 @@ class TestEnsembleAverage:
         assert np.array_equal(s1.stderrs, s2.stderrs)
         assert np.array_equal(s1.mean_states, s2.mean_states)
         assert np.array_equal(s1.jump_histogram, s2.jump_histogram)
+
+    # the pump model's rows have 2 entries, where a lone row would round
+    # differently without _rows_times
+    @pytest.mark.parametrize("setup", ["embedded", "pump"])
+    def test_batching_does_not_move_the_ensemble(self, monkeypatch, setup):
+        # 385 = 3 x 128 + 1: the last block is one row, alone when batches are single blocks
+        if setup == "embedded":
+            emb, psi0, obs = embedded_setup()
+            model = emb.model
+        else:
+            model, psi0, obs = pump_model(), np.array([0.0, 1.0], dtype=complex), P_E
+        cfg = TrajectoryConfig(n_traj=385, seed=99, grid=TimeGrid(0, 5, 11), integrator=LOOSE)
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", workers)
+            runs.append(ensemble_average(model, psi0, cfg, observables=(obs,)))
+        monkeypatch.setattr(trajectories, "_BATCH_BLOCKS", 1)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        runs.append(ensemble_average(model, psi0, cfg, observables=(obs,)))
+        first = runs[0]
+        assert first.jump_histogram.sum() == 385
+        for other in runs[1:]:
+            assert np.array_equal(first.means, other.means)
+            assert np.array_equal(first.stderrs, other.stderrs)
+            assert np.array_equal(first.mean_states, other.mean_states)
+            assert np.array_equal(first.jump_histogram, other.jump_histogram)
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("PSEUDOMODE_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count(8) == 1
 
     def test_mean_state_has_unit_trace(self):
         emb, psi0, obs = embedded_setup()
@@ -221,6 +262,23 @@ class TestEnsembleAverage:
             stats = ensemble_average(emb.model, psi0, cfg, observables=(obs,))
             devs.append(np.max(np.abs(stats.means[0].real - ref)))
         assert devs[2] < devs[1] < devs[0]
+
+
+class TestIndexedStreams:
+    """_Streams reads draw j of stream (seed, idx) by index; _trajectory_rng defines the stream."""
+
+    # -1 and 2**70 reach the key through the 64-bit mask
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 - 1, 2**70])
+    def test_draws_equal_the_generator(self, seed):
+        indices = [0, 1, 999]
+        streams = _Streams(seed, indices)
+        got = {row: [] for row in range(len(indices))}
+        # one draw, then pairs as a jump takes them: the 4-word buffer is crossed
+        for rows, n in [([2, 0, 1], 1)] + [([1, 2, 0], 2)] * 4:
+            for row, draws in zip(rows, streams.draw(rows, n)):
+                got[row].extend(draws)
+        for row, idx in enumerate(indices):
+            assert np.array_equal(got[row], _trajectory_rng(seed, idx).random(9))
 
 
 class TestClosedFormGate:
