@@ -146,6 +146,15 @@ def _resymmetrize(rho: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
+def _closure(links: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """Sorted indices of the closure of the mask `reached` under links[i, j]: j leads to i."""
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     """Indices of the basis states that rho(t) can ever occupy, sorted.
 
@@ -153,19 +162,20 @@ def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     (both directions) and of each channel's L (forward only: i -> j when
     L[j, i] != 0). Entries of rho(t) outside the block on these indices stay
     exactly zero, and the block of L^dag L equals the product of the blocks
-    of L^dag and L, so the block evolves on its own.
+    of L^dag and L, so the block evolves on its own. G's pattern is taken as
+    that of H together with each L^T L, from real pattern products, so the
+    dense complex drift of the whole space is never formed; the set can only
+    grow, and stays exact, where terms of G cancel.
     """
-    g = model.drift != 0
-    links = g | g.T
-    for _, L in model.channels:
-        links |= L != 0
+    patterns = [(L != 0).astype(float) for _, L in model.channels]
+    links = model.H.mat != 0
+    for p in patterns:
+        links |= (p.T @ p) != 0
+    links = links | links.T
+    for p in patterns:
+        links |= p != 0
     occupied = rho0 != 0
-    reached = occupied.any(axis=0) | occupied.any(axis=1)
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    return _closure(links, occupied.any(axis=0) | occupied.any(axis=1))
 
 
 def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ grid-step core, _reduced_curve; dynamics.evolve is the adaptive entry point.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .baths import Lorentzian
 from .dynamics import (
     LindbladModel,
     TimeGrid,
+    _closure,
     _evolve_block,
     _reachable,
     _reachable_entries,
@@ -45,7 +47,8 @@ _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
 # Past this many reachable entries the curve is integrated adaptively: the
 # k x k propagator takes k^2 floats and k^3 real multiply-adds per Dopri5
 # stage, against n^3 complex ones for the n x n block of reachable states.
-# The cut was measured when the propagator was complex (4x the flops).
+# The cut was measured when the propagator was complex (4x the flops), and
+# stays on the entry count k although only the reached coordinates are propagated.
 _MAX_PROPAGATED_ENTRIES = 256
 _VALIDATION_CHUNK = 1 << 16  # block entries validated in one stacked pass
 
@@ -252,15 +255,21 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     The generator is time independent and the grid uniform, so each instant
     is one real product with a grid-step propagator, built by
     integrators.propagator at cfg's tolerances with norm_size the composite
-    matrix's d^2 entries: a weight k^2 / d^2 on the RMS error of the k x k
+    matrix's d^2 entries: a weight c^2 / d^2 on the RMS error of the c x c
     propagator, which holds each of its columns at least as tight as evolve
-    holds one state.
+    holds one state. It acts only on the c coordinates reached from the
+    nonzero ones of rho0 under the real generator's pattern (_closure):
+    the generator has exact zeros from those into the rest, so the rest stay
+    exactly zero, and the curve keeps them as zero columns. At zero detuning
+    each entry keeps a fixed phase, so only one coordinate of each
+    transposed pair is reached (c = 56 of k = 91 at d_S = 6, d_A = 16).
     Above 256 entries the k x k propagator costs more than it saves (see
     _MAX_PROPAGATED_ENTRIES), so the block is integrated adaptively
     instead, as in evolve. Either way the curve is kept as its (n_t, k) real
     coordinates. The composite state is validated with DensityMatrix's
     tolerances on its diagonal blocks, a bounded chunk of instants at a
-    time; the reduced states are partial traces of it, taken on the
+    time, positivity by algebra.check_block_diagonal's Cholesky
+    certificate; the reduced states are partial traces of it, taken on the
     coordinates, and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
@@ -274,13 +283,17 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     block0 = (block0 + block0.conj().T) / 2.0
     entries = _reachable_entries(block, block0)
     coords = _HermitianCoordinates(entries, n)
-    curve = np.empty((grid.n_points, entries.size))
+    curve = np.zeros((grid.n_points, entries.size))
     if entries.size <= _MAX_PROPAGATED_ENTRIES:
-        step = propagator(coords.generator(superoperator(block, entries)), grid.dt, cfg,
-                          norm_size=rho0.size)
-        curve[0] = coords.of_entries(block0.reshape(-1)[entries])
+        s = coords.generator(superoperator(block, entries))
+        x0 = coords.of_entries(block0.reshape(-1)[entries])
+        live = _closure(s != 0, x0 != 0)
+        step = propagator(s[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
+        reached = np.empty((grid.n_points, live.size))
+        reached[0] = x0[live]
         for i in range(1, grid.n_points):
-            np.matmul(step, curve[i - 1], out=curve[i])
+            np.matmul(step, reached[i - 1], out=reached[i])
+        curve[:, live] = reached
     else:
         for i, m in enumerate(_evolve_block(block, block0, grid, cfg, rho0.size)):
             curve[i] = coords.of_entries(m.reshape(-1)[entries])
@@ -331,8 +344,9 @@ def choose_truncation(
 ) -> int:
     """Smallest d_A in the doubling ladder whose curve agrees with 2 d_A.
 
-    Agreement is max-over-time trace distance below tol. Raises
-    TruncationError if even d_A = 64 has not converged.
+    Agreement is max-over-time trace distance below tol. Raises ValueError
+    unless tol is positive and finite, and TruncationError if even d_A = 64
+    has not converged.
     """
     return _truncation_ladder(system, bath, rho_S0, grid, cfg, tol)[0]
 
@@ -346,8 +360,8 @@ def _truncation_ladder(
     tol: float,
 ) -> tuple[int, np.ndarray]:
     """choose_truncation's d_A together with the reduced curve it certified, as a stack."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     def reduced_curve(d_A: int) -> np.ndarray:
         model, rho0 = _composite(EmbeddingSpec(system, bath, d_A), rho_S0)

@@ -15,7 +15,13 @@ from pseudomode import (
     sigma_minus,
     trace_distance,
 )
-from pseudomode.algebra import check_density_matrices
+from pseudomode.algebra import (
+    POSITIVITY_TOL,
+    DensityMatrixError,
+    _certified_positive,
+    check_block_diagonal,
+    check_density_matrices,
+)
 
 
 def random_operator(rng, d):
@@ -201,6 +207,88 @@ class TestCheckDensityMatrices:
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             DensityMatrix(Operator(np.diag([bad, 1.0])))
+
+
+def with_spectrum(rng, eigenvalues):
+    """A Hermitian matrix with the given eigenvalues in a random unitary basis."""
+    d = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    m = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+class TestPositivityCertificate:
+    """Positivity is certified by a Cholesky factorization of B + POSITIVITY_TOL * I;
+    eigvalsh runs only when that fails, and the outcome is eigvalsh's."""
+
+    @staticmethod
+    def eigvalsh_accepts(blocks):
+        return min(np.linalg.eigvalsh(b)[..., 0].min() for b in blocks) >= -POSITIVITY_TOL
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6])
+    @pytest.mark.parametrize("margin", [-1e-3, 1e-3], ids=["above-tol", "below-tol"])
+    def test_decides_as_eigvalsh_at_the_tolerance(self, monkeypatch, rng, size, margin):
+        # three matrices, each a 1 x 1 block and two size x size blocks; the
+        # smallest eigenvalue of matrix 1 sits just inside or just outside -tol
+        lam = -POSITIVITY_TOL * (1.0 + margin)
+        blocks = np.array([[with_spectrum(rng, np.full(size, 0.8 / (2 * size)))] * 2] * 3)
+        blocks[1, 1] = with_spectrum(rng, [lam] + [(0.4 - lam) / (size - 1)] * (size - 1)
+                                     if size > 1 else [0.4])
+        ones = np.full((3, 1, 1, 1), 0.2, dtype=complex)
+        if size == 1:
+            ones[1, 0, 0, 0] = lam
+            blocks[1, 1] = 0.6 - lam
+        stacks = [ones, blocks]
+        accepts = self.eigvalsh_accepts(stacks)
+        assert accepts == (margin < 0)
+        calls = self.count_eigvalsh(monkeypatch)
+        if accepts:
+            check_block_diagonal(stacks)
+            assert calls == []
+        else:
+            with pytest.raises(DensityMatrixError,
+                               match=rf"eigenvalue {lam:.3e} below .* \(matrix 1 of 3\)"):
+                check_block_diagonal(stacks)
+            assert calls
+
+    def test_one_by_one_blocks_are_read_off_the_diagonal(self):
+        assert _certified_positive(np.array([[[[0.5]], [[-0.999 * POSITIVITY_TOL]]]]))
+        assert not _certified_positive(np.array([[[[0.5]], [[-1.001 * POSITIVITY_TOL]]]]))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_non_finite_entries_are_not_certified(self, size):
+        b = np.eye(size, dtype=complex)[None, None] / size
+        b[0, 0, -1, -1] = np.nan
+        assert not _certified_positive(b)
+        with pytest.raises(DensityMatrixError), np.errstate(invalid="ignore"):
+            check_block_diagonal([b])
+
+    def test_failure_names_the_matrix_eigvalsh_names(self, rng):
+        # matrices 2 and 4 of 5 break positivity, in different block sizes
+        small = np.full((5, 2, 1, 1), 0.1, dtype=complex)
+        large = np.array([[with_spectrum(rng, [0.1, 0.1, 0.2])] * 2] * 5)
+        large[2, 1] = with_spectrum(rng, [-3e-8, 0.2, 0.2 + 3e-8])
+        small[4, 0] = -2e-6
+        small[4, 1] = 0.2 + 2e-6
+        stacks = [small, large]
+        lam_min = np.min([np.linalg.eigvalsh(b)[..., 0].min(axis=1) for b in stacks], axis=0)
+        first = int(np.flatnonzero(lam_min < -POSITIVITY_TOL)[0])
+        assert first == 2
+        with pytest.raises(DensityMatrixError,
+                           match=rf"eigenvalue {lam_min[first]:.3e} .*\(matrix 12 of 20\)"):
+            check_block_diagonal(stacks, start=10, total=20)
 
 
 class TestTraceDistance:

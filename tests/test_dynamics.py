@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +25,8 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
+from pseudomode import cli, embedding
+from pseudomode.config import load_scenario
 from pseudomode.dynamics import _reachable, _reachable_entries, rhs_function, superoperator
 from pseudomode.integrators import integrate_to_instants
 
@@ -316,6 +320,73 @@ class TestReachableSubspace:
         rho0 = DensityMatrix.fock(3, 2)
         assert _reachable(model, rho0.mat).tolist() == [0, 1, 2]
         self.assert_evolve_matches_full_space(model, rho0)
+
+
+def _drift_closure(model, rho0):
+    """The reachable states as found from the dense drift's own pattern."""
+    g = model.drift != 0
+    links = g | g.T
+    for _, L in model.channels:
+        links |= L != 0
+    occupied = rho0 != 0
+    reached = occupied.any(axis=0) | occupied.any(axis=1)
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _shipped_models():
+    """The Lindblad models the shipped configs build, at their own and neighbouring d_A."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(configs.glob("*.json")):
+        cfg = load_scenario(path)
+        rho = cli._initial_density(cfg)
+        yield path.stem, cli._markovian_model(cfg), rho.mat
+        if not isinstance(cfg.bath, Lorentzian):
+            continue
+        for d_a in sorted({2, 3, 8, 16} | ({cfg.d_A} if cfg.d_A != "auto" else set())):
+            yield f"{path.stem}-dA{d_a}", *embedding._composite(
+                EmbeddingSpec(cfg.system, cfg.bath, d_a), rho)
+
+
+class TestReachableFromPatterns:
+    """_reachable builds its links from the patterns of H and L^T L, never from the
+    dense drift; the set must equal the drift-pattern closure."""
+
+    def test_shipped_configs(self):
+        for name, model, rho0 in _shipped_models():
+            assert _reachable(model, rho0).tolist() == _drift_closure(model, rho0).tolist(), name
+
+    def test_does_not_form_the_drift(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("_reachable formed the dense drift")
+
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(oscillator_system(6), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 16),
+            DensityMatrix.fock(6, 5))
+        monkeypatch.setattr(LindbladModel, "drift", property(forbidden))
+        assert _reachable(model, rho0).size == 21
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sparse_models(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 12))
+        density = 0.4 * rng.random()
+
+        def sparse():
+            mask = rng.random((d, d)) < density
+            return np.where(mask, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 0.0)
+
+        h = sparse()
+        jumps = tuple((float(rate), Operator(sparse()))
+                      for rate in rng.choice([0.0, 0.3, 1.0], size=int(rng.integers(0, 3))))
+        model = LindbladModel(dim=d, H=Operator(h + h.conj().T), jumps=jumps)
+        rho0 = np.zeros((d, d), dtype=complex)
+        start = rng.choice(d, size=int(rng.integers(1, 3)), replace=False)
+        rho0[np.ix_(start, start)] = 1.0
+        assert _reachable(model, rho0).tolist() == _drift_closure(model, rho0).tolist()
 
 
 class TestRegressionCorrelator:

@@ -203,28 +203,41 @@ class TestGridStepPath:
         assert len(states) == self.GRID.n_points
         assert built == [4] * self.GRID.n_points
 
-    @pytest.mark.parametrize("system, d_a, rho0, entries", [
-        (tls_system(), 3, EXCITED, 5),
-        (oscillator_system(4), 8, DensityMatrix.fock(4, 3), 30),
-        (oscillator_system(6), 16, DensityMatrix.fock(6, 5), 91),
-        (oscillator_system(6), 8, _cross_sector_superposition(6), 38),
-        (oscillator_system(8), 16, DensityMatrix.fock(8, 7), 204),
+    @pytest.mark.parametrize("system, d_a, rho0, entries, propagated", [
+        (tls_system(), 3, EXCITED, 5, 4),
+        (oscillator_system(4), 8, DensityMatrix.fock(4, 3), 30, 20),
+        (oscillator_system(6), 16, DensityMatrix.fock(6, 5), 91, 56),
+        (oscillator_system(6), 8, _cross_sector_superposition(6), 38, 24),
+        (oscillator_system(8), 16, DensityMatrix.fock(8, 7), 204, 120),
     ], ids=["tls-dA3", "fock3-dS4-dA8", "fock5-dS6-dA16", "cross-sector-dS6-dA8",
             "fock7-dS8-dA16"])
-    def test_propagates_only_reachable_entries(self, monkeypatch, system, d_a, rho0, entries):
-        sizes = []
-        build = embedding.propagator
+    def test_propagates_only_reachable_entries(self, monkeypatch, system, d_a, rho0, entries,
+                                               propagated):
+        # at zero detuning every entry keeps a fixed phase, so of each transposed
+        # pair's sqrt(2) Re / sqrt(2) Im coordinates only one is ever nonzero
+        spec = EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=1.0), d_a)
+        states, _, _, layout = _entry_layout(*embedding._composite(spec, rho0))
+        row, col = np.divmod(layout, states.size)
+        assert layout.size == entries
+        assert np.count_nonzero(row <= col) == propagated
+        sizes, widths = [], []
+        build, check = embedding.propagator, embedding._check_curve
 
         def recorded(generator, *args, **kwargs):
             sizes.append(generator.shape)
             return build(generator, *args, **kwargs)
 
+        def measured(curve, coords):
+            widths.append(curve.shape[1])
+            check(curve, coords)
+
         monkeypatch.setattr(embedding, "propagator", recorded)
+        monkeypatch.setattr(embedding, "_check_curve", measured)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FockTruncationWarning)
-            simulate_lorentzian(EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=1.0), d_a),
-                                rho0, TimeGrid(0.0, 0.1, 3))
-        assert sizes == [(entries, entries)]
+            simulate_lorentzian(spec, rho0, TimeGrid(0.0, 0.1, 3))
+        assert sizes == [(propagated, propagated)]
+        assert widths == [entries]
 
     @pytest.mark.parametrize("chunk", [1 << 20, 9], ids=["one-pass", "one-instant-per-pass"])
     def test_invalid_composite_state_raises(self, monkeypatch, chunk):
@@ -346,6 +359,49 @@ class TestRealCoordinates:
             oscillator_system(d_s), Lorentzian(g=1.0, omega0=5.0, gamma=gamma),
             DensityMatrix.fock(d_s, d_s - 1), self.GRID, IntegratorConfig(), 1e-7)
         assert chosen == d_a
+
+
+class TestCoordinateClosure:
+    """Only the coordinates reached from the initial state under the generator's pattern
+    are propagated; every other one is exactly zero in the full propagation."""
+
+    GRID = TimeGrid(0.0, 10.0, 201)
+    CASES = {
+        "fock5-dS6-dA16": (oscillator_system(6), 1.0, 16, DensityMatrix.fock(6, 5), 56),
+        "cross-sector-dS6-dA8": (oscillator_system(6), 1.0, 8, _cross_sector_superposition(6), 24),
+        "exceptional-point": (tls_system(), 4.0, 3, EXCITED, 4),
+        "detuned-tls": (tls_system(0.7), 1.0, 3, EXCITED, 5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_closure_is_exact(self, monkeypatch, case):
+        system, gamma, d_a, rho, reached = self.CASES[case]
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
+        closures, curves = [], []
+        check = embedding._check_curve
+
+        def recorded(curve, coords):
+            curves.append(curve)
+            check(curve, coords)
+
+        def closure(links, start):
+            closures.append(dynamics._closure(links, start))
+            return closures[-1]
+
+        monkeypatch.setattr(embedding, "_check_curve", recorded)
+        monkeypatch.setattr(embedding, "_closure", closure)
+        reduced = _quiet_curve(model, rho0, d_a, self.GRID)
+        # the core as it was before the closure: all k coordinates propagated
+        monkeypatch.setattr(embedding, "_closure", lambda links, start: np.arange(start.size))
+        full_reduced = _quiet_curve(model, rho0, d_a, self.GRID)
+        (live,), (curve, full) = closures, curves
+        assert live.size == reached
+        outside = np.ones(full.shape[1], dtype=bool)
+        outside[live] = False
+        assert np.count_nonzero(full[:, outside]) == 0
+        assert np.count_nonzero(curve[:, outside]) == 0
+        assert np.max(np.abs(reduced - full_reduced)) <= 1e-12
 
 
 class TestBlockValidation:
@@ -637,3 +693,15 @@ class TestChooseTruncation:
             choose_truncation(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=0.5),
                               EXCITED, TimeGrid(0, 0.2, 2),
                               IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8), tol=1e-12)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-7])
+    def test_bad_tolerance_rejected_before_the_first_rung(self, monkeypatch, tol):
+        # NaN fails every comparison, so a `tol <= 0` guard lets it through to
+        # the whole ladder and a TruncationError naming "below nan"
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the ladder ran a rung")
+
+        monkeypatch.setattr(embedding, "_reduced_curve", forbidden)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            choose_truncation(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=0.5),
+                              EXCITED, TimeGrid(0, 0.2, 2), self.CFG, tol=tol)
