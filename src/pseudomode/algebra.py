@@ -117,7 +117,7 @@ def check_block_diagonal(blocks: list[np.ndarray], start: int = 0,
     if not np.abs(tr - 1.0).max() <= TRACE_TOL:
         i, where = first_bad(np.abs(tr - 1.0) <= TRACE_TOL)
         raise DensityMatrixError(
-            f"density matrix trace {tr[i]:.12g} differs from 1 beyond {TRACE_TOL:g}{where}")
+            f"density matrix trace {tr[i].real:.12g} differs from 1 beyond {TRACE_TOL:g}{where}")
     if all(_certified_positive(b) for b in blocks):
         return
     lam_min = np.min([np.linalg.eigvalsh(b)[..., 0].min(axis=1) for b in blocks], axis=0)

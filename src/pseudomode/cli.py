@@ -10,8 +10,9 @@ underflowed), invariant failure (a computed state is not Hermitian, not of
 unit trace or not positive; no CSV is written) or jump failure (a jump found
 every channel at zero weight), 4 ancilla-truncation failure.
 
-Every Lindblad scenario runs on embedding's one stacked grid-step core (the
-markovian one with no ancilla); dynamics.evolve is the adaptive entry point.
+Every Lindblad scenario runs on embedding's one stacked curve core (the
+markovian one with no ancilla), on the real coordinates that dynamics.evolve
+integrates adaptively too.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class LindbladModel:
                 raise ValueError(f"jump rate must be nonnegative, got {rate}")
             if L.dim != self.dim:
                 raise ValueError(f"jump operator dim {L.dim} != model dim {self.dim}")
+            if not np.isfinite(L.mat).all():
+                raise ValueError("jump operator must have finite entries")
 
     @cached_property
     def channels(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -142,10 +144,6 @@ def superoperator(model: LindbladModel, entries: np.ndarray) -> np.ndarray:
     return s
 
 
-def _resymmetrize(rho: np.ndarray) -> np.ndarray:
-    return (rho + rho.conj().T) / 2.0
-
-
 def _closure(links: np.ndarray, reached: np.ndarray) -> np.ndarray:
     """Sorted indices of the closure of the mask `reached` under links[i, j]: j leads to i."""
     while True:
@@ -210,18 +208,135 @@ def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
     )
 
 
-def _evolve_block(
-    block: LindbladModel,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    cfg: IntegratorConfig,
-    norm_size: int,
-) -> Iterator[np.ndarray]:
-    """Adaptive run of a reachable block (see evolve), yielding the raw matrix at each instant."""
-    return iter_instants(
-        rhs_function(block), rho0, grid.times(), cfg,
-        step_callback=_resymmetrize, norm_size=norm_size,
-    )
+class _HermitianCoordinates:
+    """Real coordinates of the Hermitian matrices supported on a set of entries.
+
+    `entries` are the sorted flat indices i * n + j of an n x n matrix's
+    possibly nonzero entries, closed under transposition. Coordinate e keeps
+    the position of entry e: rho_ii for a diagonal entry, sqrt(2) Re rho_ij
+    at i < j and sqrt(2) Im rho_ij at its partner j > i. The map from the k
+    complex entries is unitary, and orthogonal on the Hermitian matrices.
+
+    The entries also split the states into connected blocks, on which every
+    supported matrix is block diagonal; `groups` gathers them by size.
+    """
+
+    def __init__(self, entries: np.ndarray, n: int):
+        self.entries, self.n = entries, n
+        k = entries.size
+        row, col = np.divmod(entries, n)
+        self.upper = np.flatnonzero(row < col)
+        self.lower = np.searchsorted(entries, col[self.upper] * n + row[self.upper])
+        up, low, diag = self.upper, self.lower, np.flatnonzero(row == col)
+        c = np.sqrt(0.5)
+        # the conversions see complex arrays as (Re, Im) float pairs: coordinate e is float
+        # _read[e] of the flat matrix times _scale[e]; float _write[i] of the k entries
+        # (_write_flat[i] of the flat matrix) is coordinate _source[i] times _weight[i]
+        self._read = 2 * entries
+        self._read[low] = 2 * entries[up] + 1
+        self._scale = np.where(row == col, 1.0, np.sqrt(2.0))
+        self._write = np.concatenate((2 * diag, 2 * up, 2 * low, 2 * up + 1, 2 * low + 1))
+        self._write_flat = 2 * entries[self._write // 2] + self._write % 2
+        self._source = np.concatenate((diag, up, up, low, low))
+        self._weight = np.repeat([1.0, c, c, c, -c], [diag.size] + 4 * [up.size])
+        linked = np.zeros(n * n, dtype=bool)
+        linked[entries] = True
+        linked = linked.reshape(n, n)
+        label = np.arange(n)  # falls to the smallest state of each one's block
+        while True:
+            grown = np.minimum(label, np.where(linked, label, n).min(axis=1))
+            grown = grown[grown]
+            if np.array_equal(grown, label):
+                break
+            label = grown
+        by_size: dict[int, list[np.ndarray]] = {}
+        for first in np.flatnonzero(label == np.arange(n)):
+            members = np.flatnonzero(label == first)
+            by_size.setdefault(members.size, []).append(members)
+        at = np.full(n * n, k)  # position of each entry; k is a zero appended to the entries
+        at[entries] = np.arange(k)
+        # per block size, an (b, s, s) gather of the b blocks' entries
+        self.groups = [at[np.array(m)[:, :, None] * n + np.array(m)[:, None, :]]
+                       for _, m in sorted(by_size.items())]
+        self.block_entries = sum(g.size for g in self.groups)
+
+    def _combine(self, a: np.ndarray, phase: complex) -> None:
+        """Rows (u, l) of each pair become sqrt(1/2) (a_u + a_l) and phase sqrt(1/2) (a_u - a_l)."""
+        c = np.sqrt(0.5)
+        a_u, a_l = a[self.upper], a[self.lower]
+        a[self.upper] = c * (a_u + a_l)
+        a[self.lower] = (phase * c) * (a_u - a_l)
+
+    def of_matrix(self, m: np.ndarray) -> np.ndarray:
+        """Coordinates (..., k) of the Hermitian (..., n, n) matrices m."""
+        pairs = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (-1,)).view(float)
+        return pairs[..., self._read] * self._scale
+
+    def _values(self, x: np.ndarray, write: np.ndarray, size: int) -> np.ndarray:
+        """(..., size) complex arrays, zero but for the entries of coordinates x at `write`."""
+        pairs = np.zeros(x.shape[:-1] + (2 * size,))
+        values = x[..., self._source]
+        values *= self._weight
+        pairs[..., write] = values
+        return pairs.view(complex)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The (..., n, n) Hermitian matrices with coordinates x (..., k): of_matrix's inverse."""
+        m = self._values(x, self._write_flat, self.n * self.n)
+        return m.reshape(x.shape[:-1] + (self.n, self.n))
+
+    def generator(self, s: np.ndarray) -> np.ndarray:
+        """T S T^dag for T the map to coordinates: real when S preserves Hermiticity.
+
+        Built by combining the rows, then the columns, of each pair; s is overwritten.
+        """
+        self._combine(s, -1j)
+        self._combine(s.T, 1j)
+        return np.ascontiguousarray(s.real)
+
+    def functionals(self, r: np.ndarray) -> np.ndarray:
+        """W with x W = v r for the coordinates x of every Hermitian v: conj(T) r."""
+        w = r.astype(complex)
+        self._combine(w, 1j)
+        return w
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve."""
+        v = self._values(x, self._write, x.shape[1] + 1)
+        return [v[:, g] for g in self.groups]
+
+
+def _coordinate_layout(model: LindbladModel, rho0: np.ndarray
+                       ) -> tuple[np.ndarray, LindbladModel, _HermitianCoordinates, np.ndarray]:
+    """Where a run from the matrix rho0 lives: (states, block, coords, x0).
+
+    `states` are the basis states reachable from rho0 and `block` the model
+    on them. The entries of the Hermitian part of rho0's block, closed under
+    the generator's operator patterns, are all that can become nonzero;
+    `coords` are the real coordinates on them and `x0` rho0's.
+    """
+    states = _reachable(model, rho0)
+    block = _restricted(model, states)
+    block0 = rho0[np.ix_(states, states)]
+    block0 = (block0 + block0.conj().T) / 2.0
+    coords = _HermitianCoordinates(_reachable_entries(block, block0), states.size)
+    return states, block, coords, coords.of_matrix(block0)
+
+
+def _integrate_coordinates(block: LindbladModel, coords: _HermitianCoordinates, x0: np.ndarray,
+                           grid: TimeGrid, cfg: IntegratorConfig, norm_size: int) -> np.ndarray:
+    """Adaptive run of the coordinates x0 under the block's master equation, (n_t, k).
+
+    The rhs is the block's dense matrix rhs, read on the entries. The state
+    is Hermitian by construction, so Dopri5 reuses its last stage (FSAL).
+    `norm_size` is passed on to Dopri5.
+    """
+    rhs = rhs_function(block)
+    field = lambda x: coords.of_matrix(rhs(coords.matrix(x)))  # noqa: E731
+    curve = np.empty((grid.n_points, x0.size))
+    for i, x in enumerate(iter_instants(field, x0, grid.times(), cfg, norm_size=norm_size)):
+        curve[i] = x
+    return curve
 
 
 def evolve(
@@ -232,25 +347,24 @@ def evolve(
 ) -> list[DensityMatrix]:
     """Propagate rho0 and return one validated density matrix per instant.
 
-    Only the block on the basis states reachable from rho0 is integrated
-    (exact: every other entry stays zero). The error norm still averages
-    over the whole matrix, so the steps are those of the full-space run.
-
-    Hermitian re-symmetrization is applied after every accepted step; trace
-    and positivity are not adjusted, so drift beyond the DensityMatrix
-    tolerances raises instead of being masked.
+    Only the real coordinates of the entries that can become nonzero are
+    integrated (_coordinate_layout; exact: every other entry stays zero), so
+    every state is Hermitian by construction. The error norm still averages
+    over the whole matrix's d^2 entries, so the steps are close to those of
+    the full-space run. Trace and positivity are not adjusted, so drift
+    beyond the DensityMatrix tolerances raises instead of being masked.
     """
     if rho0.dim != model.dim:
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
-    idx = _reachable(model, rho0.mat)
-    block = np.ix_(idx, idx)
-    raw = _evolve_block(_restricted(model, idx), rho0.mat[block], grid, cfg, rho0.mat.size)
-    states = []
-    for m in raw:
+    states, block, coords, x0 = _coordinate_layout(model, rho0.mat)
+    curve = _integrate_coordinates(block, coords, x0, grid, cfg, rho0.mat.size)
+    on_block = np.ix_(states, states)
+    out = []
+    for m in coords.matrix(curve):
         full = np.zeros_like(rho0.mat)
-        full[block] = m
-        states.append(DensityMatrix(Operator(full)))
-    return states
+        full[on_block] = m
+        out.append(DensityMatrix(Operator(full)))
+    return out
 
 
 def regression_correlator(
@@ -264,8 +378,9 @@ def regression_correlator(
     """Two-time correlator <A(tau) B(0)> in a stationary state.
 
     The seed B rho is propagated with the same generator as the density
-    matrix (it is generally non-Hermitian, so no re-symmetrization), and the
-    correlator is tr(A * propagated seed) at each delay.
+    matrix (it is generally non-Hermitian, so as a complex matrix, not on
+    real coordinates), and the correlator is tr(A * propagated seed) at
+    each delay.
     """
     for op, name in ((a, "A"), (b, "B")):
         if op.dim != model.dim:

@@ -7,8 +7,9 @@ hard-wired to the linewidth: that identification is exactly what makes the
 ancilla's vacuum correlation function match the reservoir's, so it is not a
 tunable parameter.
 
-Every Lindblad scenario the CLI runs takes its curve from one stacked
-grid-step core, _reduced_curve; dynamics.evolve is the adaptive entry point.
+Every Lindblad scenario the CLI runs takes its curve from one stacked core,
+_reduced_curve, on the real coordinates of the reachable entries: a grid-step
+propagator up to 256 entries, past them the adaptive run of dynamics.evolve.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from .dynamics import (
     LindbladModel,
     TimeGrid,
     _closure,
-    _evolve_block,
-    _reachable,
-    _reachable_entries,
-    _restricted,
+    _coordinate_layout,
+    _HermitianCoordinates,
+    _integrate_coordinates,
     superoperator,
 )
 from .integrators import IntegratorConfig, propagator
@@ -155,83 +155,6 @@ def build_embedding(spec: EmbeddingSpec, rho_S0: DensityMatrix) -> EmbeddingResu
     )
 
 
-class _HermitianCoordinates:
-    """Real coordinates of the Hermitian matrices supported on a set of entries.
-
-    `entries` are the sorted flat indices i * n + j of an n x n matrix's
-    possibly nonzero entries, closed under transposition. Coordinate e keeps
-    the position of entry e: rho_ii for a diagonal entry, sqrt(2) Re rho_ij
-    at i < j and sqrt(2) Im rho_ij at its partner j > i. The map from the k
-    complex entries is unitary, and orthogonal on the Hermitian matrices.
-
-    The entries also split the states into connected blocks, on which every
-    supported matrix is block diagonal; `groups` gathers them by size.
-    """
-
-    def __init__(self, entries: np.ndarray, n: int):
-        k = entries.size
-        row, col = np.divmod(entries, n)
-        self.upper = np.flatnonzero(row < col)
-        self.lower = np.searchsorted(entries, col[self.upper] * n + row[self.upper])
-        linked = np.zeros(n * n, dtype=bool)
-        linked[entries] = True
-        linked = linked.reshape(n, n)
-        label = np.arange(n)  # falls to the smallest state of each one's block
-        while True:
-            grown = np.minimum(label, np.where(linked, label, n).min(axis=1))
-            grown = grown[grown]
-            if np.array_equal(grown, label):
-                break
-            label = grown
-        by_size: dict[int, list[np.ndarray]] = {}
-        for first in np.flatnonzero(label == np.arange(n)):
-            members = np.flatnonzero(label == first)
-            by_size.setdefault(members.size, []).append(members)
-        at = np.full(n * n, k)  # position of each entry; k is a zero appended to the entries
-        at[entries] = np.arange(k)
-        # per block size, an (b, s, s) gather of the b blocks' entries
-        self.groups = [at[np.array(m)[:, :, None] * n + np.array(m)[:, None, :]]
-                       for _, m in sorted(by_size.items())]
-        self.block_entries = sum(g.size for g in self.groups)
-
-    def _combine(self, a: np.ndarray, phase: complex) -> None:
-        """Rows (u, l) of each pair become sqrt(1/2) (a_u + a_l) and phase sqrt(1/2) (a_u - a_l)."""
-        c = np.sqrt(0.5)
-        a_u, a_l = a[self.upper], a[self.lower]
-        a[self.upper] = c * (a_u + a_l)
-        a[self.lower] = (phase * c) * (a_u - a_l)
-
-    def of_entries(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the Hermitian matrix with entries v."""
-        x = v.real.copy()
-        x[self.lower] = np.sqrt(2.0) * v[self.upper].imag
-        x[self.upper] *= np.sqrt(2.0)
-        return x
-
-    def generator(self, s: np.ndarray) -> np.ndarray:
-        """T S T^dag for T the map to coordinates: real when S preserves Hermiticity.
-
-        Built by combining the rows, then the columns, of each pair; s is overwritten.
-        """
-        self._combine(s, -1j)
-        self._combine(s.T, 1j)
-        return np.ascontiguousarray(s.real)
-
-    def functionals(self, r: np.ndarray) -> np.ndarray:
-        """W with x W = v r for the coordinates x of every Hermitian v: conj(T) r."""
-        w = r.astype(complex)
-        self._combine(w, 1j)
-        return w
-
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve."""
-        v = np.zeros((len(x), x.shape[1] + 1), dtype=complex)
-        v[:, :-1] = x
-        v[:, self.upper] = np.sqrt(0.5) * (x[:, self.upper] + 1j * x[:, self.lower])
-        v[:, self.lower] = v[:, self.upper].conj()
-        return [v[:, g] for g in self.groups]
-
-
 def _check_curve(curve: np.ndarray, coords: _HermitianCoordinates) -> None:
     """Validate the composite state at every instant, block by block, a bounded chunk at a time."""
     chunk = max(1, _VALIDATION_CHUNK // coords.block_entries)
@@ -245,61 +168,46 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     """Reduced states of a system x ancilla model on the grid, one (n_t, d_S, d_S) stack.
 
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
-    no ancilla (the markovian scenario). The master equation is solved only
-    on the density-matrix entries that can become nonzero: the nonzero
-    entries of rho0's Hermitian part, closed under the operator patterns of
-    the generator on the basis states reachable from rho0. Every other entry
-    stays exactly zero. The state is Hermitian, so its k entries carry k
-    real coordinates (_HermitianCoordinates), and the generator, which
-    preserves Hermiticity, is a real k x k matrix on them.
-    The generator is time independent and the grid uniform, so each instant
-    is one real product with a grid-step propagator, built by
-    integrators.propagator at cfg's tolerances with norm_size the composite
-    matrix's d^2 entries: a weight c^2 / d^2 on the RMS error of the c x c
-    propagator, which holds each of its columns at least as tight as evolve
-    holds one state. It acts only on the c coordinates reached from the
-    nonzero ones of rho0 under the real generator's pattern (_closure):
-    the generator has exact zeros from those into the rest, so the rest stay
-    exactly zero, and the curve keeps them as zero columns. At zero detuning
-    each entry keeps a fixed phase, so only one coordinate of each
-    transposed pair is reached (c = 56 of k = 91 at d_S = 6, d_A = 16).
-    Above 256 entries the k x k propagator costs more than it saves (see
-    _MAX_PROPAGATED_ENTRIES), so the block is integrated adaptively
-    instead, as in evolve. Either way the curve is kept as its (n_t, k) real
-    coordinates. The composite state is validated with DensityMatrix's
-    tolerances on its diagonal blocks, a bounded chunk of instants at a
-    time, positivity by algebra.check_block_diagonal's Cholesky
-    certificate; the reduced states are partial traces of it, taken on the
-    coordinates, and are not validated again.
+    no ancilla (the markovian scenario). Like evolve, it solves the master
+    equation on the k real coordinates of the entries that can become
+    nonzero (dynamics._coordinate_layout). Up to 256 entries
+    (_MAX_PROPAGATED_ENTRIES) each instant is one product with a grid-step
+    propagator of the real generator, built by integrators.propagator at
+    cfg's tolerances with norm_size the composite d^2: a weight c^2 / d^2 on
+    the RMS error of the c x c propagator, which holds each column at least
+    as tight as evolve holds one state. It acts only on the c coordinates
+    reached from rho0's nonzero ones under the generator's pattern
+    (_closure); the rest stay exactly zero and are kept as zero columns. At
+    zero detuning each entry keeps a fixed phase, so only one coordinate of
+    each transposed pair is reached (c = 56 of k = 91 at d_S = 6,
+    d_A = 16). Past 256 entries the propagator costs more than it saves, so
+    the coordinates are integrated adaptively, as in evolve. The composite
+    state is validated on its diagonal blocks with DensityMatrix's
+    tolerances, a bounded chunk of instants at a time, positivity by
+    algebra.check_block_diagonal's Cholesky certificate; the reduced states
+    are partial traces taken on the coordinates and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
     """
     d_S = model.dim // d_A
-    states = _reachable(model, rho0)
-    n = states.size
-    block = _restricted(model, states)
-    block0 = rho0[np.ix_(states, states)]
-    block0 = (block0 + block0.conj().T) / 2.0
-    entries = _reachable_entries(block, block0)
-    coords = _HermitianCoordinates(entries, n)
-    curve = np.zeros((grid.n_points, entries.size))
+    states, block, coords, x0 = _coordinate_layout(model, rho0)
+    entries = coords.entries
     if entries.size <= _MAX_PROPAGATED_ENTRIES:
         s = coords.generator(superoperator(block, entries))
-        x0 = coords.of_entries(block0.reshape(-1)[entries])
         live = _closure(s != 0, x0 != 0)
         step = propagator(s[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
         reached = np.empty((grid.n_points, live.size))
         reached[0] = x0[live]
         for i in range(1, grid.n_points):
             np.matmul(step, reached[i - 1], out=reached[i])
+        curve = np.zeros((grid.n_points, entries.size))
         curve[:, live] = reached
     else:
-        for i, m in enumerate(_evolve_block(block, block0, grid, cfg, rho0.size)):
-            curve[i] = coords.of_entries(m.reshape(-1)[entries])
+        curve = _integrate_coordinates(block, coords, x0, grid, cfg, rho0.size)
     _check_curve(curve, coords)
 
-    row, col = np.divmod(entries, n)
+    row, col = np.divmod(entries, states.size)
     sys_row, anc_row = np.divmod(states[row], d_A)
     sys_col, anc_col = np.divmod(states[col], d_A)
     if d_A > 1:

@@ -1,10 +1,10 @@
 """Adaptive embedded Runge-Kutta 4(5) propagation of real or complex array states.
 
-One Dormand-Prince stepper serves both density matrices and wavefunctions,
-and builds the grid-step propagators of both: the state is any real or
-complex ndarray, kept in its own kind, and the vector field must be
-autonomous (all generators in this package are written in the rotating
-frame, where they are time independent).
+One Dormand-Prince stepper serves density matrices (as the real coordinates
+of their Hermitian entries) and wavefunctions, and builds the grid-step
+propagators of both: the state is any real or complex ndarray, kept in its
+own kind, and the vector field must be autonomous (all generators in this
+package are written in the rotating frame, where they are time independent).
 The stage loop is unrolled because trajectory ensembles hit it millions of
 times.
 """
@@ -88,12 +88,9 @@ def _stages(rhs, y, h, k1):
 class Dopri5:
     """Stateful adaptive stepper; advance with step(t_limit), never past it.
 
-    `step_callback`, when given, maps the accepted state to a cleaned-up
-    replacement (e.g. Hermitian re-symmetrization). It invalidates the FSAL
-    reuse, so pass it only where the cleanup matters.
-
-    A real y0 is stepped as float64 and any other as complex128, so a real
-    vector field runs in real arithmetic.
+    The last stage of an accepted step is the first of the next (FSAL), so
+    a step takes 6 rhs evaluations. A real y0 is stepped as float64 and any
+    other as complex128, so a real vector field runs in real arithmetic.
 
     `norm_size` is the number of entries the RMS error norm averages over
     (default: the size of y0). A caller that integrates only the nonzero
@@ -101,25 +98,17 @@ class Dopri5:
     the larger state's size so that the steps are those of the larger run.
     """
 
-    def __init__(
-        self,
-        rhs: Callable[[np.ndarray], np.ndarray],
-        t0: float,
-        y0: np.ndarray,
-        cfg: IntegratorConfig,
-        step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
-        norm_size: int | None = None,
-    ):
+    def __init__(self, rhs: Callable[[np.ndarray], np.ndarray], t0: float, y0: np.ndarray,
+                 cfg: IntegratorConfig, norm_size: int | None = None):
         self.rhs = rhs
         self.t = float(t0)
         self.y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
         self.cfg = cfg
-        self.step_callback = step_callback
         self._norm_weight = 1.0 if norm_size is None else self.y.size / norm_size
         self.h = min(cfg.initial_step, cfg.max_step)
         self._err_prev = 1e-4
-        self._k1: np.ndarray | None = None
-        self._last: tuple | None = None  # (t_old, h, y_old, k1, k3..k7, y_raw)
+        self._k1 = rhs(self.y)
+        self._last: tuple | None = None  # (t_old, h, y_old, k1, k3..k7) of the last step
         self._interp_coeffs: tuple | None = None
 
     def step(self, t_limit: float) -> None:
@@ -130,8 +119,6 @@ class Dopri5:
         rhs = self.rhs
         y = self.y
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-        if self._k1 is None:
-            self._k1 = rhs(y)
         k1 = self._k1
         while True:
             h = min(self.h, cfg.max_step, t_limit - self.t)
@@ -155,13 +142,9 @@ class Dopri5:
             if err_norm <= 1.0:
                 t_old = self.t
                 self.t = t_limit if hits_limit else self.t + h
-                self._last = (t_old, h, y, k1, k3, k4, k5, k6, k7, y_new)
+                self._last = (t_old, h, y, k1, k3, k4, k5, k6, k7)
                 self._interp_coeffs = None
-                if self.step_callback is not None:
-                    y_new = self.step_callback(y_new)
-                    self._k1 = None
-                else:
-                    self._k1 = k7
+                self._k1 = k7
                 self.y = y_new
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
@@ -177,16 +160,16 @@ class Dopri5:
         """Dense-output state inside the last accepted step (4th order)."""
         if self._last is None:
             raise RuntimeError("no accepted step to interpolate in")
-        t_old, h, y_old, k1, k3, k4, k5, k6, k7, y_raw = self._last
+        t_old, h, y_old, k1, k3, k4, k5, k6, k7 = self._last
         theta = (t - t_old) / h
         if not -1e-9 <= theta <= 1.0 + 1e-9:
             raise ValueError(f"time {t} outside the last step [{t_old}, {t_old + h}]")
         if theta >= 1.0:
-            return y_raw.copy()
+            return self.y.copy()
         if theta <= 0.0:
             return y_old.copy()
         if self._interp_coeffs is None:
-            diff = y_raw - y_old
+            diff = self.y - y_old
             bspl = h * k1 - diff
             r4 = diff - h * k7 - bspl
             r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
@@ -203,25 +186,19 @@ def fixed_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, h: float
     return _stages(rhs, y0, h, k1)[-1]
 
 
-def iter_instants(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    instants: Sequence[float],
-    cfg: IntegratorConfig,
-    step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
-    norm_size: int | None = None,
-) -> Iterator[np.ndarray]:
+def iter_instants(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
+                  instants: Sequence[float], cfg: IntegratorConfig,
+                  norm_size: int | None = None) -> Iterator[np.ndarray]:
     """Propagate dy/dt = rhs(y), yielding the state at each requested instant.
 
     `instants` must be strictly increasing; the first entry is the initial
-    time and the first state yielded is a copy of y0. `step_callback` and
-    `norm_size` are passed on to Dopri5.
+    time and the first state yielded is a copy of y0. `norm_size` is passed
+    on to Dopri5.
     """
     instants = [float(t) for t in instants]
     if any(b <= a for a, b in zip(instants, instants[1:])):
         raise ValueError("output instants must be strictly increasing")
-    stepper = Dopri5(rhs, instants[0], y0, cfg, step_callback=step_callback,
-                     norm_size=norm_size)
+    stepper = Dopri5(rhs, instants[0], y0, cfg, norm_size=norm_size)
     yield stepper.y.copy()
     for target in instants[1:]:
         while stepper.t < target:
@@ -229,16 +206,11 @@ def iter_instants(
         yield stepper.y.copy()
 
 
-def integrate_to_instants(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    instants: Sequence[float],
-    cfg: IntegratorConfig,
-    step_callback: Callable[[np.ndarray], np.ndarray] | None = None,
-    norm_size: int | None = None,
-) -> list[np.ndarray]:
+def integrate_to_instants(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
+                          instants: Sequence[float], cfg: IntegratorConfig,
+                          norm_size: int | None = None) -> list[np.ndarray]:
     """The states of iter_instants as a list."""
-    return list(iter_instants(rhs, y0, instants, cfg, step_callback, norm_size))
+    return list(iter_instants(rhs, y0, instants, cfg, norm_size))
 
 
 def propagator(

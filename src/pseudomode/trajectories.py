@@ -414,6 +414,8 @@ def mcwf_run(
     traj_index: int = 0,
 ) -> TrajectoryResult:
     """One quantum-jump trajectory, fully determined by (cfg.seed, traj_index)."""
+    if not (isinstance(traj_index, (int, np.integer)) and 0 <= traj_index < 1 << 64):
+        raise ValueError(f"traj_index must be an integer in [0, 2^64), got {traj_index!r}")
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
     jump_log: list[tuple[int, float, int]] = []

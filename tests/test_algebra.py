@@ -175,6 +175,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(Operator(np.eye(2)))
 
+    def test_trace_failure_reads_as_a_real_number(self):
+        with pytest.raises(ValueError, match=r"^density matrix trace 2 differs from 1 beyond"):
+            DensityMatrix(Operator(np.eye(2)))
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(Operator(np.diag([1.5, -0.5]).astype(complex)))

@@ -25,10 +25,18 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
-from pseudomode import cli, embedding
+from pseudomode import cli, dynamics, embedding, integrators
 from pseudomode.config import load_scenario
-from pseudomode.dynamics import _reachable, _reachable_entries, rhs_function, superoperator
-from pseudomode.integrators import integrate_to_instants
+from pseudomode.dynamics import (
+    _HermitianCoordinates,
+    _integrate_coordinates,
+    _reachable,
+    _reachable_entries,
+    _restricted,
+    rhs_function,
+    superoperator,
+)
+from pseudomode.integrators import Dopri5
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -71,6 +79,12 @@ class TestLindbladModel:
     def test_rejects_non_finite_hamiltonian(self, bad):
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(dim=2, H=Operator(np.diag([0.0, bad])))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_jump_operator(self, bad):
+        lower = np.array([[0.0, 1.0], [bad, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="jump operator must have finite entries"):
+            LindbladModel(dim=2, H=zero_op(2), jumps=((1.0, Operator(lower)),))
 
     def test_drift_and_channels_hold_the_damped_channels_only(self):
         rng = np.random.default_rng(5)
@@ -258,6 +272,99 @@ class TestEvolve:
         assert errs[0] / errs[1] > 100.0
 
 
+class _ResymmetrizingDopri5(Dopri5):
+    """The stepper of evolve's former complex-matrix path: each accepted state is
+    re-symmetrized, so the next step recomputes its first stage (no FSAL)."""
+
+    def step(self, t_limit):
+        super().step(t_limit)
+        self.y = (self.y + self.y.conj().T) / 2.0
+        self._k1 = self.rhs(self.y)
+
+
+def _matrix_path_reference(model, rho0, grid, cfg=IntegratorConfig()):
+    """evolve as it ran on the complex n x n block of the reachable states."""
+    idx = _reachable(model, rho0.mat)
+    on_block = np.ix_(idx, idx)
+    stepper = _ResymmetrizingDopri5(rhs_function(_restricted(model, idx)), grid.t0,
+                                    rho0.mat[on_block], cfg, norm_size=rho0.mat.size)
+    states = [rho0.mat]
+    for target in grid.times()[1:]:
+        while stepper.t < target:
+            stepper.step(target)
+        full = np.zeros_like(rho0.mat)
+        full[on_block] = stepper.y
+        states.append(full)
+    return np.array(states)
+
+
+def _cross_sector_superposition(d_s):
+    psi = np.zeros(d_s)
+    psi[[0, 3]] = 1.0
+    return DensityMatrix.from_state(psi)
+
+
+class TestCoordinateEvolve:
+    """evolve integrates the real coordinates of the reachable entries."""
+
+    CASES = {
+        "fock5-dS6-dA8": (oscillator_system(6), 1.0, 8, DensityMatrix.fock(6, 5)),
+        "exceptional-point": (tls_system(), 4.0, 3, DensityMatrix.fock(2, 1)),
+        "cross-sector-dS6-dA8": (oscillator_system(6), 1.0, 8, _cross_sector_superposition(6)),
+        "detuned-coherent": (tls_system(0.7), 1.0, 3, DensityMatrix.from_state([1.0, 1.0])),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_resymmetrized_matrix_path(self, case):
+        system, gamma, d_a, rho = self.CASES[case]
+        emb = build_embedding(
+            EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
+        grid = TimeGrid(0.0, 10.0, 201)
+        got = np.array([st_.mat for st_ in evolve(emb.model, emb.rho0, grid)])
+        assert np.max(np.abs(got - _matrix_path_reference(emb.model, emb.rho0, grid))) <= 1e-9
+
+    def test_reuses_the_last_stage(self, monkeypatch):
+        evals, stages = [0], [0]
+        factory, run_stages = dynamics.rhs_function, integrators._stages
+
+        def counted_factory(model):
+            rhs = factory(model)
+
+            def counted(rho):
+                evals[0] += 1
+                return rhs(rho)
+            return counted
+
+        def counted_stages(*args):
+            stages[0] += 1
+            return run_stages(*args)
+
+        monkeypatch.setattr(dynamics, "rhs_function", counted_factory)
+        monkeypatch.setattr(integrators, "_stages", counted_stages)
+        system, gamma, d_a, rho = self.CASES["detuned-coherent"]
+        emb = build_embedding(
+            EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
+        evolve(emb.model, emb.rho0, TimeGrid(0.0, 5.0, 11))
+        assert stages[0] > 10
+        assert evals[0] == 1 + 6 * stages[0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matrix_inverts_the_coordinates(self, case):
+        system, gamma, d_a, rho = self.CASES[case]
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
+        states, _, coords, x0 = dynamics._coordinate_layout(model, rho0)
+        assert np.max(np.abs(coords.matrix(x0) - rho0[np.ix_(states, states)])) <= 1e-15
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, coords.entries.size))
+        m = coords.matrix(x)
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+        assert np.max(np.abs(coords.of_matrix(m) - x)) <= 1e-15
+        outside = np.ones(states.size ** 2, dtype=bool)
+        outside[coords.entries] = False
+        assert np.count_nonzero(m.reshape(3, -1)[:, outside]) == 0
+
+
 class TestReachableSubspace:
     BATH = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
 
@@ -277,10 +384,12 @@ class TestReachableSubspace:
         assert _reachable(model, rho0.mat).tolist() == expected
 
     def full_space_run(self, model, rho0, grid):
-        """Reference: the whole matrix through the same integrator and step callback."""
-        raw = integrate_to_instants(rhs_function(model), rho0.mat, grid.times(), TIGHT,
-                                    step_callback=lambda m: (m + m.conj().T) / 2.0)
-        return np.array(raw)
+        """Reference: the coordinates of all d^2 entries of the whole matrix, same integrator."""
+        d = model.dim
+        coords = _HermitianCoordinates(np.arange(d * d), d)
+        curve = _integrate_coordinates(model, coords, coords.of_matrix(rho0.mat), grid, TIGHT,
+                                       d * d)
+        return coords.matrix(curve)
 
     def assert_evolve_matches_full_space(self, model, rho0):
         grid = TimeGrid(0.0, 3.0, 31)

@@ -190,7 +190,7 @@ class TestGridStepPath:
 
         for module in (dynamics, embedding):
             monkeypatch.setattr(module, "evolve", forbidden, raising=False)
-            monkeypatch.setattr(module, "_evolve_block", forbidden)
+            monkeypatch.setattr(module, "_integrate_coordinates", forbidden)
         built = []
         validate = DensityMatrix.__post_init__
 

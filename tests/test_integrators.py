@@ -95,18 +95,6 @@ def test_strictly_increasing_instants_required():
         integrate_to_instants(lambda y: y, np.array([1.0 + 0j]), [0.0, 0.0], IntegratorConfig())
 
 
-def test_step_callback_applied():
-    calls = []
-
-    def tag(y):
-        calls.append(y.copy())
-        return y
-
-    integrate_to_instants(lambda y: -y, np.array([1.0 + 0j]), [0.0, 1.0],
-                          IntegratorConfig(), step_callback=tag)
-    assert calls, "callback should run on every accepted step"
-
-
 def test_fixed_step_matches_stepper_order():
     lam = -0.5 + 1.1j
     rhs = lambda y: lam * y  # noqa: E731

@@ -145,6 +145,18 @@ class TestMcwfRun:
         with pytest.raises(ValueError, match="finite"):
             mcwf_run(emb.model, psi0, cfg)
 
+    @pytest.mark.parametrize("index", [-1, 1 << 64, 1.5])
+    def test_rejects_traj_index_outside_the_stream_keys(self, index):
+        cfg = TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 1, 3))
+        with pytest.raises(ValueError, match="traj_index"):
+            mcwf_run(tls_decay_model(), np.array([0.0, 1.0], dtype=complex), cfg, index)
+
+    def test_largest_traj_index_runs(self):
+        cfg = TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 1, 3), integrator=LOOSE)
+        traj = mcwf_run(tls_decay_model(), np.array([0.0, 1.0], dtype=complex), cfg,
+                        (1 << 64) - 1)
+        assert len(traj.states) == 3
+
     def test_single_decay_has_at_most_one_jump(self):
         cfg = TrajectoryConfig(n_traj=64, seed=13, grid=TimeGrid(0, 1, 3), integrator=LOOSE)
         psi0 = np.array([0.0, 1.0], dtype=complex)
