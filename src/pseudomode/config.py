@@ -38,6 +38,9 @@ MAX_VOLTERRA_STEPS = 2**20
 MAX_STEPS_PER_INTERVAL = 10**5
 # instants of the output grid; every stored curve and ensemble grows with it
 MAX_OUTPUT_POINTS = 2**20
+# d_S x d_A at a fixed numerics.d_A (the auto ladder is not bounded): one dense complex
+# operator of the system + ancilla model takes 16 (d_S d_A)^2 bytes, 256 MiB at the bound
+MAX_COMPOSITE_DIM = 2**12
 # trajectory instants, n_traj x n_points; the shipped trajectory model ran at
 # 2.4e6 to 3.9e6 instants/s with 2 workers on a 2-core host, so a run at the
 # bound takes about 35 to 60 s there
@@ -219,6 +222,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     d_a = numerics.get("d_A", "auto")
     if d_a != "auto" and not (isinstance(d_a, int) and not isinstance(d_a, bool) and d_a >= 2):
         raise ConfigError(f"numerics.d_A must be an integer >= 2 or 'auto', got {d_a!r}")
+    if d_a != "auto" and system.d_S * d_a > MAX_COMPOSITE_DIM:
+        raise ConfigError(
+            f"system.d_S x numerics.d_A = {system.d_S} x {d_a} is above "
+            f"MAX_COMPOSITE_DIM = {MAX_COMPOSITE_DIM}; lower numerics.d_A or use 'auto'"
+        )
     truncation_tol = _number(numerics, "truncation_tol", "numerics", default=1e-7, positive=True)
     n_modes = _integer(numerics, "n_modes", "numerics", default=400, minimum=50,
                        maximum=MAX_BATH_MODES)

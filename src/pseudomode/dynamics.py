@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DensityMatrix, Operator, hermiticity_defect
-from .integrators import IntegratorConfig, integrate_to_instants, iter_instants
+from .integrators import IntegratorConfig, iter_instants
 
 STATIONARITY_TOL = 1e-8
 
@@ -118,32 +118,6 @@ def generator_defect(model: LindbladModel, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(rhs_function(model)(rho.mat))))
 
 
-def superoperator(model: LindbladModel, entries: np.ndarray) -> np.ndarray:
-    """Matrix S of the master equation on row-stacked density matrices, restricted to entries.
-
-    vec(d rho/dt) = S vec(rho) with vec(rho)[i * dim + j] = rho[i, j], so
-    S[(k, l), (i, j)] is the (k, l), (i, j) entry of kron(A, B^T) summed over
-    the terms A rho B of the generator. Only the rows and columns at the
-    flat indices `entries` are built, in O(len(entries)^2) memory.
-    """
-    row, col = np.divmod(entries, model.dim)
-    same_row = row[:, None] == row[None, :]
-    same_col = col[:, None] == col[None, :]
-    rows, cols = np.ix_(row, row), np.ix_(col, col)
-
-    def left(a):  # kron(a, 1) on the entries
-        return np.where(same_col, a[rows], 0.0)
-
-    def right(b):  # kron(1, b^T) on the entries
-        return np.where(same_row, b.T[cols], 0.0)
-
-    G = model.drift
-    s = left(G) + right(G.conj().T)
-    for rate, L in model.channels:
-        s += rate * (L[rows] * L.conj()[cols])
-    return s
-
-
 def _closure(links: np.ndarray, reached: np.ndarray) -> np.ndarray:
     """Sorted indices of the closure of the mask `reached` under links[i, j]: j leads to i."""
     while True:
@@ -183,7 +157,7 @@ def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     generator: G rho and rho G^dag move an entry along a nonzero of the drift
     G in its row or column index, and L rho L^dag along a nonzero of L in
     both at once. Every other entry stays exactly zero. Built from dim x dim
-    patterns only, so it costs no superoperator.
+    patterns only.
     """
     one_sided = (model.drift != 0).astype(float)
     two_sided = [(L != 0).astype(float) for _, L in model.channels]
@@ -214,7 +188,7 @@ class _HermitianCoordinates:
     `entries` are the sorted flat indices i * n + j of an n x n matrix's
     possibly nonzero entries, closed under transposition. Coordinate e keeps
     the position of entry e: rho_ii for a diagonal entry, sqrt(2) Re rho_ij
-    at i < j and sqrt(2) Im rho_ij at its partner j > i. The map from the k
+    at i < j and sqrt(2) Im rho_ij at its partner j > i. The map T from the k
     complex entries is unitary, and orthogonal on the Hermitian matrices.
 
     The entries also split the states into connected blocks, on which every
@@ -225,23 +199,27 @@ class _HermitianCoordinates:
         self.entries, self.n = entries, n
         k = entries.size
         row, col = np.divmod(entries, n)
-        self.upper = np.flatnonzero(row < col)
-        self.lower = np.searchsorted(entries, col[self.upper] * n + row[self.upper])
-        up, low, diag = self.upper, self.lower, np.flatnonzero(row == col)
+        up = np.flatnonzero(row < col)
+        low = np.searchsorted(entries, col[up] * n + row[up])
         c = np.sqrt(0.5)
         # the conversions see complex arrays as (Re, Im) float pairs: coordinate e is float
-        # _read[e] of the flat matrix times _scale[e]; float _write[i] of the k entries
-        # (_write_flat[i] of the flat matrix) is coordinate _source[i] times _weight[i]
+        # _read[e] of the flat matrix times _scale[e]; entry e of T^dag x is the pair
+        # x[_pair[e]] * _pair_weight[e], and row k, past the entries, reads as zero
         self._read = 2 * entries
         self._read[low] = 2 * entries[up] + 1
         self._scale = np.where(row == col, 1.0, np.sqrt(2.0))
-        self._write = np.concatenate((2 * diag, 2 * up, 2 * low, 2 * up + 1, 2 * low + 1))
-        self._write_flat = 2 * entries[self._write // 2] + self._write % 2
-        self._source = np.concatenate((diag, up, up, low, low))
-        self._weight = np.repeat([1.0, c, c, c, -c], [diag.size] + 4 * [up.size])
-        linked = np.zeros(n * n, dtype=bool)
-        linked[entries] = True
-        linked = linked.reshape(n, n)
+        self._pair = np.zeros((k + 1, 2), dtype=np.intp)
+        self._pair[:k] = np.arange(k)[:, None]
+        self._pair[up, 1] = low
+        self._pair[low, 0] = up
+        self._pair_weight = np.zeros((k + 1, 2))
+        self._pair_weight[:k, 0] = np.where(row == col, 1.0, c)
+        self._pair_weight[up, 1] = c
+        self._pair_weight[low, 1] = -c
+        # position of each entry of the n x n matrix; k marks the others
+        self._at = np.full((n, n), k)
+        self._at.flat[entries] = np.arange(k)
+        linked = self._at < k
         label = np.arange(n)  # falls to the smallest state of each one's block
         while True:
             grown = np.minimum(label, np.where(linked, label, n).min(axis=1))
@@ -253,86 +231,98 @@ class _HermitianCoordinates:
         for first in np.flatnonzero(label == np.arange(n)):
             members = np.flatnonzero(label == first)
             by_size.setdefault(members.size, []).append(members)
-        at = np.full(n * n, k)  # position of each entry; k is a zero appended to the entries
-        at[entries] = np.arange(k)
         # per block size, an (b, s, s) gather of the b blocks' entries
-        self.groups = [at[np.array(m)[:, :, None] * n + np.array(m)[:, None, :]]
+        self.groups = [self._at[np.array(m)[:, :, None], np.array(m)[:, None, :]]
                        for _, m in sorted(by_size.items())]
         self.block_entries = sum(g.size for g in self.groups)
 
-    def _combine(self, a: np.ndarray, phase: complex) -> None:
-        """Rows (u, l) of each pair become sqrt(1/2) (a_u + a_l) and phase sqrt(1/2) (a_u - a_l)."""
-        c = np.sqrt(0.5)
-        a_u, a_l = a[self.upper], a[self.lower]
-        a[self.upper] = c * (a_u + a_l)
-        a[self.lower] = (phase * c) * (a_u - a_l)
+    def generator(self, model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+        """R = T S T^dag, the real generator x' = R x of the coordinates, as terms (at, values).
+
+        S is the master equation on the entries, read off the nonzeros of G
+        and each L: G rho moves entry (i, j) to (r, j) along G[r, i], rate
+        L rho L^dag moves (i, i') to (r, r') along L[r, i] conj L[r', i'],
+        and rho G^dag makes G rho's moves transposed and conjugated, which T
+        maps to the same terms, so G rho is taken twice. Each move gives four
+        terms, as T has two nonzeros per column. R[r, c] sums, in order, the
+        terms at flat position r * k + c; the Re/Im cross terms of a real S
+        cancel exactly. No k x k array is formed.
+        """
+        k, n, at = self.entries.size, self.n, self._at
+        r, i = np.nonzero(model.drift)
+        src, dst, val = [at[i].ravel()], [at[r].ravel()], [np.repeat(2.0 * model.drift[r, i], n)]
+        for rate, L in model.channels:
+            r, i = np.nonzero(L)
+            ell = L[r, i]
+            src.append(at[i[:, None], i].ravel())
+            dst.append(at[r[:, None], r].ravel())
+            val.append((rate * ell[:, None] * ell.conj()).ravel())
+        src, dst, val = np.concatenate(src), np.concatenate(dst), np.concatenate(val)
+        on = src < k  # the move starts at an entry, so it ends at one
+        src, dst, val = src[on], dst[on], val[on]
+        # column e of T has T[_pair[e, a], e] = w[e, a], so each move adds
+        # Re(w[dst, a] val conj w[src, b]) to R[_pair[dst, a], _pair[src, b]]
+        w = self._pair_weight * np.array([1.0, -1j])
+        at = self._pair[dst][:, :, None] * k + self._pair[src][:, None, :]
+        terms = (w[dst][:, :, None] * val[:, None, None] * w[src].conj()[:, None, :]).real
+        return at.ravel(), terms.ravel()
 
     def of_matrix(self, m: np.ndarray) -> np.ndarray:
         """Coordinates (..., k) of the Hermitian (..., n, n) matrices m."""
         pairs = np.ascontiguousarray(m, dtype=complex).reshape(m.shape[:-2] + (-1,)).view(float)
         return pairs[..., self._read] * self._scale
 
-    def _values(self, x: np.ndarray, write: np.ndarray, size: int) -> np.ndarray:
-        """(..., size) complex arrays, zero but for the entries of coordinates x at `write`."""
-        pairs = np.zeros(x.shape[:-1] + (2 * size,))
-        values = x[..., self._source]
-        values *= self._weight
-        pairs[..., write] = values
-        return pairs.view(complex)
+    def values(self, x: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """T^dag x at the entries `at` of coordinates x (..., k); by default all, then a zero."""
+        return (np.take(x, self._pair[at], axis=-1) * self._pair_weight[at]).view(complex)[..., 0]
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """The (..., n, n) Hermitian matrices with coordinates x (..., k): of_matrix's inverse."""
-        m = self._values(x, self._write_flat, self.n * self.n)
+        m = np.zeros(x.shape[:-1] + (self.n * self.n,), dtype=complex)
+        m[..., self.entries] = self.values(x)[..., :-1]
         return m.reshape(x.shape[:-1] + (self.n, self.n))
-
-    def generator(self, s: np.ndarray) -> np.ndarray:
-        """T S T^dag for T the map to coordinates: real when S preserves Hermiticity.
-
-        Built by combining the rows, then the columns, of each pair; s is overwritten.
-        """
-        self._combine(s, -1j)
-        self._combine(s.T, 1j)
-        return np.ascontiguousarray(s.real)
-
-    def functionals(self, r: np.ndarray) -> np.ndarray:
-        """W with x W = v r for the coordinates x of every Hermitian v: conj(T) r."""
-        w = r.astype(complex)
-        self._combine(w, 1j)
-        return w
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve."""
-        v = self._values(x, self._write, x.shape[1] + 1)
+        v = self.values(x)
         return [v[:, g] for g in self.groups]
 
 
-def _coordinate_layout(model: LindbladModel, rho0: np.ndarray
+def _coordinate_layout(model: LindbladModel, seed: np.ndarray
                        ) -> tuple[np.ndarray, LindbladModel, _HermitianCoordinates, np.ndarray]:
-    """Where a run from the matrix rho0 lives: (states, block, coords, x0).
+    """Where a run from the matrix seed lives: (states, block, coords, x0).
 
-    `states` are the basis states reachable from rho0 and `block` the model
-    on them. The entries of the Hermitian part of rho0's block, closed under
+    `states` are the basis states reachable from seed and `block` the model
+    on them. The entries of seed's block and of its transpose, closed under
     the generator's operator patterns, are all that can become nonzero;
-    `coords` are the real coordinates on them and `x0` rho0's.
+    `coords` are the real coordinates on them, `x0` seed's Hermitian part's.
     """
-    states = _reachable(model, rho0)
+    states = _reachable(model, seed)
     block = _restricted(model, states)
-    block0 = rho0[np.ix_(states, states)]
-    block0 = (block0 + block0.conj().T) / 2.0
-    coords = _HermitianCoordinates(_reachable_entries(block, block0), states.size)
-    return states, block, coords, coords.of_matrix(block0)
+    block0 = seed[np.ix_(states, states)]
+    coords = _HermitianCoordinates(
+        _reachable_entries(block, (block0 != 0) | (block0.T != 0)), states.size)
+    return states, block, coords, coords.of_matrix((block0 + block0.conj().T) / 2.0)
+
+
+def _field(block: LindbladModel, coords: _HermitianCoordinates
+           ) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> R x on real coordinates x, with R = coords.generator(block) summed per position."""
+    at, terms = coords.generator(block)
+    at, where = np.unique(at, return_inverse=True)
+    values = np.bincount(where, terms, at.size)
+    k = coords.entries.size
+    rows, cols = np.divmod(at, k)
+    return lambda x: np.bincount(rows, values * x[cols], k)
 
 
 def _integrate_coordinates(block: LindbladModel, coords: _HermitianCoordinates, x0: np.ndarray,
                            grid: TimeGrid, cfg: IntegratorConfig, norm_size: int) -> np.ndarray:
-    """Adaptive run of the coordinates x0 under the block's master equation, (n_t, k).
+    """Adaptive run of the coordinates x0 under x' = R x (_field), (n_t, k).
 
-    The rhs is the block's dense matrix rhs, read on the entries. The state
-    is Hermitian by construction, so Dopri5 reuses its last stage (FSAL).
-    `norm_size` is passed on to Dopri5.
-    """
-    rhs = rhs_function(block)
-    field = lambda x: coords.of_matrix(rhs(coords.matrix(x)))  # noqa: E731
+    The state is Hermitian by construction, so Dopri5 reuses its last stage
+    (FSAL); `norm_size` is passed on to it."""
+    field = _field(block, coords)
     curve = np.empty((grid.n_points, x0.size))
     for i, x in enumerate(iter_instants(field, x0, grid.times(), cfg, norm_size=norm_size)):
         curve[i] = x
@@ -377,10 +367,10 @@ def regression_correlator(
 ) -> np.ndarray:
     """Two-time correlator <A(tau) B(0)> in a stationary state.
 
-    The seed B rho is propagated with the same generator as the density
-    matrix (it is generally non-Hermitian, so as a complex matrix, not on
-    real coordinates), and the correlator is tr(A * propagated seed) at
-    each delay.
+    The seed B rho = H + iK, for H and K = (B rho - (B rho)^dag) / 2i
+    Hermitian, runs as x + iy for the real coordinates x of H and y of K,
+    on the entries reachable from B rho and its transpose; the correlator
+    is tr(A * propagated seed) at each delay, read on those entries.
     """
     for op, name in ((a, "A"), (b, "B")):
         if op.dim != model.dim:
@@ -396,12 +386,15 @@ def regression_correlator(
             f"> {STATIONARITY_TOL:g})"
         )
     seed = b.mat @ rho.mat
-    instants = taus.times()
-    if taus.t0 > 0.0:
-        instants = np.concatenate(([0.0], instants))
-        skip = 1
-    else:
-        skip = 0
-    propagated = integrate_to_instants(rhs_function(model), seed, instants, cfg)
-    a_mat = a.mat
-    return np.array([np.trace(a_mat @ x) for x in propagated[skip:]], dtype=complex)
+    if not seed.any():
+        return np.zeros(taus.n_points, dtype=complex)
+    states, block, coords, x0 = _coordinate_layout(model, seed)
+    on_block = np.ix_(states, states)
+    k0 = -1j * seed[on_block]  # K is the Hermitian part of -i B rho
+    z0 = x0 + 1j * coords.of_matrix((k0 + k0.conj().T) / 2.0)
+    field = _field(block, coords)
+    instants = np.union1d([0.0], taus.times())  # the seed is taken at delay 0
+    z = np.array(list(iter_instants(lambda z: field(z.real) + 1j * field(z.imag), z0, instants,
+                                    cfg, norm_size=seed.size))[-taus.n_points:])
+    entries = coords.values(z.real) + 1j * coords.values(z.imag)
+    return entries[:, :-1] @ a.mat[on_block].T.reshape(-1)[coords.entries]

@@ -38,17 +38,16 @@ from .dynamics import (
     _coordinate_layout,
     _HermitianCoordinates,
     _integrate_coordinates,
-    superoperator,
 )
 from .integrators import IntegratorConfig, propagator
 
 TOP_LEVEL_POPULATION_TOL = 1e-6
 _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
-# Past this many reachable entries the curve is integrated adaptively: the
-# k x k propagator takes k^2 floats and k^3 real multiply-adds per Dopri5
-# stage, against n^3 complex ones for the n x n block of reachable states.
-# The cut was measured when the propagator was complex (4x the flops), and
-# stays on the entry count k although only the reached coordinates are propagated.
+# Past this many reachable entries the curve is integrated adaptively: the grid
+# branch holds the generator and a propagator as dense c x c arrays on the c <= k
+# reached coordinates, and building the propagator takes c^3 multiply-adds per
+# Dopri5 stage, while the adaptive branch holds only the generator's nonzeros
+# (about five per entry) and takes one sparse product per stage.
 _MAX_PROPAGATED_ENTRIES = 256
 _VALIDATION_CHUNK = 1 << 16  # block entries validated in one stacked pass
 
@@ -170,22 +169,22 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
     no ancilla (the markovian scenario). Like evolve, it solves the master
     equation on the k real coordinates of the entries that can become
-    nonzero (dynamics._coordinate_layout). Up to 256 entries
-    (_MAX_PROPAGATED_ENTRIES) each instant is one product with a grid-step
-    propagator of the real generator, built by integrators.propagator at
-    cfg's tolerances with norm_size the composite d^2: a weight c^2 / d^2 on
-    the RMS error of the c x c propagator, which holds each column at least
-    as tight as evolve holds one state. It acts only on the c coordinates
-    reached from rho0's nonzero ones under the generator's pattern
-    (_closure); the rest stay exactly zero and are kept as zero columns. At
-    zero detuning each entry keeps a fixed phase, so only one coordinate of
-    each transposed pair is reached (c = 56 of k = 91 at d_S = 6,
-    d_A = 16). Past 256 entries the propagator costs more than it saves, so
-    the coordinates are integrated adaptively, as in evolve. The composite
-    state is validated on its diagonal blocks with DensityMatrix's
-    tolerances, a bounded chunk of instants at a time, positivity by
-    algebra.check_block_diagonal's Cholesky certificate; the reduced states
-    are partial traces taken on the coordinates and are not validated again.
+    nonzero (dynamics._coordinate_layout), under their real generator R
+    (_HermitianCoordinates.generator). Up to 256 entries, R is made dense
+    and each instant is one product with a grid-step propagator of it,
+    built by integrators.propagator at cfg's tolerances with norm_size the
+    composite d^2: a weight c^2 / d^2 on the RMS error of the c x c
+    propagator, which holds each column at least as tight as evolve holds
+    one state. It acts only on the c coordinates reached from rho0's under
+    R's pattern (_closure); the rest stay exactly zero. At zero detuning
+    each entry keeps a fixed phase, so only one coordinate of each
+    transposed pair is reached (c = 56 of k = 91 at d_S = 6, d_A = 16).
+    Past 256 entries the coordinates are integrated adaptively under
+    x' = R x, as in evolve. The composite state is validated on its
+    diagonal blocks with DensityMatrix's tolerances, a bounded chunk of
+    instants at a time, positivity by algebra.check_block_diagonal's
+    Cholesky certificate; the reduced states are partial traces of the
+    entry values T^dag x and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
@@ -194,9 +193,10 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     states, block, coords, x0 = _coordinate_layout(model, rho0)
     entries = coords.entries
     if entries.size <= _MAX_PROPAGATED_ENTRIES:
-        s = coords.generator(superoperator(block, entries))
-        live = _closure(s != 0, x0 != 0)
-        step = propagator(s[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
+        generator = np.bincount(*coords.generator(block), entries.size ** 2)
+        generator = generator.reshape(entries.size, -1)
+        live = _closure(generator != 0, x0 != 0)
+        step = propagator(generator[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
         reached = np.empty((grid.n_points, live.size))
         reached[0] = x0[live]
         for i in range(1, grid.n_points):
@@ -219,11 +219,11 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
                 FockTruncationWarning,
                 stacklevel=3,
             )
+    # the partial trace adds each entry (s a, s' a) into (s, s')
     traced = np.flatnonzero(anc_row == anc_col)
-    to_reduced = np.zeros((entries.size, d_S * d_S))
-    to_reduced[traced, sys_row[traced] * d_S + sys_col[traced]] = 1.0
-    w = coords.functionals(to_reduced)
-    return (curve @ w.real + 1j * (curve @ w.imag)).reshape(-1, d_S, d_S)
+    reduced = np.zeros((d_S * d_S, grid.n_points), dtype=complex)
+    np.add.at(reduced, sys_row[traced] * d_S + sys_col[traced], coords.values(curve, traced).T)
+    return reduced.T.reshape(-1, d_S, d_S)
 
 
 def simulate_lorentzian(

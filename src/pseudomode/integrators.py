@@ -206,13 +206,6 @@ def iter_instants(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         yield stepper.y.copy()
 
 
-def integrate_to_instants(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-                          instants: Sequence[float], cfg: IntegratorConfig,
-                          norm_size: int | None = None) -> list[np.ndarray]:
-    """The states of iter_instants as a list."""
-    return list(iter_instants(rhs, y0, instants, cfg, norm_size))
-
-
 def propagator(
     generator: np.ndarray,
     h: float,
@@ -232,5 +225,5 @@ def propagator(
     generator gives a real propagator, stepped in real arithmetic.
     """
     identity = np.eye(len(generator), dtype=generator.dtype)
-    return integrate_to_instants(lambda y: generator @ y, identity, [0.0, h], cfg,
-                                 norm_size=norm_size)[-1]
+    *_, step = iter_instants(lambda y: generator @ y, identity, [0.0, h], cfg, norm_size=norm_size)
+    return step

@@ -483,6 +483,24 @@ def _worker_count(n_blocks: int) -> int:
     return max(1, min(workers, n_blocks))
 
 
+def _merge(parts):
+    """(n, rho sum, means, M2, jump histogram) of the batches' blocks, merged as they arrive."""
+    n, hist = 0, np.zeros(0, dtype=np.int64)
+    for n_b, rho_b, mean_b, m2_b, hist_b in (block for part in parts for block in part):
+        if n == 0:
+            n, rho_sum, means, m2 = n_b, rho_b, mean_b, m2_b
+        else:
+            total = n + n_b
+            delta = mean_b - means
+            means = means + delta * (n_b / total)
+            m2 = m2 + m2_b + np.abs(delta) ** 2 * (n * n_b / total)
+            rho_sum = rho_sum + rho_b
+            n = total
+        hist = np.pad(hist, (0, max(0, len(hist_b) - len(hist))))
+        hist[: len(hist_b)] += hist_b
+    return n, rho_sum, means, m2, hist
+
+
 def ensemble_average(
     model: LindbladModel,
     psi0: np.ndarray,
@@ -512,23 +530,10 @@ def ensemble_average(
         for start in range(0, cfg.n_traj, per_batch)
     ]
     if workers == 1:
-        parts = [_accumulate_batch(b) for b in batches]
+        n, rho_sum, means, m2, hist = _merge(map(_accumulate_batch, batches))
     else:
         with Pool(processes=min(workers, len(batches))) as pool:
-            parts = pool.map(_accumulate_batch, batches)
-    partials = [block for part in parts for block in part]
-
-    hist = np.zeros(max(len(p[4]) for p in partials), dtype=np.int64)
-    n, rho_sum, means, m2, _ = partials[0]
-    for n_b, rho_b, mean_b, m2_b, _ in partials[1:]:
-        total = n + n_b
-        delta = mean_b - means
-        means = means + delta * (n_b / total)
-        m2 = m2 + m2_b + np.abs(delta) ** 2 * (n * n_b / total)
-        rho_sum = rho_sum + rho_b
-        n = total
-    for *_, hist_b in partials:
-        hist[: len(hist_b)] += hist_b
+            n, rho_sum, means, m2, hist = _merge(pool.imap(_accumulate_batch, batches))
 
     if n > 1:
         stderrs = np.sqrt(m2 / ((n - 1) * n))

@@ -30,6 +30,7 @@ from pseudomode import (
 from pseudomode.cli import main
 from pseudomode.config import (
     MAX_BATH_MODES,
+    MAX_COMPOSITE_DIM,
     MAX_OUTPUT_POINTS,
     MAX_STEPS_PER_INTERVAL,
     MAX_TRAJECTORY_INSTANTS,
@@ -522,8 +523,10 @@ class TestExitCodes:
         ("markovian_tls", "time", "t1", 1e300, "MAX_STEPS_PER_INTERVAL"),
         ("markovian_tls", "time", "n_points", 10**12, "MAX_OUTPUT_POINTS"),
         ("trajectories_embedded", "trajectories", "n_traj", 10**9, "MAX_TRAJECTORY_INSTANTS"),
+        ("pseudomode_strong_coupling", "numerics", "d_A", 10**6, "MAX_COMPOSITE_DIM"),
+        ("trajectories_embedded", "numerics", "d_A", 10**6, "MAX_COMPOSITE_DIM"),
     ], ids=["volterra-h", "volterra-t1", "volterra-gamma", "markovian-t1", "markovian-n_points",
-            "trajectories-n_traj"])
+            "trajectories-n_traj", "pseudomode-d_A", "trajectories-d_A"])
     def test_unbounded_work_is_2(self, tmp_path, capsys, config, block, key, value, bound):
         # each of these ended in a traceback or ran without end before it was bounded
         doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
@@ -535,6 +538,16 @@ class TestExitCodes:
         assert bound in err
         assert err.count("\n") == 1
         assert not (tmp_path / doc["output"]).exists()
+
+    def test_composite_bound_admits_its_own_value(self):
+        doc = base_doc(scenario="pseudomode",
+                       bath={"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0})
+        doc["system"] = {"preset": "oscillator", "d_S": 1024}
+        doc["numerics"] = {"d_A": MAX_COMPOSITE_DIM // 1024}
+        assert parse_scenario(doc).d_A == MAX_COMPOSITE_DIM // 1024
+        doc["numerics"]["d_A"] += 1
+        with pytest.raises(ConfigError, match="MAX_COMPOSITE_DIM"):
+            parse_scenario(doc)
 
     def test_oversized_oscillator_is_2(self, tmp_path, capsys):
         doc = base_doc()

@@ -34,7 +34,6 @@ from pseudomode.dynamics import (
     _reachable_entries,
     _restricted,
     rhs_function,
-    superoperator,
 )
 from pseudomode.integrators import Dopri5
 
@@ -175,20 +174,41 @@ class TestLindbladRhs:
             lindblad_rhs(decay_model(), zero_op(3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_superoperator_acts_as_the_rhs_on_row_stacked_states(self, seed):
-        model = random_model(seed, d=4)
+    def test_generator_acts_as_the_rhs_on_the_coordinates(self, seed):
+        # two channels, one of them at rate zero, and a channel operator that is not normal
         rng = np.random.default_rng(seed)
-        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        expected = rhs_function(model)(rho).reshape(-1)
-        s = superoperator(model, np.arange(16))
-        assert np.max(np.abs(s @ rho.reshape(-1) - expected)) <= 1e-12
+        l2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        base = random_model(seed, d=4)
+        model = LindbladModel(dim=4, H=base.H, jumps=base.jumps + ((0.0, Operator(l2)),
+                                                                   (1.3, Operator(l2 @ l2))))
+        coords = _HermitianCoordinates(np.arange(16), 4)
+        x = rng.normal(size=(5, 16))
+        expected = coords.of_matrix(rhs_function(model)(coords.matrix(x)))
+        r = np.bincount(*coords.generator(model), 16 * 16).reshape(16, 16)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(x @ r.T - expected)) <= 1e-14 * scale
+        field = dynamics._field(model, coords)
+        assert np.max(np.abs(np.array([field(row) for row in x]) - expected)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_superoperator_on_entries_is_the_submatrix(self, seed):
-        model = random_model(seed, d=4)
-        entries = np.sort(np.random.default_rng(seed).choice(16, size=7, replace=False))
-        full = superoperator(model, np.arange(16))
-        assert np.array_equal(superoperator(model, entries), full[np.ix_(entries, entries)])
+    def test_generator_on_the_reachable_entries_is_the_submatrix(self, seed):
+        # the same embedded model on all d^2 entries and on the entries reachable from
+        # a superposition of two system levels, whose coordinates keep their flat indices
+        psi = np.zeros(4)
+        psi[np.random.default_rng(seed).choice(4, size=2, replace=False)] = 1.0
+        spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 4)
+        emb = build_embedding(spec, DensityMatrix.from_state(psi))
+        d = emb.model.dim
+        entries = _reachable_entries(emb.model, emb.rho0.mat)
+        assert entries.size < d * d
+        sub = np.bincount(*_HermitianCoordinates(entries, d).generator(emb.model),
+                          entries.size ** 2).reshape(entries.size, -1)
+        full = np.bincount(*_HermitianCoordinates(np.arange(d * d), d).generator(emb.model),
+                           d ** 4).reshape(d * d, -1)
+        assert np.max(np.abs(sub - full[np.ix_(entries, entries)])) <= 1e-15
+        outside = np.ones(d * d, dtype=bool)
+        outside[entries] = False
+        assert np.count_nonzero(full[np.ix_(outside, entries)]) == 0
 
     def test_reachable_entries_are_closed_under_the_generator(self):
         # oscillator (d_S = 4) with ancilla (d_A = 4) from (|0> + |3>)/sqrt 2 x vacuum
@@ -325,21 +345,21 @@ class TestCoordinateEvolve:
 
     def test_reuses_the_last_stage(self, monkeypatch):
         evals, stages = [0], [0]
-        factory, run_stages = dynamics.rhs_function, integrators._stages
+        factory, run_stages = dynamics._field, integrators._stages
 
-        def counted_factory(model):
-            rhs = factory(model)
+        def counted_factory(*args):
+            field = factory(*args)
 
-            def counted(rho):
+            def counted(x):
                 evals[0] += 1
-                return rhs(rho)
+                return field(x)
             return counted
 
         def counted_stages(*args):
             stages[0] += 1
             return run_stages(*args)
 
-        monkeypatch.setattr(dynamics, "rhs_function", counted_factory)
+        monkeypatch.setattr(dynamics, "_field", counted_factory)
         monkeypatch.setattr(integrators, "_stages", counted_stages)
         system, gamma, d_a, rho = self.CASES["detuned-coherent"]
         emb = build_embedding(
@@ -524,6 +544,31 @@ class TestRegressionCorrelator:
         taus = TimeGrid(0.0, 10.0, 11)
         c = regression_correlator(model, a, a.dagger(), DensityMatrix.fock(4, 0), taus, TIGHT)
         assert np.max(np.abs(c - 1.0)) <= 1e-10
+
+    def test_seed_without_hermitian_part(self):
+        # B = i 1 makes B rho = i rho anti-Hermitian; on a stationary state of a pumped,
+        # decaying two-level system beside a damped ancilla, <A(tau) B(0)> = i <A>
+        # at every delay
+        one_s, one_a, a = np.eye(2), np.eye(3), annihilation(3).mat
+        lower = sigma_minus().mat
+        model = LindbladModel(dim=6, H=Operator(np.kron(np.diag([0.0, 0.4]), one_a)), jumps=(
+            (1.0, Operator(np.kron(lower, one_a))), (0.5, Operator(np.kron(lower.T, one_a))),
+            (0.8, Operator(np.kron(one_s, a)))))
+        vacuum = np.zeros((3, 3))
+        vacuum[0, 0] = 1.0
+        rho = DensityMatrix(Operator(np.kron(np.diag([2.0, 1.0]) / 3.0, vacuum)))
+        obs = Operator(np.kron(np.diag([0.0, 1.0]), one_a) + np.kron(one_s, a.T @ a)
+                       + np.kron(np.ones((2, 2)), one_a))
+        c = regression_correlator(model, obs, Operator(1j * np.eye(6)), rho,
+                                  TimeGrid(0.0, 4.0, 9), TIGHT)
+        assert np.max(np.abs(c - 1j * expectation(obs, rho))) <= 1e-12
+
+    def test_zero_seed_gives_zero(self):
+        model = self.damped_ladder(0.7)
+        a = annihilation(4)
+        c = regression_correlator(model, a.dagger(), a, DensityMatrix.fock(4, 0),
+                                  TimeGrid(0.5, 1.0, 3), TIGHT)
+        assert c.shape == (3,) and np.count_nonzero(c) == 0
 
     def test_rejects_non_stationary_state(self):
         model = self.damped_ladder(0.7)

@@ -261,10 +261,14 @@ def _entry_layout(model, rho0):
 
 def _complex_entry_reference(model, rho0, d_a, grid, cfg):
     """The grid-step curve core as it was before real coordinates: k complex entries,
-    a complex k x k propagator, and the partial trace taken on the complex curve."""
+    a complex k x k propagator, and the partial trace taken on the complex curve.
+    Column e of the generator is the matrix rhs of the unit matrix at entry e."""
     d_s = model.dim // d_a
     states, block, block0, entries = _entry_layout(model, rho0)
-    step = dynamics.superoperator(block, entries)
+    rhs = dynamics.rhs_function(block)
+    units = np.zeros((entries.size, states.size ** 2), dtype=complex)
+    units[np.arange(entries.size), entries] = 1.0
+    step = np.array([rhs(u.reshape(states.size, -1)).reshape(-1)[entries] for u in units]).T
     step = integrators.propagator(step, grid.dt, cfg, norm_size=rho0.size)
     curve = np.empty((grid.n_points, entries.size), dtype=complex)
     curve[0] = block0.reshape(-1)[entries]
@@ -492,14 +496,7 @@ class TestBlockValidation:
         (curve, coords), = seen
         blockwise = np.min([np.linalg.eigvalsh(b)[..., 0].min(axis=1)
                             for b in coords.blocks(curve)], axis=0)
-        states, _, _, entries = _entry_layout(model, rho0)
-        n = states.size
-        entry = curve.astype(complex)
-        entry[:, coords.upper] = (curve[:, coords.upper] + 1j * curve[:, coords.lower]) / np.sqrt(2)
-        entry[:, coords.lower] = entry[:, coords.upper].conj()
-        full = np.zeros((len(curve), n * n), dtype=complex)
-        full[:, entries] = entry
-        full_min = np.linalg.eigvalsh(full.reshape(-1, n, n))[:, 0]
+        full_min = np.linalg.eigvalsh(coords.matrix(curve))[:, 0]
         assert np.max(np.abs(blockwise - full_min)) <= 1e-14
 
 
@@ -560,7 +557,6 @@ class TestLargeBlocks:
         reference = [partial_trace(st, emb.factorization, keep=0)
                      for st in evolve(emb.model, emb.rho0, self.GRID)]
         monkeypatch.setattr(embedding, "propagator", forbidden)
-        monkeypatch.setattr(embedding, "superoperator", forbidden)
         tracemalloc.start()
         try:
             with warnings.catch_warnings():

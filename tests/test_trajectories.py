@@ -29,7 +29,7 @@ from pseudomode import (
     tls_system,
 )
 from pseudomode import trajectories
-from pseudomode.integrators import fixed_step, integrate_to_instants
+from pseudomode.integrators import fixed_step, iter_instants
 from pseudomode.trajectories import _select_channel, _Streams, _trajectory_rng, _worker_count
 
 REPO = Path(__file__).resolve().parents[1]
@@ -356,7 +356,7 @@ class TestSharedPropagatorBuilder:
     @staticmethod
     def inline_solve(generator, h, cfg):
         identity_ = np.eye(len(generator), dtype=complex)
-        return integrate_to_instants(lambda y: generator @ y, identity_, [0.0, h], cfg)[-1]
+        return list(iter_instants(lambda y: generator @ y, identity_, [0.0, h], cfg))[-1]
 
     def test_step_equals_the_inline_solve(self, monkeypatch):
         calls = []
