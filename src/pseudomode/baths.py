@@ -56,7 +56,11 @@ def _line_shape(sd: SpectralDensity, detuning):
     if isinstance(sd, Flat):
         out = np.full_like(detuning, sd.f2)
     elif isinstance(sd, Lorentzian):
-        out = sd.g**2 * sd.gamma / (detuning**2 + (sd.gamma / 2.0) ** 2)
+        # 2^p ~ g and 2^q ~ max(|detuning|, gamma) scale out exactly: finite wherever representable
+        p, q = np.frexp(sd.g)[1], np.frexp(np.maximum(np.abs(detuning), sd.gamma))[1]
+        g, gamma, detuning = np.ldexp(sd.g, -p), np.ldexp(sd.gamma, -q), np.ldexp(detuning, -q)
+        with np.errstate(over="ignore"):
+            out = np.ldexp(g**2 * gamma / (detuning**2 + (gamma / 2.0) ** 2), 2 * p - q)
     else:
         raise TypeError(f"unknown spectral density {type(sd).__name__}")
     return float(out) if out.ndim == 0 else out

@@ -76,6 +76,8 @@ def _initial_density(cfg: ScenarioConfig) -> DensityMatrix:
 
 def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
     rate = _line_shape(cfg.bath, _detuning(cfg.system))
+    if not np.isfinite(rate):
+        raise ConfigError(f"{cfg.bath} has a markovian rate past the float range")
     return LindbladModel(dim=cfg.system.d_S, H=cfg.system.H_S,
                          jumps=((rate, cfg.system.V),))
 
@@ -208,6 +210,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if cfg.scenario != "trajectories":
                 raise ConfigError("--seed only applies to the 'trajectories' scenario")
+            if not 0 <= args.seed < 1 << 64:
+                raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
             cfg = replace(cfg, seed=args.seed)
         run_scenario(cfg, Path(args.out), quiet=args.quiet)
     except ConfigError as exc:

@@ -16,7 +16,7 @@ from .baths import Flat, Lorentzian, SpectralDensity
 from .dynamics import TimeGrid
 from .embedding import SystemSpec, oscillator_system, tls_system
 from .integrators import IntegratorConfig
-from .oracles import _volterra_substeps, check_volterra_step, check_window
+from .oracles import _volterra_substeps, build_discrete_bath, check_volterra_step
 
 SCENARIO_KINDS = (
     "markovian",
@@ -257,7 +257,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             if h is not None:
                 check_volterra_step(bath, h)
             if half_width is not None:
-                check_window(bath, half_width)
+                build_discrete_bath(bath, n_modes, half_width)
         except ValueError as exc:
             raise ConfigError(f"invalid numerics: {exc}") from exc
         if h is not None:
@@ -283,7 +283,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ConfigError("scenario 'trajectories' requires a trajectories block")
         _check_keys(traj_block, {"n_traj", "seed"}, {"n_traj", "seed"}, "trajectories")
         n_traj = _integer(traj_block, "n_traj", "trajectories", minimum=1)
-        seed = _integer(traj_block, "seed", "trajectories")
+        seed = _integer(traj_block, "seed", "trajectories", minimum=0, maximum=(1 << 64) - 1)
         if n_traj * grid.n_points > MAX_TRAJECTORY_INSTANTS:
             raise ConfigError(
                 f"trajectories.n_traj x time.n_points = {n_traj} x {grid.n_points} is above "

@@ -118,58 +118,74 @@ def generator_defect(model: LindbladModel, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(rhs_function(model)(rho.mat))))
 
 
-def _closure(links: np.ndarray, reached: np.ndarray) -> np.ndarray:
-    """Sorted indices of the closure of the mask `reached` under links[i, j]: j leads to i."""
-    while True:
-        grown = reached | links[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray, size: int) -> np.ndarray:
+    """Sorted nodes of 0..size-1 reached from `seeds` along the edges src -> dst, breadth
+    first over the edges grouped by source: each edge out of a reached node is read once."""
+    order = np.argsort(src, kind="stable")  # edges come in sorted runs
+    start = np.searchsorted(src[order], np.arange(size + 1)).tolist()
+    heads = dst[order].tolist()
+    reached = np.zeros(size, dtype=bool)
+    reached[seeds] = True
+    queue = np.flatnonzero(reached).tolist()
+    reached = bytearray(reached)
+    for node in queue:  # grows as it is read
+        for head in heads[start[node]:start[node + 1]]:
+            if not reached[head]:
+                reached[head] = 1
+                queue.append(head)
+    return np.flatnonzero(np.frombuffer(reached, dtype=bool))
 
 
 def _reachable(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
     """Indices of the basis states that rho(t) can ever occupy, sorted.
 
-    The closure of rho0's support under the nonzero patterns of the drift G
-    (both directions) and of each channel's L (forward only: i -> j when
-    L[j, i] != 0). Entries of rho(t) outside the block on these indices stay
-    exactly zero, and the block of L^dag L equals the product of the blocks
-    of L^dag and L, so the block evolves on its own. G's pattern is taken as
-    that of H together with each L^T L, from real pattern products, so the
-    dense complex drift of the whole space is never formed; the set can only
-    grow, and stays exact, where terms of G cancel.
+    The closure of rho0's support under the nonzeros of H (both ways), of
+    each channel's L (forward: i -> r when L[r, i] != 0) and of L^T L, whose
+    states sharing a row r of L meet at a node of their own for that row.
+    G's pattern lies within these, so G is never formed (the set only grows,
+    and stays exact, where its terms cancel). Every entry of rho(t) off the
+    block on these states stays zero, and L^dag L's block is L^dag's times L's.
     """
-    patterns = [(L != 0).astype(float) for _, L in model.channels]
-    links = model.H.mat != 0
-    for p in patterns:
-        links |= (p.T @ p) != 0
-    links = links | links.T
-    for p in patterns:
-        links |= p != 0
-    occupied = rho0 != 0
-    return _closure(links, occupied.any(axis=0) | occupied.any(axis=1))
+    n = model.dim
+    r, i = np.nonzero(model.H.mat)
+    src, dst = [r, i], [i, r]
+    for c, (_, L) in enumerate(model.channels, start=1):
+        r, i = np.nonzero(L)
+        src += [i, i, c * n + r]
+        dst += [r, c * n + r, i]
+    reached = _closure(np.concatenate(src), np.concatenate(dst), np.concatenate(np.nonzero(rho0)),
+                       n * (len(model.channels) + 1))
+    return reached[reached < n]
+
+
+def _moves(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the master equation moves the flat entries i * n + j of rho, as (src, dst, weight).
+
+    G rho moves (i, j) to (r, j) along G[r, i], for every column j, and
+    rate L rho L^dag moves (i, i') to (r, r') by rate L[r, i] conj L[r', i'].
+    rho G^dag moves as G rho transposed and conjugated, which the Hermitian
+    coordinates map to the same terms: G rho's moves weigh 2 G[r, i] and
+    stand for both, and closures add transposition.
+    """
+    n, drift = model.dim, model.drift
+    r, i = np.nonzero(drift)
+    cols = np.arange(n)
+    moves = [(i[:, None] * n + cols, r[:, None] * n + cols, np.repeat(2.0 * drift[r, i], n))]
+    for rate, L in model.channels:
+        r, i = np.nonzero(L)
+        ell = L[r, i]
+        moves.append((i[:, None] * n + i, r[:, None] * n + r, rate * ell[:, None] * ell.conj()))
+    return tuple(np.concatenate([m.ravel() for m in part]) for part in zip(*moves))
 
 
 def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
-    """Flat indices i * dim + j of the entries rho(t)[i, j] that can ever be nonzero, sorted.
-
-    The closure of rho0's nonzero entries under the operator patterns of the
-    generator: G rho and rho G^dag move an entry along a nonzero of the drift
-    G in its row or column index, and L rho L^dag along a nonzero of L in
-    both at once. Every other entry stays exactly zero. Built from dim x dim
-    patterns only.
-    """
-    one_sided = (model.drift != 0).astype(float)
-    two_sided = [(L != 0).astype(float) for _, L in model.channels]
-    reached = rho0 != 0
-    while True:
-        grown = one_sided @ reached + reached @ one_sided.T
-        for p in two_sided:
-            grown += p @ reached @ p.T
-        grown = reached | (grown != 0)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    """Flat indices i * n + j of the entries rho(t)[i, j] that can ever be nonzero, sorted:
+    the closure of rho0's nonzero entries under _moves and transposition."""
+    n = model.dim
+    src, dst, _ = _moves(model)
+    flat = np.arange(n * n)
+    return _closure(np.concatenate([src, flat]), np.concatenate([dst, flat % n * n + flat // n]),
+                    np.flatnonzero(rho0), n * n)
 
 
 def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
@@ -239,27 +255,16 @@ class _HermitianCoordinates:
     def generator(self, model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
         """R = T S T^dag, the real generator x' = R x of the coordinates, as terms (at, values).
 
-        S is the master equation on the entries, read off the nonzeros of G
-        and each L: G rho moves entry (i, j) to (r, j) along G[r, i], rate
-        L rho L^dag moves (i, i') to (r, r') along L[r, i] conj L[r', i'],
-        and rho G^dag makes G rho's moves transposed and conjugated, which T
-        maps to the same terms, so G rho is taken twice. Each move gives four
-        terms, as T has two nonzeros per column. R[r, c] sums, in order, the
-        terms at flat position r * k + c; the Re/Im cross terms of a real S
-        cancel exactly. No k x k array is formed.
+        S is the master equation on the entries, read off its moves (_moves).
+        Each move gives four terms, as T has two nonzeros per column. R[r, c]
+        sums, in order, the terms at flat position r * k + c; the Re/Im cross
+        terms of a real S cancel exactly. No k x k array is formed.
         """
-        k, n, at = self.entries.size, self.n, self._at
-        r, i = np.nonzero(model.drift)
-        src, dst, val = [at[i].ravel()], [at[r].ravel()], [np.repeat(2.0 * model.drift[r, i], n)]
-        for rate, L in model.channels:
-            r, i = np.nonzero(L)
-            ell = L[r, i]
-            src.append(at[i[:, None], i].ravel())
-            dst.append(at[r[:, None], r].ravel())
-            val.append((rate * ell[:, None] * ell.conj()).ravel())
-        src, dst, val = np.concatenate(src), np.concatenate(dst), np.concatenate(val)
+        k, at = self.entries.size, self._at.ravel()
+        src, dst, val = _moves(model)
+        src = at[src]
         on = src < k  # the move starts at an entry, so it ends at one
-        src, dst, val = src[on], dst[on], val[on]
+        src, dst, val = src[on], at[dst[on]], val[on]
         # column e of T has T[_pair[e, a], e] = w[e, a], so each move adds
         # Re(w[dst, a] val conj w[src, b]) to R[_pair[dst, a], _pair[src, b]]
         w = self._pair_weight * np.array([1.0, -1j])
@@ -290,18 +295,13 @@ class _HermitianCoordinates:
 
 def _coordinate_layout(model: LindbladModel, seed: np.ndarray
                        ) -> tuple[np.ndarray, LindbladModel, _HermitianCoordinates, np.ndarray]:
-    """Where a run from the matrix seed lives: (states, block, coords, x0).
-
-    `states` are the basis states reachable from seed and `block` the model
-    on them. The entries of seed's block and of its transpose, closed under
-    the generator's operator patterns, are all that can become nonzero;
-    `coords` are the real coordinates on them, `x0` seed's Hermitian part's.
-    """
+    """Where a run from the matrix seed lives: (states, block, coords, x0), the states
+    reachable from seed, the model on them, the real coordinates of the entries that can
+    become nonzero from seed's block and its transpose, and those of seed's Hermitian part."""
     states = _reachable(model, seed)
     block = _restricted(model, states)
     block0 = seed[np.ix_(states, states)]
-    coords = _HermitianCoordinates(
-        _reachable_entries(block, (block0 != 0) | (block0.T != 0)), states.size)
+    coords = _HermitianCoordinates(_reachable_entries(block, block0), states.size)
     return states, block, coords, coords.of_matrix((block0 + block0.conj().T) / 2.0)
 
 
@@ -348,13 +348,9 @@ def evolve(
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
     states, block, coords, x0 = _coordinate_layout(model, rho0.mat)
     curve = _integrate_coordinates(block, coords, x0, grid, cfg, rho0.mat.size)
-    on_block = np.ix_(states, states)
-    out = []
-    for m in coords.matrix(curve):
-        full = np.zeros_like(rho0.mat)
-        full[on_block] = m
-        out.append(DensityMatrix(Operator(full)))
-    return out
+    full = np.zeros((grid.n_points,) + rho0.mat.shape, dtype=complex)
+    full[:, states[:, None], states] = coords.matrix(curve)
+    return [DensityMatrix(Operator(m)) for m in full]
 
 
 def regression_correlator(

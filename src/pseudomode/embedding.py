@@ -169,22 +169,18 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
     no ancilla (the markovian scenario). Like evolve, it solves the master
     equation on the k real coordinates of the entries that can become
-    nonzero (dynamics._coordinate_layout), under their real generator R
-    (_HermitianCoordinates.generator). Up to 256 entries, R is made dense
-    and each instant is one product with a grid-step propagator of it,
-    built by integrators.propagator at cfg's tolerances with norm_size the
-    composite d^2: a weight c^2 / d^2 on the RMS error of the c x c
-    propagator, which holds each column at least as tight as evolve holds
-    one state. It acts only on the c coordinates reached from rho0's under
-    R's pattern (_closure); the rest stay exactly zero. At zero detuning
-    each entry keeps a fixed phase, so only one coordinate of each
-    transposed pair is reached (c = 56 of k = 91 at d_S = 6, d_A = 16).
-    Past 256 entries the coordinates are integrated adaptively under
-    x' = R x, as in evolve. The composite state is validated on its
-    diagonal blocks with DensityMatrix's tolerances, a bounded chunk of
-    instants at a time, positivity by algebra.check_block_diagonal's
-    Cholesky certificate; the reduced states are partial traces of the
-    entry values T^dag x and are not validated again.
+    nonzero (dynamics._coordinate_layout), under their real generator R.
+    Up to 256 entries, R is made dense and each instant is one product with
+    a grid-step propagator of it: integrators.propagator at cfg's
+    tolerances with norm_size the composite d^2, which holds each column at
+    least as tight as evolve holds one state. It acts only on the c
+    coordinates reached from rho0's along R's nonzeros (dynamics._closure);
+    the rest stay exactly zero. At zero detuning each entry keeps a fixed
+    phase, so only one coordinate of each transposed pair is reached
+    (c = 56 of k = 91 at d_S = 6, d_A = 16). Past 256 entries x' = R x is
+    integrated adaptively, as in evolve. The composite state is validated
+    by _check_curve; the reduced states are partial traces of the entry
+    values T^dag x and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
@@ -195,7 +191,7 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     if entries.size <= _MAX_PROPAGATED_ENTRIES:
         generator = np.bincount(*coords.generator(block), entries.size ** 2)
         generator = generator.reshape(entries.size, -1)
-        live = _closure(generator != 0, x0 != 0)
+        live = _closure(*np.nonzero(generator.T), np.flatnonzero(x0), entries.size)  # x_c feeds x_r
         step = propagator(generator[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
         reached = np.empty((grid.n_points, live.size))
         reached[0] = x0[live]

@@ -223,22 +223,18 @@ class DiscreteBath:
         return float(self.detunings[1] - self.detunings[0])
 
 
-def check_window(bath: Lorentzian, half_width: float) -> None:
-    """Raise ValueError unless the window half-width is at least 10 gamma."""
-    if half_width < 10.0 * bath.gamma:
-        raise ValueError(
-            f"window half-width {half_width:g} below 10 gamma = {10 * bath.gamma:g}"
-        )
-
-
 def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> DiscreteBath:
     """Sample the line at n_modes midpoints across detunings +/- half_width."""
     if n_modes < 50:
         raise ValueError(f"need at least 50 modes for a faithful bath, got {n_modes}")
-    check_window(bath, half_width)
+    if half_width < 10.0 * bath.gamma:
+        raise ValueError(f"window half-width {half_width:g} below 10 gamma = {10 * bath.gamma:g}")
     d_omega = 2.0 * half_width / n_modes
     detunings = -half_width + (np.arange(n_modes) + 0.5) * d_omega
-    couplings = np.sqrt(_line_shape(bath, detunings) * d_omega / (2.0 * np.pi))
+    with np.errstate(over="ignore"):
+        couplings = np.sqrt(_line_shape(bath, detunings) * d_omega / (2.0 * np.pi))
+    if not np.isfinite(couplings).all():
+        raise ValueError(f"{bath} sampled at {n_modes} modes has couplings past the float range")
     return DiscreteBath(n_modes=n_modes, omega0=bath.omega0, detunings=detunings,
                         couplings=couplings)
 

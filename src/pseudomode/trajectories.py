@@ -71,6 +71,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"need at least one trajectory, got {self.n_traj}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +111,7 @@ class _GridPropagator:
 
 def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     """The random stream of trajectory traj_index; _Streams reads the same draws by index."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, traj_index], dtype=np.uint64)
+    key = np.array([seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -124,7 +126,7 @@ class _Streams:
 
     def __init__(self, seed: int, indices):
         self._counter = np.zeros(4, dtype=np.uint64)
-        self._key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+        self._key = np.array([seed, 0], dtype=np.uint64)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": self._counter, "key": self._key},

@@ -202,6 +202,20 @@ class TestCliRuns:
         assert header == ["t", "P_e"]
         assert abs(rows[-1, 1] - np.exp(-2.0)) < 1e-6
 
+    def test_large_markovian_oscillator(self, tmp_path):
+        # d_S = 512 from Fock 511 at rate g^2 gamma / (gamma / 2)^2 = 4: the reachable states
+        # and entries are found from the moves alone, with no dense 512 x 512 product per layer
+        doc = base_doc()
+        doc["system"] = {"preset": "oscillator", "d_S": 512, "initial_fock": 511}
+        doc["bath"] = {"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0}
+        doc["time"] = {"t0": 0.0, "t1": 2.0, "n_points": 21}
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        header, rows = read_csv(tmp_path / "out.csv")
+        assert header == ["t", "n_mean"]
+        exact = 511.0 * np.exp(-4.0 * rows[:, 0])
+        assert np.max(np.abs(rows[:, 1] / exact - 1.0)) <= 1e-10
+
     def test_compare_strong_coupling(self, tmp_path, capsys):
         doc = {
             "scenario": "compare",
@@ -400,6 +414,50 @@ class TestExitCodes:
     def test_seed_override_outside_trajectories_is_2(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         assert main(["run", str(path), "--out", str(tmp_path), "--seed", "3"]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, (1 << 64) + 7])
+    def test_seed_outside_64_bits_is_2(self, tmp_path, capsys, seed):
+        # the seed is one 64-bit word of the Philox key, so 2^64 + 7 would alias 7
+        doc = base_doc(scenario="trajectories", trajectories={"n_traj": 4, "seed": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed") and err.count("\n") == 1
+        doc["trajectories"]["seed"] = seed
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trajectories.seed") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        doc = base_doc(scenario="trajectories", trajectories={"n_traj": 4, "seed": 1})
+        path = write_config(tmp_path, doc)
+        seed = str((1 << 64) - 1)
+        assert main(["run", str(path), "--out", str(tmp_path), "--seed", seed, "--quiet"]) == 0
+        assert (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("scenario, g, gamma, code", [
+        ("markovian", 1.0, 1e-200, 3),  # rate 4e200: the integrator's step underflows
+        ("markovian", 1e-200, 1e-300, 0),  # rate 4e-100
+        ("markovian", 1e200, 1.0, 2),  # rate 4e400
+        ("discrete_bath", 1e200, 1.0, 2),
+    ], ids=["tiny-gamma", "tiny-g-and-gamma", "huge-g", "huge-g-discrete"])
+    def test_extreme_line_shape_exits_without_traceback(self, tmp_path, capsys, scenario, g,
+                                                         gamma, code):
+        doc = base_doc(scenario=scenario,
+                       bath={"kind": "lorentzian", "g": g, "omega0": 0.0, "gamma": gamma})
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            assert read_csv(tmp_path / "out.csv")[1][-1, 1] == 1.0
+        else:
+            assert err.count("\n") == 1
+        if code == 2:
+            assert err.startswith("config error:") and "Lorentzian(g=1e+200" in err
+            assert "past the float range" in err
 
     def test_integration_failure_is_3(self, tmp_path, capsys):
         doc = {

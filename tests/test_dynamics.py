@@ -19,6 +19,8 @@ from pseudomode import (
     expectation,
     generator_defect,
     hermiticity_defect,
+    identity,
+    kron,
     lindblad_rhs,
     oscillator_system,
     regression_correlator,
@@ -516,6 +518,74 @@ class TestReachableFromPatterns:
         start = rng.choice(d, size=int(rng.integers(1, 3)), replace=False)
         rho0[np.ix_(start, start)] = 1.0
         assert _reachable(model, rho0).tolist() == _drift_closure(model, rho0).tolist()
+
+
+def _dense_entry_closure(model, seed):
+    """The reachable entries as found by dense n x n pattern products, one round per layer."""
+    one_sided = (model.drift != 0).astype(float)
+    two_sided = [(L != 0).astype(float) for _, L in model.channels]
+    reached = seed != 0
+    while True:
+        grown = one_sided @ reached + reached @ one_sided.T
+        for p in two_sided:
+            grown += p @ reached @ p.T
+        grown = reached | (grown != 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _random_sparse_model(seed):
+    """The model and initial state of TestReachableFromPatterns.test_random_sparse_models."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 12))
+    density = 0.4 * rng.random()
+
+    def sparse():
+        mask = rng.random((d, d)) < density
+        return np.where(mask, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 0.0)
+
+    h = sparse()
+    jumps = tuple((float(rate), Operator(sparse()))
+                  for rate in rng.choice([0.0, 0.3, 1.0], size=int(rng.integers(0, 3))))
+    model = LindbladModel(dim=d, H=Operator(h + h.conj().T), jumps=jumps)
+    rho0 = np.zeros((d, d), dtype=complex)
+    start = rng.choice(d, size=int(rng.integers(1, 3)), replace=False)
+    rho0[np.ix_(start, start)] = 1.0
+    return model, rho0
+
+
+class TestEntryClosure:
+    """_reachable_entries closes the entries under the moves and transposition with one
+    breadth-first search; the set must equal the dense pattern products' on the seed
+    and its transpose, on the whole model and on the block _coordinate_layout runs."""
+
+    @staticmethod
+    def assert_matches(model, seed, name=""):
+        both = (seed != 0) | (seed.T != 0)
+        assert _reachable_entries(model, seed).tolist() == \
+            _dense_entry_closure(model, both).tolist(), name
+        states, block, coords, _ = dynamics._coordinate_layout(model, seed)
+        block0 = both[np.ix_(states, states)]
+        assert coords.entries.tolist() == _dense_entry_closure(block, block0).tolist(), name
+
+    def test_shipped_configs(self):
+        for name, model, rho0 in _shipped_models():
+            self.assert_matches(model, rho0, name)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sparse_models(self, seed):
+        self.assert_matches(*_random_sparse_model(seed))
+
+    def test_non_hermitian_correlator_seed(self):
+        # B rho for B = a x 1 on (|0> + |3>) / sqrt 2 x vacuum: |0><3| has no |3><0| partner
+        psi = np.zeros(4)
+        psi[[0, 3]] = 1.0
+        spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 4)
+        emb = build_embedding(spec, DensityMatrix.from_state(psi))
+        seed = kron(annihilation(4), identity(4)).mat @ emb.rho0.mat
+        assert np.count_nonzero((seed != 0) & (seed.T == 0)) > 0
+        self.assert_matches(emb.model, seed)
 
 
 class TestRegressionCorrelator:

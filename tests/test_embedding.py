@@ -389,15 +389,15 @@ class TestCoordinateClosure:
             curves.append(curve)
             check(curve, coords)
 
-        def closure(links, start):
-            closures.append(dynamics._closure(links, start))
+        def closure(src, dst, seeds, size):
+            closures.append(dynamics._closure(src, dst, seeds, size))
             return closures[-1]
 
         monkeypatch.setattr(embedding, "_check_curve", recorded)
         monkeypatch.setattr(embedding, "_closure", closure)
         reduced = _quiet_curve(model, rho0, d_a, self.GRID)
         # the core as it was before the closure: all k coordinates propagated
-        monkeypatch.setattr(embedding, "_closure", lambda links, start: np.arange(start.size))
+        monkeypatch.setattr(embedding, "_closure", lambda src, dst, seeds, size: np.arange(size))
         full_reduced = _quiet_curve(model, rho0, d_a, self.GRID)
         (live,), (curve, full) = closures, curves
         assert live.size == reached
