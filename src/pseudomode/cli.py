@@ -57,9 +57,15 @@ def write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
         else:
             expanded.append((name, values))
     row = ",".join(["%.17g"] * len(expanded)) + "\n"
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(",".join(name for name, _ in expanded) + "\n")
-        f.writelines(row % values for values in zip(*(vals.tolist() for _, vals in expanded)))
+    f = open(path, "w", encoding="ascii", newline="")
+    try:
+        with f:
+            f.write(",".join(name for name, _ in expanded) + "\n")
+            f.writelines(row % values for values in zip(*(vals.tolist() for _, vals in expanded)))
+    except BaseException:
+        if path.is_file():  # no partial CSV; a device such as /dev/full stays
+            path.unlink()
+        raise
 
 
 def _observable_name(cfg: ScenarioConfig) -> str:
@@ -173,10 +179,18 @@ def _summary(cfg: ScenarioConfig, columns: Columns) -> list[str]:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Execute one scenario and return the path of the CSV it wrote."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir} cannot be a directory: {exc.strerror}") from None
     out_path = out_dir / cfg.output
+    if out_path.is_dir():
+        raise ConfigError(f"output {out_path} is a directory")
     columns = _RUNNERS[cfg.scenario](cfg)
-    write_csv(out_path, [("t", cfg.grid.times()), *columns])
+    try:
+        write_csv(out_path, [("t", cfg.grid.times()), *columns])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     if not quiet:
         try:
             for line in _summary(cfg, columns):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -178,14 +178,14 @@ def _moves(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate([m.ravel() for m in part]) for part in zip(*moves))
 
 
-def _reachable_entries(model: LindbladModel, rho0: np.ndarray) -> np.ndarray:
+def _reachable_entries(moves: tuple[np.ndarray, ...], seed: np.ndarray) -> np.ndarray:
     """Flat indices i * n + j of the entries rho(t)[i, j] that can ever be nonzero, sorted:
-    the closure of rho0's nonzero entries under _moves and transposition."""
-    n = model.dim
-    src, dst, _ = _moves(model)
+    the closure of the n x n seed's nonzero entries under the moves (_moves) and transposition."""
+    n = len(seed)
+    src, dst, _ = moves
     flat = np.arange(n * n)
     return _closure(np.concatenate([src, flat]), np.concatenate([dst, flat % n * n + flat // n]),
-                    np.flatnonzero(rho0), n * n)
+                    np.flatnonzero(seed), n * n)
 
 
 def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
@@ -252,16 +252,18 @@ class _HermitianCoordinates:
                        for _, m in sorted(by_size.items())]
         self.block_entries = sum(g.size for g in self.groups)
 
-    def generator(self, model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
-        """R = T S T^dag, the real generator x' = R x of the coordinates, as terms (at, values).
+    def generator(self, moves: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """R = T S T^dag, the real generator x' = R x of the coordinates, as its nonzero
+        values at their sorted flat positions r * k + c, (at, values).
 
         S is the master equation on the entries, read off its moves (_moves).
         Each move gives four terms, as T has two nonzeros per column. R[r, c]
-        sums, in order, the terms at flat position r * k + c; the Re/Im cross
-        terms of a real S cancel exactly. No k x k array is formed.
+        sums, in order, the terms at position r * k + c; a position whose terms
+        cancel exactly (as the Re/Im cross terms of a real S do) is dropped.
+        No k x k array is formed.
         """
         k, at = self.entries.size, self._at.ravel()
-        src, dst, val = _moves(model)
+        src, dst, val = moves
         src = at[src]
         on = src < k  # the move starts at an entry, so it ends at one
         src, dst, val = src[on], at[dst[on]], val[on]
@@ -270,7 +272,12 @@ class _HermitianCoordinates:
         w = self._pair_weight * np.array([1.0, -1j])
         at = self._pair[dst][:, :, None] * k + self._pair[src][:, None, :]
         terms = (w[dst][:, :, None] * val[:, None, None] * w[src].conj()[:, None, :]).real
-        return at.ravel(), terms.ravel()
+        order = np.argsort(at, axis=None, kind="stable")  # a position's terms keep their order
+        at = at.ravel()[order]
+        first = np.diff(at, prepend=-1) != 0
+        values = np.bincount(np.cumsum(first) - 1, terms.ravel()[order])
+        nonzero = values != 0.0
+        return at[first][nonzero], values[nonzero]
 
     def of_matrix(self, m: np.ndarray) -> np.ndarray:
         """Coordinates (..., k) of the Hermitian (..., n, n) matrices m."""
@@ -293,39 +300,66 @@ class _HermitianCoordinates:
         return [v[:, g] for g in self.groups]
 
 
-def _coordinate_layout(model: LindbladModel, seed: np.ndarray
-                       ) -> tuple[np.ndarray, LindbladModel, _HermitianCoordinates, np.ndarray]:
-    """Where a run from the matrix seed lives: (states, block, coords, x0), the states
-    reachable from seed, the model on them, the real coordinates of the entries that can
-    become nonzero from seed's block and its transpose, and those of seed's Hermitian part."""
+class _Layout(NamedTuple):
+    """What a deterministic run from a matrix seed carries (_coordinate_layout)."""
+
+    states: np.ndarray  # the basis states it can occupy
+    coords: _HermitianCoordinates  # the real coordinates of the k entries it can reach on them
+    z0: np.ndarray  # (k,) the seed's Hermitian parts H + iK, as coordinates x0 + i y0
+    live: np.ndarray  # the c coordinates that can move, sorted
+    generator: tuple[np.ndarray, np.ndarray]  # R on the live coordinates, as _field reads it
+
+    def widen(self, x: np.ndarray) -> np.ndarray:
+        """The (..., k) curve of a live coordinates' curve x (..., c); the others are zero."""
+        curve = np.zeros(x.shape[:-1] + self.coords.entries.shape, dtype=x.dtype)
+        curve[..., self.live] = x
+        return curve
+
+
+def _coordinate_layout(model: LindbladModel, seed: np.ndarray) -> _Layout:
+    """Where every deterministic run from the matrix seed B = H + iK lives: on the states
+    reachable from B, the entries reachable from B's block and its transpose under the
+    block's moves (listed once), and of their real coordinates, the live ones, reached from
+    the nonzero ones of H and K along R's nonzeros (x_c feeds x_r where R[r, c] != 0). R is
+    summed once; the other coordinates stay exactly zero."""
     states = _reachable(model, seed)
     block = _restricted(model, states)
     block0 = seed[np.ix_(states, states)]
-    coords = _HermitianCoordinates(_reachable_entries(block, block0), states.size)
-    return states, block, coords, coords.of_matrix((block0 + block0.conj().T) / 2.0)
-
-
-def _field(block: LindbladModel, coords: _HermitianCoordinates
-           ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> R x on real coordinates x, with R = coords.generator(block) summed per position."""
-    at, terms = coords.generator(block)
-    at, where = np.unique(at, return_inverse=True)
-    values = np.bincount(where, terms, at.size)
+    moves = _moves(block)
+    coords = _HermitianCoordinates(_reachable_entries(moves, block0), states.size)
+    # K is the Hermitian part of -iB
+    x0, y0 = coords.of_matrix(np.array([(m + m.conj().T) / 2.0 for m in (block0, -1j * block0)]))
+    z0 = x0 + 1j * y0
     k = coords.entries.size
+    at, values = coords.generator(moves)
     rows, cols = np.divmod(at, k)
-    return lambda x: np.bincount(rows, values * x[cols], k)
+    live = _closure(cols, rows, np.flatnonzero(z0), k)
+    renumbered = np.full(k, -1)
+    renumbered[live] = np.arange(live.size)
+    kept = renumbered[cols] >= 0  # a live column feeds only live rows
+    at = renumbered[rows[kept]] * live.size + renumbered[cols[kept]]
+    return _Layout(states, coords, z0, live, (at, values[kept]))
 
 
-def _integrate_coordinates(block: LindbladModel, coords: _HermitianCoordinates, x0: np.ndarray,
-                           grid: TimeGrid, cfg: IntegratorConfig, norm_size: int) -> np.ndarray:
-    """Adaptive run of the coordinates x0 under x' = R x (_field), (n_t, k).
+def _field(at: np.ndarray, values: np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> R x on real coordinates x (size,), for R's nonzero values at flat positions at."""
+    rows, cols = np.divmod(at, size)
+    return lambda x: np.bincount(rows, values * x[cols], size)
+
+
+def _integrate_coordinates(generator: tuple[np.ndarray, np.ndarray], z0: np.ndarray,
+                           instants: np.ndarray, cfg: IntegratorConfig,
+                           norm_size: int) -> np.ndarray:
+    """Adaptive run of the coordinates z0 under z' = R z, R = generator as _field reads it,
+    (len(instants), z0.size); a complex z0 = x + iy runs as its real parts x and y.
 
     The state is Hermitian by construction, so Dopri5 reuses its last stage
     (FSAL); `norm_size` is passed on to it."""
-    field = _field(block, coords)
-    curve = np.empty((grid.n_points, x0.size))
-    for i, x in enumerate(iter_instants(field, x0, grid.times(), cfg, norm_size=norm_size)):
-        curve[i] = x
+    field = _field(*generator, z0.size)
+    rhs = field if np.isrealobj(z0) else lambda z: field(z.real) + 1j * field(z.imag)
+    curve = np.empty((len(instants), z0.size), dtype=z0.dtype)
+    for i, z in enumerate(iter_instants(rhs, z0, instants, cfg, norm_size=norm_size)):
+        curve[i] = z
     return curve
 
 
@@ -337,19 +371,20 @@ def evolve(
 ) -> list[DensityMatrix]:
     """Propagate rho0 and return one validated density matrix per instant.
 
-    Only the real coordinates of the entries that can become nonzero are
-    integrated (_coordinate_layout; exact: every other entry stays zero), so
-    every state is Hermitian by construction. The error norm still averages
+    Only the live real coordinates of the entries that can become nonzero
+    are integrated (_coordinate_layout; exact: every other one stays zero),
+    so every state is Hermitian by construction. The error norm still averages
     over the whole matrix's d^2 entries, so the steps are close to those of
     the full-space run. Trace and positivity are not adjusted, so drift
     beyond the DensityMatrix tolerances raises instead of being masked.
     """
     if rho0.dim != model.dim:
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
-    states, block, coords, x0 = _coordinate_layout(model, rho0.mat)
-    curve = _integrate_coordinates(block, coords, x0, grid, cfg, rho0.mat.size)
+    layout = _coordinate_layout(model, rho0.mat)
+    curve = _integrate_coordinates(layout.generator, layout.z0.real[layout.live], grid.times(),
+                                   cfg, rho0.mat.size)
     full = np.zeros((grid.n_points,) + rho0.mat.shape, dtype=complex)
-    full[:, states[:, None], states] = coords.matrix(curve)
+    full[:, layout.states[:, None], layout.states] = layout.coords.matrix(layout.widen(curve))
     return [DensityMatrix(Operator(m)) for m in full]
 
 
@@ -365,8 +400,9 @@ def regression_correlator(
 
     The seed B rho = H + iK, for H and K = (B rho - (B rho)^dag) / 2i
     Hermitian, runs as x + iy for the real coordinates x of H and y of K,
-    on the entries reachable from B rho and its transpose; the correlator
-    is tr(A * propagated seed) at each delay, read on those entries.
+    on the live coordinates of the entries reachable from B rho and its
+    transpose (_coordinate_layout); the correlator is tr(A * propagated
+    seed) at each delay, read on those entries.
     """
     for op, name in ((a, "A"), (b, "B")):
         if op.dim != model.dim:
@@ -384,13 +420,9 @@ def regression_correlator(
     seed = b.mat @ rho.mat
     if not seed.any():
         return np.zeros(taus.n_points, dtype=complex)
-    states, block, coords, x0 = _coordinate_layout(model, seed)
-    on_block = np.ix_(states, states)
-    k0 = -1j * seed[on_block]  # K is the Hermitian part of -i B rho
-    z0 = x0 + 1j * coords.of_matrix((k0 + k0.conj().T) / 2.0)
-    field = _field(block, coords)
+    layout = _coordinate_layout(model, seed)
     instants = np.union1d([0.0], taus.times())  # the seed is taken at delay 0
-    z = np.array(list(iter_instants(lambda z: field(z.real) + 1j * field(z.imag), z0, instants,
-                                    cfg, norm_size=seed.size))[-taus.n_points:])
+    z = _integrate_coordinates(layout.generator, layout.z0[layout.live], instants, cfg, seed.size)
+    z, coords, states = layout.widen(z[-taus.n_points:]), layout.coords, layout.states
     entries = coords.values(z.real) + 1j * coords.values(z.imag)
-    return entries[:, :-1] @ a.mat[on_block].T.reshape(-1)[coords.entries]
+    return entries[:, :-1] @ a.mat[np.ix_(states, states)].T.reshape(-1)[coords.entries]

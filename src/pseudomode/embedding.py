@@ -34,7 +34,6 @@ from .baths import Lorentzian
 from .dynamics import (
     LindbladModel,
     TimeGrid,
-    _closure,
     _coordinate_layout,
     _HermitianCoordinates,
     _integrate_coordinates,
@@ -168,42 +167,40 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
 
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
     no ancilla (the markovian scenario). Like evolve, it solves the master
-    equation on the k real coordinates of the entries that can become
-    nonzero (dynamics._coordinate_layout), under their real generator R.
-    Up to 256 entries, R is made dense and each instant is one product with
-    a grid-step propagator of it: integrators.propagator at cfg's
-    tolerances with norm_size the composite d^2, which holds each column at
-    least as tight as evolve holds one state. It acts only on the c
-    coordinates reached from rho0's along R's nonzeros (dynamics._closure);
-    the rest stay exactly zero. At zero detuning each entry keeps a fixed
-    phase, so only one coordinate of each transposed pair is reached
-    (c = 56 of k = 91 at d_S = 6, d_A = 16). Past 256 entries x' = R x is
-    integrated adaptively, as in evolve. The composite state is validated
-    by _check_curve; the reduced states are partial traces of the entry
-    values T^dag x and are not validated again.
+    equation on the real coordinates of the k entries that can become
+    nonzero, under their real generator R, and only on the c live ones,
+    reached from rho0's along R's nonzeros: dynamics._coordinate_layout
+    picks them and sums R on them; the rest stay exactly zero. At zero
+    detuning each entry keeps a fixed phase, so only one coordinate of each
+    transposed pair is live (c = 56 of k = 91 at d_S = 6, d_A = 16). Up to
+    256 entries, R is made dense on the live coordinates and each instant is
+    one product with a grid-step propagator of it: integrators.propagator at
+    cfg's tolerances with norm_size the composite d^2, which holds each
+    column at least as tight as evolve holds one state. Past 256 entries
+    x' = R x is integrated adaptively, as in evolve. The composite state is
+    validated by _check_curve; the reduced states are partial traces of the
+    entry values T^dag x and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
     """
     d_S = model.dim // d_A
-    states, block, coords, x0 = _coordinate_layout(model, rho0)
-    entries = coords.entries
-    if entries.size <= _MAX_PROPAGATED_ENTRIES:
-        generator = np.bincount(*coords.generator(block), entries.size ** 2)
-        generator = generator.reshape(entries.size, -1)
-        live = _closure(*np.nonzero(generator.T), np.flatnonzero(x0), entries.size)  # x_c feeds x_r
-        step = propagator(generator[np.ix_(live, live)], grid.dt, cfg, norm_size=rho0.size)
+    layout = _coordinate_layout(model, rho0)
+    states, coords, live = layout.states, layout.coords, layout.live
+    x0 = layout.z0.real[live]
+    if coords.entries.size <= _MAX_PROPAGATED_ENTRIES:
+        generator = np.bincount(*layout.generator, live.size ** 2).reshape(live.size, -1)
+        step = propagator(generator, grid.dt, cfg, norm_size=rho0.size)
         reached = np.empty((grid.n_points, live.size))
-        reached[0] = x0[live]
+        reached[0] = x0
         for i in range(1, grid.n_points):
             np.matmul(step, reached[i - 1], out=reached[i])
-        curve = np.zeros((grid.n_points, entries.size))
-        curve[:, live] = reached
     else:
-        curve = _integrate_coordinates(block, coords, x0, grid, cfg, rho0.size)
+        reached = _integrate_coordinates(layout.generator, x0, grid.times(), cfg, rho0.size)
+    curve = layout.widen(reached)
     _check_curve(curve, coords)
 
-    row, col = np.divmod(entries, states.size)
+    row, col = np.divmod(coords.entries, states.size)
     sys_row, anc_row = np.divmod(states[row], d_A)
     sys_col, anc_col = np.divmod(states[col], d_A)
     if d_A > 1:

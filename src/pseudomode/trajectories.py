@@ -45,7 +45,6 @@ from .integrators import Dopri5, IntegratorConfig, fixed_step, propagator
 _BLOCK = 128  # fixed accumulation block; independent of worker count
 _BATCH_BLOCKS = 8  # at most this many blocks advance together as one array
 _WINDOW_ENTRIES = 1 << 16  # state entries (instants x rows x dim) a batch holds at once
-_REDUCED_ENTRIES = 1 << 12  # state entries reduced to ensemble sums at once
 _JUMP_TIME_REL_TOL = 1e-10
 # The grid propagator is solved this much tighter than the run's tolerances.
 _PROPAGATOR_TOL_FACTOR = 1e-3
@@ -436,8 +435,8 @@ def _accumulate_batch(args):
     centred sum of squares (M2) per instant, and its jump-count histogram.
 
     The batch's trajectories advance together; each window is reduced block
-    by block, on a contiguous copy of the block's rows, so a block's sums do
-    not depend on the batch it ran in.
+    by block, in one pass on a contiguous copy of the block's rows, so a
+    block's sums do not depend on the batch it ran in.
     """
     prop, psi0, seed, obs_mats, start, stop = args
     n_t = len(prop.times)
@@ -450,18 +449,15 @@ def _accumulate_batch(args):
     jump_log: list[tuple[int, float, int]] = []
     first = 0
     for window in _run_block(prop, psi0, seed, range(start, stop), jump_log):
+        at = slice(first, first + len(window))
         for b, (lo, hi) in enumerate(blocks):
-            block = np.ascontiguousarray(window[:, lo:hi])
-            chunk = max(1, _REDUCED_ENTRIES // block[0].size)
-            for offset in range(0, len(block), chunk):
-                psi = block[offset:offset + chunk]
-                at = slice(first + offset, first + offset + len(psi))
-                rho_sum[b, at] = np.matmul(psi.transpose(0, 2, 1), psi.conj())
-                for j, a in enumerate(obs_mats):
-                    vals = np.sum((psi.conj() @ a) * psi, axis=2)
-                    mean = vals.mean(axis=1)
-                    obs_mean[b, j, at] = mean
-                    obs_m2[b, j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
+            psi = np.ascontiguousarray(window[:, lo:hi])
+            np.matmul(psi.transpose(0, 2, 1), psi.conj(), out=rho_sum[b, at])
+            for j, a in enumerate(obs_mats):
+                vals = np.sum((psi.conj() @ a) * psi, axis=2)
+                mean = vals.mean(axis=1)
+                obs_mean[b, j, at] = mean
+                obs_m2[b, j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
         first += len(window)
     rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
     jumps_per_row = np.bincount(rows, minlength=stop - start)
@@ -469,19 +465,24 @@ def _accumulate_batch(args):
             for b, (lo, hi) in enumerate(blocks)]
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(n_blocks: int) -> int:
     env = os.environ.get("PSEUDOMODE_NUM_THREADS")
-    if env is not None:
+    if env is None:
+        workers = _cpu_count()
+    else:
         try:
             workers = int(env)
         except ValueError:
             workers = 0
         if workers < 1:
             raise ConfigError(f"PSEUDOMODE_NUM_THREADS must be a positive integer, got {env!r}")
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
-    else:
-        workers = os.cpu_count() or 1
     return max(1, min(workers, n_blocks))
 
 
@@ -519,7 +520,8 @@ def ensemble_average(
     index order with the pairwise update of Chan, Golub & LeVeque, so the
     result is bit-identical for any worker count (set
     PSEUDOMODE_NUM_THREADS to cap parallelism; by default, one worker per
-    CPU the process may run on).
+    CPU the process may run on). The batches follow the requested worker
+    count, but no more processes start than the process has CPUs.
     """
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
@@ -531,10 +533,11 @@ def ensemble_average(
         (prop, psi0, cfg.seed, obs_mats, start, min(start + per_batch, cfg.n_traj))
         for start in range(0, cfg.n_traj, per_batch)
     ]
-    if workers == 1:
+    processes = min(workers, len(batches), _cpu_count())
+    if processes == 1:
         n, rho_sum, means, m2, hist = _merge(map(_accumulate_batch, batches))
     else:
-        with Pool(processes=min(workers, len(batches))) as pool:
+        with Pool(processes=processes) as pool:
             n, rho_sum, means, m2, hist = _merge(pool.imap(_accumulate_batch, batches))
 
     if n > 1:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -429,6 +430,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: trajectories.seed") and err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+    @staticmethod
+    def no_run(monkeypatch):
+        def forbidden(cfg):
+            raise AssertionError("the scenario ran before its output path was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "markovian", forbidden)
+
+    def test_out_that_is_a_file_is_2(self, tmp_path, capsys, monkeypatch):
+        self.no_run(monkeypatch)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        config = REPO / "configs" / "markovian_tls.json"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} cannot be a directory")
+        assert err.count("\n") == 1
+        assert out.read_text() == "keep\n"
+
+    def test_output_that_is_a_directory_is_2(self, tmp_path, capsys, monkeypatch):
+        self.no_run(monkeypatch)
+        (tmp_path / "markovian_tls.csv").mkdir()
+        config = REPO / "configs" / "markovian_tls.json"
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output {tmp_path / 'markovian_tls.csv'} is a directory\n"
+        assert not any((tmp_path / "markovian_tls.csv").iterdir())
+
+    def test_failed_csv_write_is_2(self, tmp_path, capsys, monkeypatch):
+        # the disk fills once the header is written: the partial CSV is removed
+        def full_disk(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+
+            def no_space(lines):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            f.writelines = no_space
+            return f
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        path = write_config(tmp_path, base_doc())
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert err == f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert not out.exists()
 
     def test_largest_seed_runs(self, tmp_path):
         doc = base_doc(scenario="trajectories", trajectories={"n_traj": 4, "seed": 1})

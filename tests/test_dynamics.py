@@ -186,10 +186,10 @@ class TestLindbladRhs:
         coords = _HermitianCoordinates(np.arange(16), 4)
         x = rng.normal(size=(5, 16))
         expected = coords.of_matrix(rhs_function(model)(coords.matrix(x)))
-        r = np.bincount(*coords.generator(model), 16 * 16).reshape(16, 16)
+        r = np.bincount(*coords.generator(dynamics._moves(model)), 16 * 16).reshape(16, 16)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(x @ r.T - expected)) <= 1e-14 * scale
-        field = dynamics._field(model, coords)
+        field = dynamics._field(*coords.generator(dynamics._moves(model)), 16)
         assert np.max(np.abs(np.array([field(row) for row in x]) - expected)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -201,11 +201,12 @@ class TestLindbladRhs:
         spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 4)
         emb = build_embedding(spec, DensityMatrix.from_state(psi))
         d = emb.model.dim
-        entries = _reachable_entries(emb.model, emb.rho0.mat)
+        moves = dynamics._moves(emb.model)
+        entries = _reachable_entries(moves, emb.rho0.mat)
         assert entries.size < d * d
-        sub = np.bincount(*_HermitianCoordinates(entries, d).generator(emb.model),
+        sub = np.bincount(*_HermitianCoordinates(entries, d).generator(moves),
                           entries.size ** 2).reshape(entries.size, -1)
-        full = np.bincount(*_HermitianCoordinates(np.arange(d * d), d).generator(emb.model),
+        full = np.bincount(*_HermitianCoordinates(np.arange(d * d), d).generator(moves),
                            d ** 4).reshape(d * d, -1)
         assert np.max(np.abs(sub - full[np.ix_(entries, entries)])) <= 1e-15
         outside = np.ones(d * d, dtype=bool)
@@ -218,7 +219,7 @@ class TestLindbladRhs:
         psi[[0, 3]] = 1.0
         spec = EmbeddingSpec(oscillator_system(4), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 4)
         emb = build_embedding(spec, DensityMatrix.from_state(psi))
-        entries = _reachable_entries(emb.model, emb.rho0.mat)
+        entries = _reachable_entries(dynamics._moves(emb.model), emb.rho0.mat)
         assert np.all(np.isin(np.flatnonzero(emb.rho0.mat), entries))
         assert entries.size < emb.model.dim ** 2
         rng = np.random.default_rng(3)
@@ -375,8 +376,8 @@ class TestCoordinateEvolve:
         system, gamma, d_a, rho = self.CASES[case]
         model, rho0 = embedding._composite(
             EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
-        states, _, coords, x0 = dynamics._coordinate_layout(model, rho0)
-        assert np.max(np.abs(coords.matrix(x0) - rho0[np.ix_(states, states)])) <= 1e-15
+        states, coords, z0, *_ = dynamics._coordinate_layout(model, rho0)
+        assert np.max(np.abs(coords.matrix(z0.real) - rho0[np.ix_(states, states)])) <= 1e-15
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, coords.entries.size))
         m = coords.matrix(x)
@@ -385,6 +386,60 @@ class TestCoordinateEvolve:
         outside = np.ones(states.size ** 2, dtype=bool)
         outside[coords.entries] = False
         assert np.count_nonzero(m.reshape(3, -1)[:, outside]) == 0
+
+
+class TestOneLayout:
+    """_coordinate_layout lists the moves once and hands every deterministic path its
+    live coordinates."""
+
+    SPEC = EmbeddingSpec(oscillator_system(6), Lorentzian(g=1.0, omega0=0.0, gamma=1.0), 8)
+    GRID = TimeGrid(0.0, 0.5, 3)
+
+    @staticmethod
+    def counted_moves(monkeypatch):
+        calls, moves = [], dynamics._moves
+
+        def counted(model):
+            calls.append(model.dim)
+            return moves(model)
+
+        monkeypatch.setattr(dynamics, "_moves", counted)
+        return calls
+
+    @pytest.mark.parametrize("d_s", [6, 11], ids=["grid-step-dS6", "adaptive-dS11"])
+    def test_moves_listed_once_per_reduced_curve(self, monkeypatch, d_s):
+        # Fock d_S - 1 beside 16 ancilla levels: 91 entries, and 506 past the cut
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(oscillator_system(d_s), self.SPEC.bath, 16),
+            DensityMatrix.fock(d_s, d_s - 1))
+        calls = self.counted_moves(monkeypatch)
+        embedding._reduced_curve(model, rho0, 16, self.GRID, IntegratorConfig())
+        assert len(calls) == 1
+
+    def test_moves_listed_once_per_evolve_and_correlator(self, monkeypatch):
+        emb = build_embedding(self.SPEC, DensityMatrix.fock(6, 5))
+        calls = self.counted_moves(monkeypatch)
+        evolve(emb.model, emb.rho0, self.GRID)
+        assert len(calls) == 1
+        a = annihilation(4)
+        model = LindbladModel(dim=4, H=zero_op(4), jumps=((0.7, a),))
+        regression_correlator(model, a, a.dagger(), DensityMatrix.fock(4, 0), self.GRID)
+        assert len(calls) == 2
+
+    def test_evolve_integrates_only_the_live_coordinates(self, monkeypatch):
+        # 91 reachable entries; at zero detuning only one coordinate of each transposed
+        # pair moves
+        sizes, run = [], dynamics.iter_instants
+
+        def recorded(rhs, y0, *args, **kwargs):
+            sizes.append(y0.size)
+            return run(rhs, y0, *args, **kwargs)
+
+        emb = build_embedding(self.SPEC, DensityMatrix.fock(6, 5))
+        monkeypatch.setattr(dynamics, "iter_instants", recorded)
+        evolve(emb.model, emb.rho0, self.GRID)
+        assert sizes == [56]
+        assert dynamics._coordinate_layout(emb.model, emb.rho0.mat).coords.entries.size == 91
 
 
 class TestReachableSubspace:
@@ -409,8 +464,8 @@ class TestReachableSubspace:
         """Reference: the coordinates of all d^2 entries of the whole matrix, same integrator."""
         d = model.dim
         coords = _HermitianCoordinates(np.arange(d * d), d)
-        curve = _integrate_coordinates(model, coords, coords.of_matrix(rho0.mat), grid, TIGHT,
-                                       d * d)
+        curve = _integrate_coordinates(coords.generator(dynamics._moves(model)),
+                                       coords.of_matrix(rho0.mat), grid.times(), TIGHT, d * d)
         return coords.matrix(curve)
 
     def assert_evolve_matches_full_space(self, model, rho0):
@@ -563,9 +618,10 @@ class TestEntryClosure:
     @staticmethod
     def assert_matches(model, seed, name=""):
         both = (seed != 0) | (seed.T != 0)
-        assert _reachable_entries(model, seed).tolist() == \
+        assert _reachable_entries(dynamics._moves(model), seed).tolist() == \
             _dense_entry_closure(model, both).tolist(), name
-        states, block, coords, _ = dynamics._coordinate_layout(model, seed)
+        states, coords, *_ = dynamics._coordinate_layout(model, seed)
+        block = dynamics._restricted(model, states)
         block0 = both[np.ix_(states, states)]
         assert coords.entries.tolist() == _dense_entry_closure(block, block0).tolist(), name
 

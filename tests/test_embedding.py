@@ -256,7 +256,7 @@ def _entry_layout(model, rho0):
     states = dynamics._reachable(model, rho0)
     block = dynamics._restricted(model, states)
     block0 = rho0[np.ix_(states, states)]
-    return states, block, block0, dynamics._reachable_entries(block, block0)
+    return states, block, block0, dynamics._reachable_entries(dynamics._moves(block), block0)
 
 
 def _complex_entry_reference(model, rho0, d_a, grid, cfg):
@@ -382,24 +382,25 @@ class TestCoordinateClosure:
         system, gamma, d_a, rho, reached = self.CASES[case]
         model, rho0 = embedding._composite(
             EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0.0, gamma=gamma), d_a), rho)
-        closures, curves = [], []
-        check = embedding._check_curve
+        curves = []
+        check, layout_of = embedding._check_curve, dynamics._coordinate_layout
 
         def recorded(curve, coords):
             curves.append(curve)
             check(curve, coords)
 
-        def closure(src, dst, seeds, size):
-            closures.append(dynamics._closure(src, dst, seeds, size))
-            return closures[-1]
+        def every_coordinate(model, seed):
+            # the layout as it was before the closure: R on all k coordinates
+            layout = layout_of(model, seed)
+            moves = dynamics._moves(dynamics._restricted(model, layout.states))
+            return layout._replace(live=np.arange(layout.coords.entries.size),
+                                   generator=layout.coords.generator(moves))
 
         monkeypatch.setattr(embedding, "_check_curve", recorded)
-        monkeypatch.setattr(embedding, "_closure", closure)
         reduced = _quiet_curve(model, rho0, d_a, self.GRID)
-        # the core as it was before the closure: all k coordinates propagated
-        monkeypatch.setattr(embedding, "_closure", lambda src, dst, seeds, size: np.arange(size))
+        monkeypatch.setattr(embedding, "_coordinate_layout", every_coordinate)
         full_reduced = _quiet_curve(model, rho0, d_a, self.GRID)
-        (live,), (curve, full) = closures, curves
+        live, (curve, full) = layout_of(model, rho0).live, curves
         assert live.size == reached
         outside = np.ones(full.shape[1], dtype=bool)
         outside[live] = False

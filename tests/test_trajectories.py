@@ -232,6 +232,35 @@ class TestEnsembleAverage:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _worker_count(8) == 1
 
+    def test_pool_never_outgrows_the_cpus(self, monkeypatch):
+        # a worker count past the block count cuts 1000 trajectories into eight one-block
+        # batches; a recorder that starts nothing stands in for the pool
+        started = []
+
+        class Recorder:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        alone = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        monkeypatch.setattr(trajectories, "Pool", Recorder)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1000000")
+        pooled = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert started == [2]
+        assert np.array_equal(alone.means, pooled.means)
+        assert np.array_equal(alone.mean_states, pooled.mean_states)
+
     def test_mean_state_has_unit_trace(self):
         emb, psi0, obs = embedded_setup()
         cfg = TrajectoryConfig(n_traj=128, seed=17, grid=TimeGrid(0, 5, 11), integrator=LOOSE)
