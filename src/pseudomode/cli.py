@@ -10,9 +10,9 @@ underflowed), invariant failure (a computed state is not Hermitian, not of
 unit trace or not positive; no CSV is written) or jump failure (a jump found
 every channel at zero weight), 4 ancilla-truncation failure.
 
-Every Lindblad scenario runs on embedding's one stacked curve core (the
-markovian one with no ancilla), on the real coordinates that dynamics.evolve
-integrates adaptively too.
+Every Lindblad scenario runs through _lindblad on embedding's one stacked
+curve core (the markovian one with no ancilla), on the real coordinates
+that dynamics.evolve integrates adaptively too.
 """
 
 from __future__ import annotations
@@ -48,20 +48,13 @@ Columns = list[tuple[str, np.ndarray]]
 
 def write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
     """Plain CSV: '.' decimals, '\\n' line endings, 17 significant digits."""
-    expanded: list[tuple[str, np.ndarray]] = []
-    for name, values in columns:
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            expanded.append((f"{name}_re", values.real))
-            expanded.append((f"{name}_im", values.imag))
-        else:
-            expanded.append((name, values))
-    row = ",".join(["%.17g"] * len(expanded)) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     f = open(path, "w", encoding="ascii", newline="")
     try:
         with f:
-            f.write(",".join(name for name, _ in expanded) + "\n")
-            f.writelines(row % values for values in zip(*(vals.tolist() for _, vals in expanded)))
+            f.write(",".join(name for name, _ in columns) + "\n")
+            f.writelines(row % values
+                         for values in zip(*(np.asarray(vals).tolist() for _, vals in columns)))
     except BaseException:
         if path.is_file():  # no partial CSV; a device such as /dev/full stays
             path.unlink()
@@ -88,29 +81,31 @@ def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
                          jumps=((rate, cfg.system.V),))
 
 
-def _expectations(cfg: ScenarioConfig, states: np.ndarray) -> np.ndarray:
-    """tr(A rho) at every instant of an (n_t, d_S, d_S) stack of system states."""
-    return np.einsum("ij,tji->t", _system_observable(cfg).mat, states).real
-
-
-def _markovian(cfg: ScenarioConfig) -> Columns:
-    states = _reduced_curve(_markovian_model(cfg), _initial_density(cfg).mat, 1, cfg.grid,
-                            cfg.integrator)
-    return [(_observable_name(cfg), _expectations(cfg, states))]
-
-
-def _pseudomode(cfg: ScenarioConfig) -> Columns:
+def _ancilla(cfg: ScenarioConfig) -> tuple[int, np.ndarray | None]:
+    """Ancilla levels of the scenario's Lindblad run: 1 (none) for the markovian scenario
+    and a flat bath. At d_A = "auto" also the reduced curve the ladder certified, else None."""
+    if cfg.scenario == "markovian" or not isinstance(cfg.bath, Lorentzian):
+        return 1, None
     if cfg.d_A == "auto":
-        # the ladder already computed the curve at the d_A it certifies
-        _, states = _truncation_ladder(
-            cfg.system, cfg.bath, _initial_density(cfg), cfg.grid, cfg.integrator,
-            cfg.truncation_tol,
-        )
-    else:
-        model, rho0 = _composite(EmbeddingSpec(cfg.system, cfg.bath, cfg.d_A),
-                                 _initial_density(cfg))
-        states = _reduced_curve(model, rho0, cfg.d_A, cfg.grid, cfg.integrator)
-    return [(_observable_name(cfg), _expectations(cfg, states))]
+        return _truncation_ladder(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
+                                  cfg.integrator, cfg.truncation_tol)
+    return cfg.d_A, None
+
+
+def _model(cfg: ScenarioConfig, d_a: int) -> tuple[LindbladModel, np.ndarray]:
+    """The markovian model (d_a = 1) or the system + ancilla one, and its initial matrix."""
+    if d_a == 1:
+        return _markovian_model(cfg), _initial_density(cfg).mat
+    return _composite(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
+
+
+def _lindblad(cfg: ScenarioConfig) -> Columns:
+    """tr(A rho) of the reduced states, one einsum over the (n_t, d_S, d_S) stack."""
+    d_a, states = _ancilla(cfg)
+    if states is None:
+        states = _reduced_curve(*_model(cfg, d_a), d_a, cfg.grid, cfg.integrator)
+    return [(_observable_name(cfg),
+             np.einsum("ij,tji->t", _system_observable(cfg).mat, states).real)]
 
 
 def _volterra(cfg: ScenarioConfig) -> Columns:
@@ -124,18 +119,10 @@ def _discrete_bath(cfg: ScenarioConfig) -> Columns:
 
 
 def _trajectories(cfg: ScenarioConfig) -> Columns:
-    if isinstance(cfg.bath, Lorentzian):
-        d_a = cfg.d_A
-        if d_a == "auto":
-            d_a, _ = _truncation_ladder(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
-                                        cfg.integrator, cfg.truncation_tol)
-        model, _ = _composite(EmbeddingSpec(cfg.system, cfg.bath, d_a), _initial_density(cfg))
-    else:
-        d_a = 1  # no ancilla: the system's Fock index is its state index
-        model = _markovian_model(cfg)
+    d_a, _ = _ancilla(cfg)
+    model, rho0 = _model(cfg, d_a)
     obs = kron(_system_observable(cfg), identity(d_a))
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[cfg.initial_fock * d_a] = 1.0
+    psi0 = np.sqrt(np.diagonal(rho0))  # rho0 is the Fock product state |psi0><psi0|
     tcfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, grid=cfg.grid,
                             integrator=cfg.integrator)
     stats = ensemble_average(model, psi0, tcfg, observables=(obs,))
@@ -156,8 +143,8 @@ def _compare(cfg: ScenarioConfig) -> Columns:
 
 
 _RUNNERS = {
-    "markovian": _markovian,
-    "pseudomode": _pseudomode,
+    "markovian": _lindblad,
+    "pseudomode": _lindblad,
     "volterra": _volterra,
     "discrete_bath": _discrete_bath,
     "trajectories": _trajectories,

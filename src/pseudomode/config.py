@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .baths import Flat, Lorentzian, SpectralDensity
 from .dynamics import TimeGrid
-from .embedding import SystemSpec, oscillator_system, tls_system
+from .embedding import MAX_COMPOSITE_DIM, SystemSpec, oscillator_system, tls_system
 from .integrators import IntegratorConfig
 from .oracles import _volterra_substeps, build_discrete_bath, check_volterra_step
 
@@ -38,9 +38,6 @@ MAX_VOLTERRA_STEPS = 2**20
 MAX_STEPS_PER_INTERVAL = 10**5
 # instants of the output grid; every stored curve and ensemble grows with it
 MAX_OUTPUT_POINTS = 2**20
-# d_S x d_A at a fixed numerics.d_A (the auto ladder is not bounded): one dense complex
-# operator of the system + ancilla model takes 16 (d_S d_A)^2 bytes, 256 MiB at the bound
-MAX_COMPOSITE_DIM = 2**12
 # trajectory instants, n_traj x n_points; the shipped trajectory model ran at
 # 2.4e6 to 3.9e6 instants/s with 2 workers on a 2-core host, so a run at the
 # bound takes about 35 to 60 s there

@@ -180,12 +180,14 @@ def _moves(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _reachable_entries(moves: tuple[np.ndarray, ...], seed: np.ndarray) -> np.ndarray:
     """Flat indices i * n + j of the entries rho(t)[i, j] that can ever be nonzero, sorted:
-    the closure of the n x n seed's nonzero entries under the moves (_moves) and transposition."""
+    the closure of the n x n seed's nonzero entries under the moves (_moves) and transposition,
+    run on the unordered pairs, each named by its entry min(i, j) * n + max(i, j), and mirrored."""
     n = len(seed)
-    src, dst, _ = moves
-    flat = np.arange(n * n)
-    return _closure(np.concatenate([src, flat]), np.concatenate([dst, flat % n * n + flat // n]),
-                    np.flatnonzero(seed), n * n)
+    src, dst, seeds = (np.minimum(flat, flat % n * n + flat // n)
+                       for flat in (*moves[:2], np.flatnonzero(seed)))
+    reached = np.zeros((n, n), dtype=bool)
+    reached.flat[_closure(src, dst, seeds, n * n)] = True
+    return np.flatnonzero(reached | reached.T)
 
 
 def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:

@@ -42,6 +42,9 @@ from .integrators import IntegratorConfig, propagator
 
 TOP_LEVEL_POPULATION_TOL = 1e-6
 _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
+# d_S x d_A at a fixed numerics.d_A and on every rung of the auto ladder: one dense complex
+# operator of the system + ancilla model takes 16 (d_S d_A)^2 bytes, 256 MiB at the bound
+MAX_COMPOSITE_DIM = 2**12
 # Past this many reachable entries the curve is integrated adaptively: the grid
 # branch holds the generator and a propagator as dense c x c arrays on the c <= k
 # reached coordinates, and building the propagator takes c^3 multiply-adds per
@@ -247,7 +250,8 @@ def choose_truncation(
 
     Agreement is max-over-time trace distance below tol. Raises ValueError
     unless tol is positive and finite, and TruncationError if even d_A = 64
-    has not converged.
+    has not converged or the next rung's d_S x d_A would pass
+    MAX_COMPOSITE_DIM; no rung past that bound is built.
     """
     return _truncation_ladder(system, bath, rho_S0, grid, cfg, tol)[0]
 
@@ -265,6 +269,10 @@ def _truncation_ladder(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     def reduced_curve(d_A: int) -> np.ndarray:
+        if system.d_S * d_A > MAX_COMPOSITE_DIM:
+            raise TruncationError(f"ancilla truncation did not converge below {tol:g} by d_A = "
+                                  f"{d_A // 2}, and d_S x d_A = {system.d_S} x {d_A} is above "
+                                  f"MAX_COMPOSITE_DIM = {MAX_COMPOSITE_DIM}")
         model, rho0 = _composite(EmbeddingSpec(system, bath, d_A), rho_S0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FockTruncationWarning)

@@ -117,6 +117,43 @@ class TestParsing:
         with pytest.raises(ConfigError, match="trajectories"):
             parse_scenario(doc)
 
+    LORENTZIAN = {"kind": "lorentzian", "g": 1.0, "gamma": 0.5}
+    REJECTED = {
+        "non-positive": (base_doc(numerics={"max_step": -1.0}),
+                         "numerics.max_step must be positive, got -1.0"),
+        "system-not-object": (base_doc(system=[]), "system block must be an object"),
+        "bath-not-object": (base_doc(bath="flat"), "bath block must be an object"),
+        "unknown-preset": (base_doc(system={"preset": "qubit"}),
+                           "unknown system preset 'qubit'"),
+        "tls-d_S": (base_doc(system={"preset": "tls_sigma_minus", "d_S": 3}),
+                    "preset tls_sigma_minus is two-level; got d_S = 3"),
+        "oscillator-without-d_S": (base_doc(system={"preset": "oscillator"}),
+                                   "system.d_S is required for the oscillator preset"),
+        "initial_fock": (base_doc(system={"preset": "tls_sigma_minus", "initial_fock": 2}),
+                         r"system.initial_fock 2 outside 0\.\.1"),
+        "bath-kind": (base_doc(bath={"kind": "ohmic"}),
+                      "bath.kind must be 'flat' or 'lorentzian', got 'ohmic'"),
+        "rel_tol": (base_doc(numerics={"rel_tol": 1.0}),
+                    r"invalid numerics: rel_tol must lie in \(0, 1\), got 1.0"),
+        "abs_tol": (base_doc(numerics={"abs_tol": 2.0}),
+                    r"invalid numerics: abs_tol must lie in \(0, 1\), got 2.0"),
+        "d_A": (base_doc(scenario="pseudomode", bath=LORENTZIAN, numerics={"d_A": 1}),
+                "numerics.d_A must be an integer >= 2 or 'auto', got 1"),
+        "d_A-bool": (base_doc(scenario="pseudomode", bath=LORENTZIAN, numerics={"d_A": True}),
+                     "numerics.d_A must be an integer >= 2 or 'auto', got True"),
+        "reference-t0": (base_doc(scenario="volterra", bath=LORENTZIAN,
+                                  time={"t0": 1.0, "t1": 2.0, "n_points": 11}),
+                         "scenario 'volterra' requires time.t0 = 0"),
+        "no-trajectories-block": (base_doc(scenario="trajectories"),
+                                  "scenario 'trajectories' requires a trajectories block"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejected_documents_name_their_fault(self, case):
+        doc, message = self.REJECTED[case]
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_scenario(doc)
+
     def test_negative_rate_rejected(self):
         doc = base_doc()
         doc["bath"] = {"kind": "flat", "f2": -1.0}
@@ -342,19 +379,20 @@ class TestCliRuns:
         path = tmp_path / "table.csv"
         cli.write_csv(path, [("t", np.array([0.0, 0.1])),
                              ("x", np.array([-0.0, np.nan])),
-                             ("z", np.array([1e-300 + 1j / 3, -np.inf - 2.5j]))])
+                             ("y", np.array([1e-300, -np.inf])),
+                             ("z", np.array([1 / 3, np.inf]))])
         assert path.read_bytes() == (
-            b"t,x,z_re,z_im\n"
+            b"t,x,y,z\n"
             b"0,-0,1e-300,0.33333333333333331\n"
-            b"0.10000000000000001,nan,-inf,-2.5\n"
+            b"0.10000000000000001,nan,-inf,inf\n"
         )
         rng = np.random.default_rng(5)
         real = rng.standard_normal(201) * 10.0 ** rng.integers(-300, 300, 201)
-        cplx = rng.standard_normal(201) + 1j * rng.standard_normal(201)
-        cli.write_csv(path, [("a", real), ("b", cplx)])
-        expected = "a,b_re,b_im\n" + "".join(
+        other = rng.standard_normal(201)
+        cli.write_csv(path, [("a", real), ("b", other)])
+        expected = "a,b\n" + "".join(
             ",".join(format(float(v), ".17g") for v in row) + "\n"
-            for row in zip(real, cplx.real, cplx.imag))
+            for row in zip(real, other))
         assert path.read_bytes() == expected.encode("ascii")
 
     def test_auto_ancilla_trajectories_match_the_chosen_size(self, tmp_path):
@@ -534,6 +572,27 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 4
         assert "truncation failure" in capsys.readouterr().err
+
+    def test_rejected_document_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, TestParsing.REJECTED["no-trajectories-block"][0])
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: scenario 'trajectories' requires a trajectories block\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_ladder_past_the_composite_bound_is_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 64)
+        doc = base_doc(scenario="pseudomode", system={"preset": "oscillator", "d_S": 4,
+                                                      "initial_fock": 3},
+                       bath={"kind": "lorentzian", "g": 1.0, "gamma": 0.2},
+                       time={"t0": 0.0, "t1": 1.0, "n_points": 3},
+                       numerics={"d_A": "auto", "truncation_tol": 1e-14})
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("truncation failure: ") and "MAX_COMPOSITE_DIM = 64" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("scenario, bath, invariant", [
         ("markovian", {"kind": "flat", "f2": 50.0}, "trace"),
@@ -829,15 +888,16 @@ class TestStackedCore:
         assert not (tmp_path / "markovian_tls.csv").exists()
 
     def test_expectations_match_the_per_state_trace(self):
-        # one einsum over the stack against tr(A rho) state by state; only the
-        # summation order differs
+        # the runner's column is one einsum over the stack, against tr(A rho) state
+        # by state; only the summation order differs
         cfg = parse_scenario(base_doc(system={"preset": "oscillator", "d_S": 4,
                                               "initial_fock": 3}))
         stack = embedding._reduced_curve(cli._markovian_model(cfg), cli._initial_density(cfg).mat,
                                          1, cfg.grid, cfg.integrator)
         obs = cli._system_observable(cfg)
         per_state = [expectation(obs, DensityMatrix(Operator(r))).real for r in stack]
-        assert np.max(np.abs(cli._expectations(cfg, stack) - per_state)) <= 1e-14
+        [(_, column)] = cli._lindblad(cfg)
+        assert np.max(np.abs(column - per_state)) <= 1e-14
 
     def test_core_returns_the_stack_of_the_public_wrapper(self):
         cfg = parse_scenario(base_doc(

@@ -691,6 +691,30 @@ class TestChooseTruncation:
                               EXCITED, TimeGrid(0, 0.2, 2),
                               IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8), tol=1e-12)
 
+    def test_ladder_stops_at_the_composite_bound(self, monkeypatch):
+        # unbounded, this ladder built composites of dimension 8 up to 512
+        monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 64)
+        built = []
+        composite = embedding._composite
+
+        def recorded(spec, rho_s0):
+            built.append(spec.system.d_S * spec.d_A)
+            return composite(spec, rho_s0)
+
+        monkeypatch.setattr(embedding, "_composite", recorded)
+        with pytest.raises(TruncationError, match=r"by d_A = 16, .* 4 x 32 is above "
+                                                  r"MAX_COMPOSITE_DIM = 64"):
+            choose_truncation(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=0.2),
+                              DensityMatrix.fock(4, 3), TimeGrid(0, 3, 7), self.CFG, tol=1e-14)
+        assert built == [8, 16, 32, 64]
+
+    def test_ladder_bound_is_checked_before_the_first_rung(self, monkeypatch):
+        monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 7)
+        monkeypatch.setattr(embedding, "_composite", None)  # any rung built fails
+        with pytest.raises(TruncationError, match="4 x 2 is above MAX_COMPOSITE_DIM = 7"):
+            choose_truncation(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=0.2),
+                              DensityMatrix.fock(4, 3), TimeGrid(0, 3, 7), self.CFG)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-7])
     def test_bad_tolerance_rejected_before_the_first_rung(self, monkeypatch, tol):
         # NaN fails every comparison, so a `tol <= 0` guard lets it through to
