@@ -46,10 +46,11 @@ _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
 # operator of the system + ancilla model takes 16 (d_S d_A)^2 bytes, 256 MiB at the bound
 MAX_COMPOSITE_DIM = 2**12
 # Past this many reachable entries the curve is integrated adaptively: the grid
-# branch holds the generator and a propagator as dense c x c arrays on the c <= k
-# reached coordinates, and building the propagator takes c^3 multiply-adds per
-# Dopri5 stage, while the adaptive branch holds only the generator's nonzeros
-# (about five per entry) and takes one sparse product per stage.
+# branch holds the generator, its powers and a propagator as dense c x c arrays
+# on the c <= k reached coordinates, and building the propagator takes six c x c
+# products for the powers and two per Dopri5 step, while the adaptive branch
+# holds only the generator's nonzeros (about five per entry) and takes one
+# sparse product per stage.
 _MAX_PROPAGATED_ENTRIES = 256
 _VALIDATION_CHUNK = 1 << 16  # block entries validated in one stacked pass
 
@@ -179,7 +180,8 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     256 entries, R is made dense on the live coordinates and each instant is
     one product with a grid-step propagator of it: integrators.propagator at
     cfg's tolerances with norm_size the composite d^2, which holds each
-    column at least as tight as evolve holds one state. Past 256 entries
+    column at least as tight as evolve holds one state, and takes each
+    Dopri5 step as the tableau's stability polynomial in R. Past 256 entries
     x' = R x is integrated adaptively, as in evolve. The composite state is
     validated by _check_curve; the reduced states are partial traces of the
     entry values T^dag x and are not validated again.

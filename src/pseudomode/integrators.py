@@ -1,12 +1,13 @@
 """Adaptive embedded Runge-Kutta 4(5) propagation of real or complex array states.
 
-One Dormand-Prince stepper serves density matrices (as the real coordinates
-of their Hermitian entries) and wavefunctions, and builds the grid-step
-propagators of both: the state is any real or complex ndarray, kept in its
-own kind, and the vector field must be autonomous (all generators in this
-package are written in the rotating frame, where they are time independent).
-The stage loop is unrolled because trajectory ensembles hit it millions of
-times.
+One Dormand-Prince step controller serves density matrices (as the real
+coordinates of their Hermitian entries) and wavefunctions: the state is any
+real or complex ndarray, kept in its own kind, and the vector field must be
+autonomous (all generators in this package are written in the rotating
+frame, where they are time independent). The stage loop is unrolled because
+trajectory ensembles hit it millions of times. On a constant matrix
+generator R, propagator takes each trial step as the tableau's stability
+polynomial in hR instead of its stages, under the same controller.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ _D4 = -10690763975 / 1880347072
 _D5 = 701980252875 / 199316789632
 _D6 = -1453857185 / 822651844
 _D7 = 69997945 / 29380423
+
+# On x' = R x a step is y_new = P(hR) y with error estimate E(hR) y, where P and E
+# are these stability polynomials of the tableau above, coefficients of z^0 .. z^7
+# (Hairer & Wanner, Solving ODEs II, section IV.2).
+_STEP_POLY = np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0])
+_ERROR_POLY = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -108,18 +115,26 @@ class Dopri5:
         self.h = min(cfg.initial_step, cfg.max_step)
         self._err_prev = 1e-4
         self._k1 = rhs(self.y)
-        self._last: tuple | None = None  # (t_old, h, y_old, k1, k3..k7) of the last step
+        self._last: tuple | None = None  # (t_old, h, y_old, (k1, k3..k7)) of the last step
         self._interp_coeffs: tuple | None = None
+
+    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """One uncontrolled step of size h from self.y: the new state, its error
+        estimate and the stages k1, k3 .. k7 that an accepted step keeps."""
+        rhs = self.rhs
+        k1 = self._k1
+        k3, k4, k5, k6, y_new = _stages(rhs, self.y, h, k1)
+        k7 = rhs(y_new)
+        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        return y_new, err, (k1, k3, k4, k5, k6, k7)
 
     def step(self, t_limit: float) -> None:
         """Take one accepted step toward t_limit (clamped to land on it)."""
         if t_limit <= self.t:
             raise ValueError(f"t_limit {t_limit} not ahead of current time {self.t}")
         cfg = self.cfg
-        rhs = self.rhs
         y = self.y
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-        k1 = self._k1
         while True:
             h = min(self.h, cfg.max_step, t_limit - self.t)
             hits_limit = h >= t_limit - self.t
@@ -129,9 +144,7 @@ class Dopri5:
                     t_last=self.t,
                 )
             with np.errstate(over="ignore", invalid="ignore"):
-                k3, k4, k5, k6, y_new = _stages(rhs, y, h, k1)
-                k7 = rhs(y_new)
-                err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                y_new, err, stages = self._trial(h)
                 scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 ratio = np.abs(err) / scale
                 err_norm = float(np.sqrt(np.mean(ratio * ratio) * self._norm_weight))
@@ -142,9 +155,10 @@ class Dopri5:
             if err_norm <= 1.0:
                 t_old = self.t
                 self.t = t_limit if hits_limit else self.t + h
-                self._last = (t_old, h, y, k1, k3, k4, k5, k6, k7)
+                self._last = (t_old, h, y, stages)
                 self._interp_coeffs = None
-                self._k1 = k7
+                if stages:
+                    self._k1 = stages[-1]  # first same as last
                 self.y = y_new
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
@@ -160,7 +174,7 @@ class Dopri5:
         """Dense-output state inside the last accepted step (4th order)."""
         if self._last is None:
             raise RuntimeError("no accepted step to interpolate in")
-        t_old, h, y_old, k1, k3, k4, k5, k6, k7 = self._last
+        t_old, h, y_old, (k1, k3, k4, k5, k6, k7) = self._last
         theta = (t - t_old) / h
         if not -1e-9 <= theta <= 1.0 + 1e-9:
             raise ValueError(f"time {t} outside the last step [{t_old}, {t_old + h}]")
@@ -206,6 +220,42 @@ def iter_instants(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         yield stepper.y.copy()
 
 
+class _PolynomialDopri5(Dopri5):
+    """Dopri5 on y' = R y for a constant square matrix R, each trial step taken
+    as its stability polynomials: y_new = P(hR) y and error estimate E(hR) y.
+
+    The powers of R are formed once. R enters them scaled by 2^-s, with its
+    largest absolute row sum at most 1, so no power overflows; each step
+    carries the scale in (h 2^s)^j as numpy floats, where an overflow is an
+    inf coefficient and a rejected step, not an exception. A step takes two
+    products of R's size instead of six, and no stages, so there is no dense
+    output.
+    """
+
+    _orders = np.arange(1, len(_STEP_POLY))  # z^1 .. z^7
+    _poly = np.array([_STEP_POLY[1:], _ERROR_POLY[1:]])  # P - 1 and E on those powers
+
+    def __init__(self, generator: np.ndarray, y0: np.ndarray, cfg: IntegratorConfig,
+                 norm_size: int | None = None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            super().__init__(lambda y: generator @ y, 0.0, y0, cfg, norm_size=norm_size)
+            row_sum = np.max(np.abs(generator).sum(axis=1), initial=0.0)
+            self._shift = max(int(np.frexp(row_sum)[1]), 0)
+            scaled = generator * np.ldexp(1.0, -self._shift)
+            powers = [scaled]
+            for _ in self._orders[1:]:
+                powers.append(powers[-1] @ scaled)
+        self._powers = np.array(powers).reshape(len(powers), -1)
+
+    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+        y = self.y
+        z = np.ldexp(np.float64(h), self._shift) ** self._orders
+        # P(hR) - 1 over E(hR): one (2n, n) array for n x n powers
+        step_and_error = ((self._poly * z) @ self._powers).reshape(-1, len(y))
+        change = step_and_error @ y
+        return y + change[:len(y)], change[len(y):], ()
+
+
 def propagator(
     generator: np.ndarray,
     h: float,
@@ -215,15 +265,22 @@ def propagator(
     """exp(generator * h) for a square generator, by Dopri5 run on the identity.
 
     Column j is the evolution of basis vector j, all k columns stepped
-    together at cfg's tolerances. `norm_size` is passed on to Dopri5: the
-    squared scaled errors of all k^2 entries are summed and divided by
-    norm_size (default k^2, a plain RMS), so a caller that passes the size
-    N of one state it will propagate weights the norm by k^2 / N. That
-    bounds the step error of the propagator, not of the products with it,
-    which compound over a grid. No eigendecomposition is used: the generator
-    may be defective, as at the exceptional point g = gamma/4. A real
-    generator gives a real propagator, stepped in real arithmetic.
+    together at cfg's tolerances under Dopri5's step control, each trial
+    step taken as the tableau's stability polynomial in h * generator
+    (_PolynomialDopri5). That is the stage solve of iter_instants on the
+    identity up to rounding, which can only tip a step decision that lies
+    on the tolerance, for two k x k products a step instead of six. `norm_size` is passed on to Dopri5: the squared
+    scaled errors of all k^2 entries are summed and divided by norm_size
+    (default k^2, a plain RMS), so a caller that passes the size N of one
+    state it will propagate weights the norm by k^2 / N. That bounds the
+    step error of the propagator, not of the products with it, which
+    compound over a grid. No eigendecomposition is used: the generator may
+    be defective, as at the exceptional point g = gamma/4. A real generator
+    gives a real propagator, stepped in real arithmetic.
     """
-    identity = np.eye(len(generator), dtype=generator.dtype)
-    *_, step = iter_instants(lambda y: generator @ y, identity, [0.0, h], cfg, norm_size=norm_size)
-    return step
+    h = float(h)
+    stepper = _PolynomialDopri5(generator, np.eye(len(generator), dtype=generator.dtype), cfg,
+                                norm_size=norm_size)
+    while stepper.t < h:
+        stepper.step(h)
+    return stepper.y

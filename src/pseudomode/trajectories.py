@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import ConfigError
 from .dynamics import LindbladModel, TimeGrid
-from .integrators import Dopri5, IntegratorConfig, fixed_step, propagator
+from .integrators import Dopri5, IntegratorConfig, fixed_step, iter_instants
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
 _BATCH_BLOCKS = 8  # at most this many blocks advance together as one array
@@ -174,6 +174,18 @@ def _checked_state(model: LindbladModel, psi0) -> np.ndarray:
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     return psi0
+
+
+def propagator(generator: np.ndarray, h: float, cfg: IntegratorConfig) -> np.ndarray:
+    """exp(generator h) by Dopri5's stages run on the identity (iter_instants).
+
+    integrators.propagator takes the same steps as stability polynomials,
+    which round differently; the jump times, and with them the ensembles,
+    are pinned to the bits of this stage solve.
+    """
+    identity = np.eye(len(generator), dtype=complex)
+    *_, step = iter_instants(lambda y: generator @ y, identity, [0.0, h], cfg)
+    return step
 
 
 def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropagator:

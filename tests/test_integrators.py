@@ -1,6 +1,10 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from pseudomode import integrators
 from pseudomode.integrators import (
     Dopri5,
     IntegratorConfig,
@@ -36,6 +40,93 @@ def test_propagator_of_a_defective_generator():
     exact = np.exp(lam * h) * np.array([[1.0, h], [0.0, 1.0]])
     step = propagator(jordan, h, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
     assert np.max(np.abs(step - exact)) <= 1e-9
+
+
+def _stiff_generator():
+    # rates 1 to 100 in a non-normal basis: ||R||_1 h is 131 at h = 1, and the
+    # steps are held at the stability boundary. At rate 1000 the two solves
+    # can part by one accepted step in 500 and by 1e-11, as far as either is
+    # from the exact exponential.
+    rng = np.random.default_rng(0)
+    basis = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    return basis @ np.diag([-1.0, -3.0, -50.0, -100.0]) @ np.linalg.inv(basis)
+
+
+_GENERATORS = {
+    "random-real": (np.random.default_rng(3).normal(size=(6, 6)) - 2.0 * np.eye(6), 0.3),
+    "random-complex": (
+        (np.random.default_rng(3).normal(size=(6, 6)) - 2.0 * np.eye(6)).astype(complex), 0.3),
+    "jordan": (np.array([[-0.7 + 0.3j, 1.0], [0.0, -0.7 + 0.3j]]), 0.4),
+    "stiff": (_stiff_generator(), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", _GENERATORS)
+def test_propagator_is_the_stage_solve_on_the_identity(monkeypatch, case):
+    # the stability polynomial takes the stage solve's steps and rounds within 1e-13 of it
+    generator, h = _GENERATORS[case]
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    steps = []
+    step = Dopri5.step
+
+    def counted(self, t_limit):
+        steps[-1] += 1
+        step(self, t_limit)
+
+    monkeypatch.setattr(Dopri5, "step", counted)
+    steps.append(0)
+    built = propagator(generator, h, cfg, norm_size=100)
+    steps.append(0)
+    identity = np.eye(len(generator), dtype=generator.dtype)
+    *_, solved = iter_instants(lambda y: generator @ y, identity, [0.0, h], cfg, norm_size=100)
+    assert built.dtype == solved.dtype
+    assert steps[0] == steps[1] > 0
+    assert np.max(np.abs(built - solved)) <= 1e-13 * np.max(np.abs(solved))
+
+
+def _fraction(value):
+    return Fraction(value).limit_denominator(10**6)
+
+
+def test_stability_polynomials_are_the_tableau():
+    # y' = z y in exact arithmetic: each stage h k_i is z times its stage value, a polynomial in z
+    a = {name: _fraction(getattr(integrators, name)) for name in vars(integrators)
+         if name[:2] in ("_A", "_E") and name[2:].isdigit()}
+
+    def combine(*terms):
+        out = [Fraction(0)] * 8
+        for weight, poly in terms:
+            for j, c in enumerate(poly):
+                out[j] += weight * c
+        return out
+
+    def times_z(poly):
+        return [Fraction(0)] + poly[:-1]
+
+    one = [Fraction(1)] + [Fraction(0)] * 7
+    k = {1: times_z(one)}
+    for i in range(2, 7):
+        k[i] = times_z(combine((1, one), *((a[f"_A{i}{j}"], k[j]) for j in range(1, i))))
+    y_new = combine((1, one), *((a[f"_A7{j}"], k[j]) for j in (1, 3, 4, 5, 6)))
+    k[7] = times_z(y_new)
+    error = combine(*((a[f"_E{j}"], k[j]) for j in (1, 3, 4, 5, 6, 7)))
+    assert y_new == [_fraction(c) for c in integrators._STEP_POLY]
+    assert error == [_fraction(c) for c in integrators._ERROR_POLY]
+    assert [float(c) for c in y_new] == integrators._STEP_POLY.tolist()
+    assert [float(c) for c in error] == integrators._ERROR_POLY.tolist()
+
+
+def test_overflowing_generator_raises_integration_error():
+    # powers of an unscaled 1e300 generator overflow; the scaled ones stay finite,
+    # and the build fails as an IntegrationError, without an OverflowError or a
+    # numpy warning on the way
+    generator = np.array([[-1e300, 3e299], [2e299, -5e299]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepper = integrators._PolynomialDopri5(generator, np.eye(2), IntegratorConfig())
+        assert np.isfinite(stepper._powers).all()
+        with pytest.raises(IntegrationError):
+            propagator(generator, 0.05, IntegratorConfig())
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
