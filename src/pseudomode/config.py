@@ -264,6 +264,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                     f"Volterra solve needs {unknowns:.7g} steps of h <= {h:g}, above "
                     f"MAX_VOLTERRA_STEPS = {MAX_VOLTERRA_STEPS}; raise numerics.h or shorten time"
                 )
+    else:
+        h = half_width = None  # no run reads them; a given W or h is only type- and sign-checked
     if scenario in ("markovian", "pseudomode", "trajectories", "compare"):
         per_interval = grid.dt / integrator.max_step
         if per_interval > MAX_STEPS_PER_INTERVAL:

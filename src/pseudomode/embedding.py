@@ -9,7 +9,7 @@ tunable parameter.
 
 Every Lindblad scenario the CLI runs takes its curve from one stacked core,
 _reduced_curve, on the real coordinates of the reachable entries: a grid-step
-propagator up to 256 entries, past them the adaptive run of dynamics.evolve.
+propagator up to 256 live coordinates, past them the adaptive run of evolve.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ _TRUNCATION_LADDER = (2, 4, 8, 16, 32, 64)
 # d_S x d_A at a fixed numerics.d_A and on every rung of the auto ladder: one dense complex
 # operator of the system + ancilla model takes 16 (d_S d_A)^2 bytes, 256 MiB at the bound
 MAX_COMPOSITE_DIM = 2**12
-# Past this many reachable entries the curve is integrated adaptively: the grid
-# branch holds the generator, its powers and a propagator as dense c x c arrays
-# on the c <= k reached coordinates, and building the propagator takes six c x c
-# products for the powers and two per Dopri5 step, while the adaptive branch
-# holds only the generator's nonzeros (about five per entry) and takes one
-# sparse product per stage.
+# Past this many live coordinates c the curve is integrated adaptively: the grid
+# branch holds the generator, its powers and a propagator as dense c x c arrays,
+# and building the propagator takes six c x c products for the powers and two
+# per Dopri5 step, while the adaptive branch holds only the generator's nonzeros
+# (about five per entry) and takes one sparse product per stage.
 _MAX_PROPAGATED_ENTRIES = 256
 _VALIDATION_CHUNK = 1 << 16  # block entries validated in one stacked pass
 
@@ -177,14 +176,14 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     picks them and sums R on them; the rest stay exactly zero. At zero
     detuning each entry keeps a fixed phase, so only one coordinate of each
     transposed pair is live (c = 56 of k = 91 at d_S = 6, d_A = 16). Up to
-    256 entries, R is made dense on the live coordinates and each instant is
-    one product with a grid-step propagator of it: integrators.propagator at
+    256 live coordinates, R is made dense on them and each instant is one
+    product with a grid-step propagator of it: integrators.propagator at
     cfg's tolerances with norm_size the composite d^2, which holds each
     column at least as tight as evolve holds one state, and takes each
-    Dopri5 step as the tableau's stability polynomial in R. Past 256 entries
-    x' = R x is integrated adaptively, as in evolve. The composite state is
-    validated by _check_curve; the reduced states are partial traces of the
-    entry values T^dag x and are not validated again.
+    Dopri5 step as the tableau's stability polynomial in R. Past 256 live
+    coordinates x' = R x is integrated adaptively, as in evolve. The
+    composite state is validated by _check_curve; the reduced states are
+    partial traces of the entry values T^dag x and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
@@ -193,7 +192,7 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     layout = _coordinate_layout(model, rho0)
     states, coords, live = layout.states, layout.coords, layout.live
     x0 = layout.z0.real[live]
-    if coords.entries.size <= _MAX_PROPAGATED_ENTRIES:
+    if live.size <= _MAX_PROPAGATED_ENTRIES:
         generator = np.bincount(*layout.generator, live.size ** 2).reshape(live.size, -1)
         step = propagator(generator, grid.dt, cfg, norm_size=rho0.size)
         reached = np.empty((grid.n_points, live.size))
@@ -283,9 +282,9 @@ def _truncation_ladder(
     prev = reduced_curve(_TRUNCATION_LADDER[0])
     for d_A in _TRUNCATION_LADDER:
         doubled = reduced_curve(2 * d_A)
+        # algebra.trace_distance at every instant, in one stacked eigvalsh; both stacks are
+        # exactly Hermitian (_reduced_curve sums each transposed pair alike, as c x +- i c x')
         diff = prev - doubled
-        diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
-        # algebra.trace_distance at every instant, in one stacked eigvalsh
         dist = 0.5 * float(np.max(np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)))
         if dist < tol:
             return d_A, prev

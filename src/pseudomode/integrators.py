@@ -4,10 +4,10 @@ One Dormand-Prince step controller serves density matrices (as the real
 coordinates of their Hermitian entries) and wavefunctions: the state is any
 real or complex ndarray, kept in its own kind, and the vector field must be
 autonomous (all generators in this package are written in the rotating
-frame, where they are time independent). The stage loop is unrolled because
-trajectory ensembles hit it millions of times. On a constant matrix
-generator R, propagator takes each trial step as the tableau's stability
-polynomial in hR instead of its stages, under the same controller.
+frame, where they are time independent). An accepted step keeps only its
+start and first stage, from which interpolate rebuilds the others. On a
+constant matrix generator R, propagator takes each trial step as the
+tableau's stability polynomial in hR instead of its stages.
 """
 
 from __future__ import annotations
@@ -114,19 +114,18 @@ class Dopri5:
         self._norm_weight = 1.0 if norm_size is None else self.y.size / norm_size
         self.h = min(cfg.initial_step, cfg.max_step)
         self._err_prev = 1e-4
-        self._k1 = rhs(self.y)
-        self._last: tuple | None = None  # (t_old, h, y_old, (k1, k3..k7)) of the last step
-        self._interp_coeffs: tuple | None = None
+        self._k1: np.ndarray | None = None  # rhs(self.y), formed by the first trial that reads it
+        self._last: tuple | None = None  # (t_old, h, y_old, k1) of the last step
 
-    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One uncontrolled step of size h from self.y: the new state, its error
-        estimate and the stages k1, k3 .. k7 that an accepted step keeps."""
+        estimate and its last stage, the first of the next step (FSAL)."""
         rhs = self.rhs
-        k1 = self._k1
+        k1 = self._k1 = rhs(self.y) if self._k1 is None else self._k1
         k3, k4, k5, k6, y_new = _stages(rhs, self.y, h, k1)
         k7 = rhs(y_new)
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        return y_new, err, (k1, k3, k4, k5, k6, k7)
+        return y_new, err, k7
 
     def step(self, t_limit: float) -> None:
         """Take one accepted step toward t_limit (clamped to land on it)."""
@@ -144,7 +143,7 @@ class Dopri5:
                     t_last=self.t,
                 )
             with np.errstate(over="ignore", invalid="ignore"):
-                y_new, err, stages = self._trial(h)
+                y_new, err, k_next = self._trial(h)
                 scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 ratio = np.abs(err) / scale
                 err_norm = float(np.sqrt(np.mean(ratio * ratio) * self._norm_weight))
@@ -155,10 +154,8 @@ class Dopri5:
             if err_norm <= 1.0:
                 t_old = self.t
                 self.t = t_limit if hits_limit else self.t + h
-                self._last = (t_old, h, y, stages)
-                self._interp_coeffs = None
-                if stages:
-                    self._k1 = stages[-1]  # first same as last
+                self._last = (t_old, h, y, self._k1)
+                self._k1 = k_next
                 self.y = y_new
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
@@ -174,7 +171,7 @@ class Dopri5:
         """Dense-output state inside the last accepted step (4th order)."""
         if self._last is None:
             raise RuntimeError("no accepted step to interpolate in")
-        t_old, h, y_old, (k1, k3, k4, k5, k6, k7) = self._last
+        t_old, h, y_old, k1 = self._last
         theta = (t - t_old) / h
         if not -1e-9 <= theta <= 1.0 + 1e-9:
             raise ValueError(f"time {t} outside the last step [{t_old}, {t_old + h}]")
@@ -182,13 +179,12 @@ class Dopri5:
             return self.y.copy()
         if theta <= 0.0:
             return y_old.copy()
-        if self._interp_coeffs is None:
-            diff = self.y - y_old
-            bspl = h * k1 - diff
-            r4 = diff - h * k7 - bspl
-            r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-            self._interp_coeffs = (diff, bspl, r4, r5)
-        diff, bspl, r4, r5 = self._interp_coeffs
+        k3, k4, k5, k6, _ = _stages(self.rhs, y_old, h, k1)
+        k7 = self._k1  # the next step's first stage (FSAL)
+        diff = self.y - y_old
+        bspl = h * k1 - diff
+        r4 = diff - h * k7 - bspl
+        r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
         return y_old + theta * (diff + (1.0 - theta) * (bspl + theta * (r4 + (1.0 - theta) * r5)))
 
 
@@ -237,8 +233,8 @@ class _PolynomialDopri5(Dopri5):
 
     def __init__(self, generator: np.ndarray, y0: np.ndarray, cfg: IntegratorConfig,
                  norm_size: int | None = None):
+        super().__init__(lambda y: generator @ y, 0.0, y0, cfg, norm_size=norm_size)
         with np.errstate(over="ignore", invalid="ignore"):
-            super().__init__(lambda y: generator @ y, 0.0, y0, cfg, norm_size=norm_size)
             row_sum = np.max(np.abs(generator).sum(axis=1), initial=0.0)
             self._shift = max(int(np.frexp(row_sum)[1]), 0)
             scaled = generator * np.ldexp(1.0, -self._shift)
@@ -247,13 +243,13 @@ class _PolynomialDopri5(Dopri5):
                 powers.append(powers[-1] @ scaled)
         self._powers = np.array(powers).reshape(len(powers), -1)
 
-    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, None]:
         y = self.y
         z = np.ldexp(np.float64(h), self._shift) ** self._orders
         # P(hR) - 1 over E(hR): one (2n, n) array for n x n powers
         step_and_error = ((self._poly * z) @ self._powers).reshape(-1, len(y))
         change = step_and_error @ y
-        return y + change[:len(y)], change[len(y):], ()
+        return y + change[:len(y)], change[len(y):], None
 
 
 def propagator(

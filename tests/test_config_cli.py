@@ -188,6 +188,20 @@ class TestParsing:
         assert cfg.h == h
         assert cfg.half_width == pytest.approx(half_width)
 
+    @pytest.mark.parametrize("scenario", ["markovian", "pseudomode", "trajectories"])
+    def test_reference_steps_unset_where_no_reference_runs(self, scenario):
+        # h and W are accepted and type-checked, but no run of these scenarios reads them,
+        # so neither is filled in, not even from values that a reference run would reject
+        doc = base_doc(scenario=scenario, numerics={"d_A": 3, "h": 0.5, "W": 0.1},
+                       bath={"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0})
+        if scenario == "trajectories":
+            doc["trajectories"] = {"n_traj": 4, "seed": 7}
+        cfg = parse_scenario(doc)
+        assert cfg.h is None and cfg.half_width is None
+        for key in ("h", "W"):
+            with pytest.raises(ConfigError, match=f"numerics.{key}"):
+                parse_scenario({**doc, "numerics": {key: -1.0}})
+
     def test_volterra_work_bound_is_inclusive(self):
         # one output interval of 2**20 steps of h = 2**-10 is allowed, one more step is not
         h = 2.0 ** -10

@@ -571,6 +571,35 @@ class TestLargeBlocks:
         assert dev <= 1e-12
 
 
+class TestCutOnLiveCoordinates:
+    """The grid-step path is chosen by the c live coordinates its dense arrays
+    hold, not by the k entries: past 256 entries but within 256 live
+    coordinates a curve still takes one c x c propagator."""
+
+    GRID = TimeGrid(0.0, 0.5, 11)
+
+    @pytest.mark.parametrize("d_s, live", [(9, 165), (10, 220)], ids=["dS9", "dS10"])
+    def test_grid_step_up_to_the_cut(self, monkeypatch, d_s, live):
+        spec = EmbeddingSpec(oscillator_system(d_s), Lorentzian(g=1.0, omega0=0, gamma=1.0), 16)
+        model, rho0 = embedding._composite(spec, DensityMatrix.fock(d_s, d_s - 1))
+        assert embedding._MAX_PROPAGATED_ENTRIES < dynamics._coordinate_layout(
+            model, rho0).coords.entries.size
+        sizes = []
+        build = embedding.propagator
+
+        def recorded(generator, *args, **kwargs):
+            sizes.append(generator.shape)
+            return build(generator, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "propagator", recorded)
+        fast = _quiet_curve(model, rho0, 16, self.GRID)
+        assert sizes == [(live, live)]
+        monkeypatch.setattr(embedding, "_MAX_PROPAGATED_ENTRIES", 0)
+        adaptive = _quiet_curve(model, rho0, 16, self.GRID)
+        assert len(sizes) == 1
+        assert np.max(np.abs(fast - adaptive)) <= 1e-8
+
+
 class TestTopOfLadderAccuracy:
     """At d_A = 128 the grid-step propagator's norm weight k^2 / d^2 is at its
     smallest; its curve must still track a rel_tol 1e-12 run closely."""

@@ -367,7 +367,7 @@ class TestClosedFormGate:
 
 
 class TestSharedPropagatorBuilder:
-    """The no-jump propagator comes from integrators.propagator, bit for bit
+    """The no-jump propagator comes from trajectories.propagator, bit for bit
     the Dopri5 solve on the identity that trajectories inlined before, so the
     shipped ensemble (configs/trajectories_embedded.json) does not move."""
 
