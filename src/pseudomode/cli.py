@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import DensityMatrix, DensityMatrixError, Operator, identity, kron
-from .baths import Lorentzian, _line_shape
+from .baths import _line_shape
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .dynamics import LindbladModel
 from .embedding import (
@@ -82,10 +82,8 @@ def _markovian_model(cfg: ScenarioConfig) -> LindbladModel:
 
 
 def _ancilla(cfg: ScenarioConfig) -> tuple[int, np.ndarray | None]:
-    """Ancilla levels of the scenario's Lindblad run: 1 (none) for the markovian scenario
-    and a flat bath. At d_A = "auto" also the reduced curve the ladder certified, else None."""
-    if cfg.scenario == "markovian" or not isinstance(cfg.bath, Lorentzian):
-        return 1, None
+    """Ancilla levels of the scenario's Lindblad run, as parse_scenario resolved them (1:
+    none). At d_A = "auto" also the reduced curve the ladder certified, else None."""
     if cfg.d_A == "auto":
         return _truncation_ladder(cfg.system, cfg.bath, _initial_density(cfg), cfg.grid,
                                   cfg.integrator, cfg.truncation_tol)

@@ -61,7 +61,7 @@ class ScenarioConfig:
     bath: SpectralDensity
     grid: TimeGrid
     integrator: IntegratorConfig
-    d_A: int | str  # positive int or "auto"
+    d_A: int | str  # int >= 2 or "auto"; 1 for a Lindblad run with no ancilla
     truncation_tol: float
     n_modes: int
     half_width: float | None  # None when the scenario builds no discretized bath
@@ -219,7 +219,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     d_a = numerics.get("d_A", "auto")
     if d_a != "auto" and not (isinstance(d_a, int) and not isinstance(d_a, bool) and d_a >= 2):
         raise ConfigError(f"numerics.d_A must be an integer >= 2 or 'auto', got {d_a!r}")
-    if d_a != "auto" and system.d_S * d_a > MAX_COMPOSITE_DIM:
+    if scenario == "markovian" or not isinstance(bath, Lorentzian):
+        d_a = 1  # the Lindblad run of the markovian scenario or a flat bath has no ancilla
+    elif (scenario in ("pseudomode", "trajectories", "compare") and d_a != "auto"
+          and system.d_S * d_a > MAX_COMPOSITE_DIM):
         raise ConfigError(
             f"system.d_S x numerics.d_A = {system.d_S} x {d_a} is above "
             f"MAX_COMPOSITE_DIM = {MAX_COMPOSITE_DIM}; lower numerics.d_A or use 'auto'"

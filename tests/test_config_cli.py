@@ -727,6 +727,35 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="MAX_COMPOSITE_DIM"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("scenario", ["markovian", "trajectories"])
+    def test_runs_without_ancilla_resolve_d_A_to_1(self, tmp_path, scenario):
+        # the markovian scenario (here with a Lorentzian bath) and a flat bath build no
+        # composite, so a d_A with d_S x d_A past MAX_COMPOSITE_DIM is not read
+        doc = base_doc(scenario=scenario, numerics={"d_A": 8})
+        doc["system"] = {"preset": "oscillator", "d_S": 1024, "initial_fock": 3}
+        doc["time"] = {"t0": 0.0, "t1": 1.0, "n_points": 3}
+        if scenario == "markovian":
+            doc["bath"] = {"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0}
+        else:
+            doc["trajectories"] = {"n_traj": 2, "seed": 7}
+        assert parse_scenario(doc).d_A == 1
+        if scenario == "trajectories":
+            # the ensemble's dense d_S x d_S no-jump propagator takes minutes at d_S = 1024,
+            # so it runs at d_S = 4 with d_S x d_A just as far past the bound
+            doc["system"]["d_S"], doc["numerics"]["d_A"] = 4, 2048
+            assert parse_scenario(doc).d_A == 1
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert (tmp_path / doc["output"]).is_file()
+
+    def test_reference_runs_only_type_check_d_A(self):
+        doc = base_doc(scenario="volterra", numerics={"d_A": MAX_COMPOSITE_DIM},
+                       bath={"kind": "lorentzian", "g": 1.0, "omega0": 0.0, "gamma": 1.0})
+        assert parse_scenario(doc).d_A == MAX_COMPOSITE_DIM
+        doc["numerics"]["d_A"] = 1
+        with pytest.raises(ConfigError, match="numerics.d_A"):
+            parse_scenario(doc)
+
     def test_oversized_oscillator_is_2(self, tmp_path, capsys):
         doc = base_doc()
         doc["system"] = {"preset": "oscillator", "d_S": 10**30}

@@ -539,7 +539,7 @@ def _sigma_x_system():
 
 
 class TestLargeBlocks:
-    """Past 256 reachable entries the block is integrated adaptively, in memory O(n^2) per instant."""
+    """Past 256 live coordinates the block is integrated adaptively, in memory O(n^2) per instant."""
 
     GRID = TimeGrid(0.0, 1.0, 11)
 
