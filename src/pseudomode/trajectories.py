@@ -23,7 +23,10 @@ instants at a time, of bounded size.
 An ensemble is cut into fixed blocks of 128 trajectories, and consecutive
 whole blocks into batches; each batch advances as one array, so the waves,
 the crossing searches and the state window serve all rows of the batch at
-once. Each window is still reduced to ensemble sums block by block. Every
+once. Each window is still reduced to ensemble sums block by block. The
+batches are dealt round-robin to the calling process and to worker
+processes, which send each batch's sums back as it finishes; the caller
+merges them in index order as they arrive. Every
 trajectory owns a counter-based random stream keyed by (seed, trajectory
 index), read by draw index from one Philox generator per batch, and no row
 depends on the other rows of its array, so ensembles are reproducible
@@ -34,7 +37,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
+from contextlib import closing
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -498,6 +502,70 @@ def _worker_count(n_blocks: int) -> int:
     return max(1, min(workers, n_blocks))
 
 
+def _serve(batches, conn) -> None:
+    """Worker body: send each batch's _accumulate_batch result down conn as it finishes.
+
+    An exception is sent in place of the result, with its traceback as text,
+    and the worker stops there.
+    """
+    try:
+        for batch in batches:
+            conn.send((True, _accumulate_batch(batch)))
+    except Exception as exc:
+        import traceback  # only here: importing it costs every run about 0.2 MiB
+
+        conn.send((False, (exc, traceback.format_exc())))
+    finally:
+        conn.close()
+
+
+def _receive(proc, conn):
+    """The next batch result from worker proc; its exception is raised here."""
+    try:
+        ok, value = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"ensemble worker exited with code {proc.exitcode} before sending its batch"
+        ) from None
+    if not ok:
+        exc, worker_traceback = value
+        raise exc from RuntimeError(f"in the ensemble worker:\n{worker_traceback}")
+    return value
+
+
+def _run_batches(batches, processes: int):
+    """Yield _accumulate_batch of each batch, in index order.
+
+    Batch i runs in process i % processes: process 0 is the caller, which
+    computes its own share between reads, and the others are workers that
+    send one message per batch down a one-way pipe. A worker blocks once
+    its pipe is full until the caller reads, so what is in flight per
+    worker is bounded by one result and the pipe's buffer, not by the
+    ensemble size. Every worker is joined on the way out; on an error, or
+    when the generator is closed early, the workers are terminated first.
+    """
+    workers = []
+    try:
+        for w in range(1, processes):
+            reader, writer = Pipe(duplex=False)
+            proc = Process(target=_serve, args=(batches[w::processes], writer), daemon=True)
+            proc.start()
+            workers.append((proc, reader))
+            writer.close()  # the worker holds the only write end: EOF once it exits
+        for i, batch in enumerate(batches):
+            w = i % processes
+            yield _accumulate_batch(batch) if w == 0 else _receive(*workers[w - 1])
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, reader in workers:
+            proc.join()
+            reader.close()
+
+
 def _merge(parts):
     """(n, rho sum, means, M2, jump histogram) of the batches' blocks, merged as they arrive."""
     n, hist = 0, np.zeros(0, dtype=np.int64)
@@ -526,14 +594,16 @@ def ensemble_average(
 
     Trajectories are cut into fixed blocks of 128, and consecutive blocks
     into batches of at most _BATCH_BLOCKS, and fewer when that leaves a
-    worker without a batch. Each batch advances as one array, one batch per
-    task. The results of each block (sums of rho, observable means and
-    centred sums of squares) are still reduced per block and merged in
-    index order with the pairwise update of Chan, Golub & LeVeque, so the
-    result is bit-identical for any worker count (set
-    PSEUDOMODE_NUM_THREADS to cap parallelism; by default, one worker per
-    CPU the process may run on). The batches follow the requested worker
-    count, but no more processes start than the process has CPUs.
+    worker without a batch. Each batch advances as one array. The calling
+    process runs one share of the batches itself and worker processes run
+    the others (_run_batches). The results of each block (sums of rho,
+    observable means and centred sums of squares) are still reduced per
+    block and merged in index order, as they arrive, with the pairwise
+    update of Chan, Golub & LeVeque, so the result is bit-identical for any
+    worker count (set PSEUDOMODE_NUM_THREADS to cap parallelism; by
+    default, one share per CPU the process may run on). The batches follow
+    the requested worker count, but the caller and its workers together
+    never outnumber the process's CPUs, so at most CPUs - 1 workers start.
     """
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
@@ -546,11 +616,8 @@ def ensemble_average(
         for start in range(0, cfg.n_traj, per_batch)
     ]
     processes = min(workers, len(batches), _cpu_count())
-    if processes == 1:
-        n, rho_sum, means, m2, hist = _merge(map(_accumulate_batch, batches))
-    else:
-        with Pool(processes=processes) as pool:
-            n, rho_sum, means, m2, hist = _merge(pool.imap(_accumulate_batch, batches))
+    with closing(_run_batches(batches, processes)) as parts:
+        n, rho_sum, means, m2, hist = _merge(parts)
 
     if n > 1:
         stderrs = np.sqrt(m2 / ((n - 1) * n))

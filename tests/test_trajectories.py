@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from pseudomode import (
     tls_system,
 )
 from pseudomode import trajectories
+from pseudomode.cli import main
 from pseudomode.integrators import fixed_step, iter_instants
 from pseudomode.trajectories import _select_channel, _Streams, _trajectory_rng, _worker_count
 
@@ -234,32 +237,25 @@ class TestEnsembleAverage:
 
     def test_pool_never_outgrows_the_cpus(self, monkeypatch):
         # a worker count past the block count cuts 1000 trajectories into eight one-block
-        # batches; a recorder that starts nothing stands in for the pool
+        # batches; at two CPUs the caller runs one share and one worker process the other
         started = []
 
-        class Recorder:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, tasks):
-                return map(func, tasks)
+        def recorded(*args, **kwargs):
+            started.append(kwargs)
+            return multiprocessing.Process(*args, **kwargs)
 
         model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setattr(trajectories, "Process", recorded)
         monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
         alone = ensemble_average(model, psi0, tcfg, observables=(obs,))
-        monkeypatch.setattr(trajectories, "Pool", Recorder)
+        assert started == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1000000")
-        pooled = ensemble_average(model, psi0, tcfg, observables=(obs,))
-        assert started == [2]
-        assert np.array_equal(alone.means, pooled.means)
-        assert np.array_equal(alone.mean_states, pooled.mean_states)
+        split = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(alone.means, split.means)
+        assert np.array_equal(alone.mean_states, split.mean_states)
 
     def test_mean_state_has_unit_trace(self):
         emb, psi0, obs = embedded_setup()
@@ -309,6 +305,95 @@ class TestEnsembleAverage:
             stats = ensemble_average(emb.model, psi0, cfg, observables=(obs,))
             devs.append(np.max(np.abs(stats.means[0].real - ref)))
         assert devs[2] < devs[1] < devs[0]
+
+
+# Stand-ins for trajectories._accumulate_batch, at module level so that they pickle.
+_accumulate_batch = trajectories._accumulate_batch
+_TEST_PROCESS = os.getpid()
+
+
+def _interrupted_in_caller(args):
+    if os.getpid() == _TEST_PROCESS:
+        raise KeyboardInterrupt
+    return _accumulate_batch(args)
+
+
+def _dying_past_first_batch(args):
+    if args[4] != 0:  # the batch's first trajectory
+        os._exit(1)
+    return _accumulate_batch(args)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched function must reach the worker, which only fork copies",
+)
+
+
+class TestWorkers:
+    """The caller runs batch 0 and one worker batch 1 (two CPUs, two workers)."""
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "2")
+
+    @pytest.fixture
+    def deadline(self):
+        """Fail, instead of blocking the suite, if the run is still waiting after 10 s."""
+
+        def expired(signum, frame):
+            pytest.fail("ensemble_average still waiting on its worker after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def fail_in_worker(monkeypatch):
+        """_select_channel raises JumpDegeneracyError in every process but this one."""
+        caller = os.getpid()
+        select = trajectories._select_channel
+
+        def failing(weights, u):
+            if os.getpid() != caller:
+                raise JumpDegeneracyError("worker batch failed")
+            return select(weights, u)
+
+        monkeypatch.setattr(trajectories, "_select_channel", failing)
+
+    def test_interrupted_caller_stops_its_worker(self, monkeypatch, two_workers, deadline):
+        monkeypatch.setattr(trajectories, "_accumulate_batch", _interrupted_in_caller)
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        with pytest.raises(KeyboardInterrupt):
+            ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_dead_worker_raises(self, monkeypatch, two_workers, deadline):
+        monkeypatch.setattr(trajectories, "_accumulate_batch", _dying_past_first_batch)
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_worker_error_keeps_its_type(self, monkeypatch, two_workers, deadline):
+        self.fail_in_worker(monkeypatch)
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        with pytest.raises(JumpDegeneracyError, match="worker batch failed"):
+            ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_worker_error_exits_3(self, monkeypatch, two_workers, deadline, tmp_path, capsys):
+        self.fail_in_worker(monkeypatch)
+        config = REPO / "configs" / "trajectories_embedded.json"
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "jump failure: worker batch failed\n"
+        assert multiprocessing.active_children() == []
 
 
 class TestIndexedStreams:
