@@ -18,6 +18,7 @@ that dynamics.evolve integrates adaptively too.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -44,17 +45,26 @@ from .trajectories import JumpDegeneracyError, TrajectoryConfig, ensemble_averag
 
 # What a scenario runner returns: the CSV columns that follow "t".
 Columns = list[tuple[str, np.ndarray]]
+# CSV rows formatted and written at a time: a bounded string, however long the grid
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv_chunks(columns: Columns):
+    """The rows of write_csv, _CSV_CHUNK_ROWS at a time, each chunk one % format."""
+    arrays = [np.asarray(vals) for _, vals in columns]
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+    for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
+        chunk = np.column_stack([a[start:start + _CSV_CHUNK_ROWS] for a in arrays])
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
     """Plain CSV: '.' decimals, '\\n' line endings, 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
     f = open(path, "w", encoding="ascii", newline="")
     try:
         with f:
             f.write(",".join(name for name, _ in columns) + "\n")
-            f.writelines(row % values
-                         for values in zip(*(np.asarray(vals).tolist() for _, vals in columns)))
+            f.writelines(_csv_chunks(columns))
     except BaseException:
         if path.is_file():  # no partial CSV; a device such as /dev/full stays
             path.unlink()
@@ -191,7 +201,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> Pat
     return out_path
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="pseudomode",
         description="Open-system dynamics with a Lorentzian reservoir, via a damped ancilla mode.",
@@ -202,7 +214,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=".", help="output directory (default: cwd)")
     run_p.add_argument("--seed", type=int, default=None, help="override trajectories seed")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_scenario(args.config)

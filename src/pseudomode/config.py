@@ -325,8 +325,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -409,6 +410,27 @@ class TestCliRuns:
             for row in zip(real, other))
         assert path.read_bytes() == expected.encode("ascii")
 
+    def test_csv_chunks_keep_the_row_bytes(self, tmp_path):
+        path = tmp_path / "long.csv"
+        n_rows = 2 * cli._CSV_CHUNK_ROWS + 3  # two full chunks and a ragged one
+        t = np.linspace(0.0, 1.0, n_rows)
+        x = np.random.default_rng(7).standard_normal(n_rows)
+        cli.write_csv(path, [("t", t), ("x", x)])
+        expected = "t,x\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, x))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_csv_memory_does_not_grow_with_the_rows(self, tmp_path):
+        n_rows = 1 << 17
+        columns = [("t", np.linspace(0.0, 1.0, n_rows)), ("x", np.full(n_rows, 1 / 3))]
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "big.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of rows as floats, a tuple and a string; the whole file is 5 MiB
+        assert peak < 2 << 20
+
     def test_auto_ancilla_trajectories_match_the_chosen_size(self, tmp_path):
         doc = {
             "scenario": "trajectories",
@@ -463,6 +485,20 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not UTF-8")
+        assert err.count("\n") == 1
+
+    def test_config_that_nests_too_deeply_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config {path} nests too deeply\n"
 
     def test_seed_override_outside_trajectories_is_2(self, tmp_path):
         path = write_config(tmp_path, base_doc())
@@ -840,6 +876,45 @@ class TestExitCodes:
         assert sink.read_bytes() == b""
         _, rows = read_csv(tmp_path / "out.csv")
         assert len(rows) == 11
+
+
+class TestOneParser:
+    """main builds its argparse parser once per process; no call may leak into the next."""
+
+    def test_seed_override_does_not_outlive_its_call(self, tmp_path):
+        doc = base_doc(scenario="trajectories", trajectories={"n_traj": 20, "seed": 3})
+        path = write_config(tmp_path, doc)
+        outputs = []
+        for name, extra in (("override", ["--seed", "5"]), ("own", []), ("fresh", None)):
+            out = tmp_path / name
+            if extra is None:  # a parser built anew, as before main cached it
+                cli._parser.cache_clear()
+                extra = []
+            assert main(["run", str(path), "--out", str(out), "--quiet", *extra]) == 0
+            outputs.append((out / "out.csv").read_bytes())
+        assert outputs[1] == outputs[2]
+        assert outputs[0] != outputs[1]
+
+    def test_bad_arguments_then_a_good_call(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--seed", "five"])
+        assert exc.value.code == 2
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert (tmp_path / "out.csv").exists()
+
+    def test_shipped_two_level_configs_repeat_their_bytes(self, tmp_path):
+        names = ("markovian_tls", "pseudomode_strong_coupling", "volterra_strong_coupling",
+                 "discrete_bath_strong_coupling", "compare_strong_coupling")
+        for name in names:
+            config = REPO / "configs" / f"{name}.json"
+            output = json.loads(config.read_text())["output"]
+            written = []
+            for run in ("first", "second"):
+                out = tmp_path / name / run
+                assert main(["run", str(config), "--out", str(out), "--quiet"]) == 0
+                written.append((out / output).read_bytes())
+            assert written[0] == written[1], name
 
 
 def test_discrete_bath_run_loads_no_scipy(tmp_path):

@@ -1,4 +1,5 @@
-"""parse_scenario on arbitrary JSON values raises ConfigError and nothing else.
+"""parse_scenario on arbitrary JSON values, and load_scenario on arbitrary
+bytes, raise ConfigError and nothing else.
 
 Every config it returns for an extreme detuning has a finite H_S. Runs under
 the `ci` Hypothesis profile that tests/conftest.py loads.
@@ -6,12 +7,14 @@ the `ci` Hypothesis profile that tests/conftest.py loads.
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pseudomode import ConfigError, parse_scenario
+from pseudomode import ConfigError, load_scenario, parse_scenario
 from pseudomode.config import MAX_BATH_MODES
 
 # every key the schema knows, so that generated objects reach the nested blocks
@@ -110,6 +113,20 @@ def test_single_key_mutation(data):
     else:
         parent[data.draw(st.sampled_from(KEYS) | st.text(max_size=6))] = data.draw(json_values)
     parses_or_config_error(doc)
+
+
+@given(st.binary())
+@example(b'\xff\xfe{"a":1}')  # not UTF-8
+@example(b"[" * 100000)  # json.loads recurses past the interpreter's limit
+@example(b'{"a": ' + b"1" * 5000 + b"}")  # past int's digit limit for str conversion
+def test_arbitrary_bytes_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(data)
+        try:
+            load_scenario(path)
+        except ConfigError:
+            pass
 
 
 def test_huge_integer_literal_is_a_config_error():

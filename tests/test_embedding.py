@@ -31,7 +31,7 @@ from pseudomode import (
     volterra_amplitude,
 )
 from pseudomode import cli, dynamics, embedding, integrators
-from pseudomode.config import load_scenario
+from pseudomode.config import MAX_OUTPUT_POINTS, load_scenario
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 EXCITED = DensityMatrix.fock(2, 1)
@@ -598,6 +598,73 @@ class TestCutOnLiveCoordinates:
         adaptive = _quiet_curve(model, rho0, 16, self.GRID)
         assert len(sizes) == 1
         assert np.max(np.abs(fast - adaptive)) <= 1e-8
+
+
+def _per_instant_loop(step, x0, n_points):
+    """The grid loop with one matrix-vector product per instant."""
+    reached = np.empty((n_points, x0.size))
+    reached[0] = x0
+    for i in range(1, n_points):
+        np.matmul(step, reached[i - 1], out=reached[i])
+    return reached
+
+
+def _grid_step(system, d_a, gamma, n_points):
+    """The grid-step propagator of a Fock-state curve to t = 10, and its live x0."""
+    d_s = system.d_S
+    spec = EmbeddingSpec(system, Lorentzian(g=1.0, omega0=0, gamma=gamma), d_a)
+    model, rho0 = embedding._composite(spec, DensityMatrix.fock(d_s, d_s - 1))
+    layout = dynamics._coordinate_layout(model, rho0)
+    c = layout.live.size
+    generator = np.bincount(*layout.generator, c * c).reshape(c, c)
+    step = integrators.propagator(generator, TimeGrid(0.0, 10.0, n_points).dt,
+                                  IntegratorConfig(), norm_size=rho0.size)
+    return step, layout.z0.real[layout.live]
+
+
+class TestBatchedGridLoop:
+    """_grid_curve fills B instants per product from the stacked powers of the step;
+    it must match the per-instant loop, and be that loop where B = 1."""
+
+    CASES = {
+        "tls-gamma10": (tls_system(), 3, 10.0),
+        "tls-exceptional-point": (tls_system(), 3, 4.0),
+        "tls-gamma1": (tls_system(), 3, 1.0),
+        "fock5-dS6-dA16": (oscillator_system(6), 16, 1.0),
+    }
+
+    # None: the width _batch_width picks; 13 leaves a ragged last batch at every n_points
+    @pytest.mark.parametrize("width", [None, 13], ids=["rule", "ragged"])
+    @pytest.mark.parametrize("n_points", [2, 3, 201, 211])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_per_instant_loop(self, monkeypatch, case, n_points, width):
+        step, x0 = _grid_step(*self.CASES[case], n_points)
+        if width is not None:
+            monkeypatch.setattr(embedding, "_batch_width", lambda c, n: width)
+        batched = embedding._grid_curve(step, x0, n_points)
+        assert batched.shape == (n_points, x0.size)
+        assert np.max(np.abs(batched - _per_instant_loop(step, x0, n_points))) <= 1e-13
+
+    @pytest.mark.parametrize("live", [4, 56])
+    def test_the_rule_batches_the_small_curves(self, live):
+        # so that the "rule" comparisons above are not all the per-instant loop
+        assert embedding._batch_width(live, 201) > 1
+
+    def test_one_instant_per_product_is_the_loop_bit_for_bit(self):
+        step, x0 = _grid_step(oscillator_system(8), 16, 1.0, 201)
+        assert x0.size == 120
+        assert embedding._batch_width(x0.size, 201) == 1
+        assert np.array_equal(embedding._grid_curve(step, x0, 201),
+                              _per_instant_loop(step, x0, 201))
+
+    @pytest.mark.parametrize("live", [1, 4, 56, 120, 165, 220, 256])
+    def test_powers_stay_bounded_on_any_grid(self, live):
+        for n_points in (2, 3, 201, 2001, MAX_OUTPUT_POINTS):
+            width = embedding._batch_width(live, n_points)
+            assert 1 <= width <= n_points - 1
+            assert width == 1 or width * live ** 2 <= embedding._MAX_POWER_ENTRIES
+            # the powers' flops stay within 1 / B of the per-instant calls
+            assert (width - 1) * 2 * live ** 3 * width <= (n_points - 1) * embedding._CALL_FLOPS
 
 
 class TestTopOfLadderAccuracy:
