@@ -178,35 +178,27 @@ def _batch_width(c: int, n_points: int) -> int:
     Stacking S, ..., S^B costs ceil(log2 B) products and (B - 1) 2 c^3 flops,
     and saves n_points - 1 - ceil((n_points - 1) / B) matrix-vector calls of
     _CALL_FLOPS each. B = sqrt((n_points - 1) _CALL_FLOPS / (2 c^3)) keeps the
-    powers' flops within 1 / B of the calls they save, and B is 1 unless the
-    powers cost less than those calls. _MAX_POWER_ENTRIES caps B c^2, so the
-    powers' memory does not grow with n_points.
+    powers' flops within 1 / B of the calls they save. _MAX_POWER_ENTRIES caps
+    B c^2, so the powers' memory does not grow with n_points.
     """
     intervals = n_points - 1
     width = min(math.isqrt(intervals * _CALL_FLOPS // (2 * c ** 3)), intervals,
                 _MAX_POWER_ENTRIES // (c * c))
-    if width < 2:
-        return 1
-    saved = intervals - -(-intervals // width) - (width - 1).bit_length()
-    return width if saved * _CALL_FLOPS > (width - 1) * 2 * c ** 3 else 1
+    return max(width, 1)
 
 
 def _grid_curve(step: np.ndarray, x0: np.ndarray, n_points: int) -> np.ndarray:
     """x0, S x0, S^2 x0, ... on n_points instants, B = _batch_width instants per product.
 
-    B = 1 is one matrix-vector product per instant. Otherwise S, ..., S^B are
-    stacked into one (B c, c) array, by doubling, and each product fills the
-    next B instants from the last filled one; a ragged last batch takes the
-    first powers only.
+    S, ..., S^B are stacked into one (B c, c) array, by doubling, and each
+    product fills the next B instants from the last filled one; a ragged last
+    batch takes the first powers only. B = 1 is one matrix-vector product per
+    instant.
     """
     c = x0.size
     reached = np.empty((n_points, c))
     reached[0] = x0
     width = _batch_width(c, n_points)
-    if width == 1:
-        for i in range(1, n_points):
-            np.matmul(step, reached[i - 1], out=reached[i])
-        return reached
     powers = np.empty((width * c, c))
     powers[:c] = step
     done = 1
@@ -215,10 +207,12 @@ def _grid_curve(step: np.ndarray, x0: np.ndarray, n_points: int) -> np.ndarray:
         np.matmul(powers[:m * c], powers[(done - 1) * c:done * c],
                   out=powers[done * c:(done + m) * c])
         done += m
-    flat = reached.reshape(-1)
-    for i in range(0, n_points - 1, width):
-        m = min(width, n_points - 1 - i)
-        np.matmul(powers[:m * c], reached[i], out=flat[(i + 1) * c:(i + 1 + m) * c])
+    full, rest = divmod(n_points - 1, width)
+    batches = reached[1:1 + full * width].reshape(full, width * c)
+    for j in range(full):
+        np.matmul(powers, reached[j * width], out=batches[j])
+    if rest:
+        np.matmul(powers[:rest * c], reached[full * width], out=reached[-rest:].reshape(-1))
     return reached
 
 
@@ -242,8 +236,8 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
     in R. _grid_curve fills B instants per product from S, ..., S^B, with B
     from _batch_width: about sqrt((n_t - 1) _CALL_FLOPS / (2 c^3)), so that
     the powers' (B - 1) 2 c^3 flops cost at most 1 / B of the matrix-vector
-    calls they save, and B = 1 (one product per instant) unless they cost
-    less than those calls; B c^2 stays within 2^16 entries. Past 256 live
+    calls they save (B = 1 is one product per instant); B c^2 stays within
+    2^16 entries. Past 256 live
     coordinates x' = R x is integrated adaptively, as in evolve. The
     composite state is validated by _check_curve; the reduced states are
     partial traces of the entry values T^dag x and are not validated again.
