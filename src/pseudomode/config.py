@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -299,6 +300,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if (not isinstance(output, str) or output in ("", ".", "..")
             or any(ch in output for ch in "/\\\0")):
         raise ConfigError(f"output must be a plain file name, got {output!r}")
+    try:
+        os.fsencode(output)  # a lone surrogate, as JSON's "\ud800" gives, has no bytes
+    except UnicodeEncodeError:
+        raise ConfigError(f"output {output!r} cannot be encoded as a file name") from None
 
     return ScenarioConfig(
         scenario=scenario,

@@ -17,8 +17,11 @@ row to its own tolerance on one fixed Runge-Kutta step from the start of its
 sub-step; they are collapsed, given new thresholds and carried to the end of
 that sub-step, where the next wave resumes them. So the array searches once
 per wave (again only for a row that jumps twice within one sub-step), not
-once per sub-step in which some row jumped. States are stored a window of
-instants at a time, of bounded size.
+once per sub-step in which some row jumped. A row that its jump leaves on
+states whose column of the drift is zero is dark: the step keeps it exactly
+and it can never jump again, so its state is broadcast to the rest of the
+window and it joins no later wave. States are stored a window of instants
+at a time, of bounded size.
 
 An ensemble is cut into fixed blocks of 128 trajectories, and consecutive
 whole blocks into batches; each batch advances as one array, so the waves,
@@ -27,10 +30,12 @@ once. Each window is still reduced to ensemble sums block by block. The
 batches are dealt round-robin to the calling process and to worker
 processes, which send each batch's sums back as it finishes; the caller
 merges them in index order as they arrive. Every
-trajectory owns a counter-based random stream keyed by (seed, trajectory
-index), read by draw index from one Philox generator per batch, and no row
-depends on the other rows of its array, so ensembles are reproducible
-bit-for-bit no matter how the work is batched or scheduled.
+trajectory owns numpy's Philox stream keyed by (seed, trajectory index);
+draw j of it is word j mod 4 of the Philox4x64-10 block at counter
+j // 4 + 1, mapped to [0, 1) as Generator.random does, and the blocks of a
+batch's rows are computed together in numpy. No row depends on the other
+rows of its array, so ensembles are reproducible bit-for-bit no matter how
+the work is batched or scheduled.
 """
 
 from __future__ import annotations
@@ -108,52 +113,92 @@ class _GridPropagator:
     step_t: np.ndarray  # exp(G h) over the sub-step h
     h: float  # grid step / substeps
     substeps: int
+    moving: np.ndarray  # (dim,) bool: column j of G is nonzero; step_t keeps the others e_j
     rates: np.ndarray  # (n_channels,)
     jumps_t: np.ndarray  # (n_channels, dim, dim)
 
 
 def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
-    """The random stream of trajectory traj_index; _Streams reads the same draws by index."""
+    """The random stream of trajectory traj_index; _Streams computes the same draws by index."""
     key = np.array([seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Streams:
-    """The streams _trajectory_rng(seed, idx) of a batch's rows, read from one Philox.
+# Philox4x64-10 (Salmon et al., SC'11) in numpy uint64 arithmetic. Every
+# operand stays uint64: numpy 1.x turns uint64 combined with int64 into float64.
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# The multipliers' 32-bit halves, written out: a uint64 ufunc call at import
+# would cost every run about 0.15 MiB of peak RSS.
+_PHILOX_M_LO = np.array([[0xE14C6C93], [0x95121157]], dtype=np.uint64)
+_PHILOX_M_HI = np.array([[0xD2E7470E], [0xCA5A8263]], dtype=np.uint64)
 
-    Philox turns counter c into four words, so draw j of a stream is the
-    (j mod 4 + 1)-th draw after setting the counter to j // 4 with an empty
-    buffer; that costs one state assignment instead of building a Generator
-    per trajectory. Each row keeps the count of draws it has used.
+
+def _philox(counter: np.ndarray, seed: int, indices: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counter (c, 0, 0, 0) under key (seed, idx), per pair (c, idx): (n, 4) words.
+
+    The four counter words run as two lanes, (x0, x2), which are multiplied,
+    and (x1, x3); the 128-bit products are taken through 32-bit halves.
+    """
+    n = len(counter)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0] = seed
+    key[1] = indices
+    even = np.zeros((2, n), dtype=np.uint64)
+    even[0] = counter
+    odd = np.zeros((2, n), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        x_lo = even & _MASK32
+        x_hi = even >> _SHIFT32
+        lh = _PHILOX_M_LO * x_hi
+        hl = _PHILOX_M_HI * x_lo
+        mid = ((_PHILOX_M_LO * x_lo) >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
+        hi = _PHILOX_M_HI * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+
+
+class _Streams:
+    """The streams _trajectory_rng(seed, idx) of a batch's rows, computed by draw index.
+
+    numpy's Philox yields the four words of the Philox4x64-10 block at
+    counter 1, then at counter 2, and so on, under the key (seed, idx), and
+    Generator.random maps a word w to (w >> 11) 2^-53. So draw j of a stream
+    is word j % 4 of the block at counter j // 4 + 1, which _philox computes
+    for many rows in one pass. Each row keeps the count of draws it has used
+    and the block of its latest draw. The first block of every row (its
+    threshold and its first jump's two draws) is computed up front; each
+    draw call computes, in one pass, the later blocks that its rows reach.
     """
 
     def __init__(self, seed: int, indices):
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._key = np.array([seed, 0], dtype=np.uint64)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._bitgen = np.random.Philox(key=self._key)
-        self._gen = np.random.Generator(self._bitgen)
-        self._indices = indices
-        self._drawn = [0] * len(self._indices)
+        self._seed = seed
+        self._indices = np.array(indices, dtype=np.uint64)
+        self._drawn = np.zeros(len(self._indices), dtype=np.int64)
+        self._block = np.zeros(len(self._indices), dtype=np.int64)
+        self._words = _philox(self._block + 1, seed, self._indices)
 
     def draw(self, rows, n: int = 1) -> np.ndarray:
-        """The next n uniform draws of each row's stream, as (len(rows), n)."""
-        out = np.empty((len(rows), n))
-        for k, row in enumerate(rows):
-            j = self._drawn[row]
-            self._counter[0] = j // 4
-            self._key[1] = self._indices[row]
-            self._bitgen.state = self._state
-            out[k] = self._gen.random(j % 4 + n)[j % 4:]
-            self._drawn[row] = j + n
-        return out
+        """The next n uniform draws of each of the distinct rows' streams, as (len(rows), n)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        j = self._drawn[rows, None] + np.arange(n)
+        self._drawn[rows] += n
+        have = self._block[rows]
+        offset = j // 4 - have[:, None]  # >= 0: draws never go back
+        span = offset[:, -1]
+        words = self._words[rows][:, None]
+        if span.any():
+            words = np.concatenate([words, np.empty((len(rows), span.max(), 4), np.uint64)], axis=1)
+            r, o = np.nonzero(np.arange(1, span.max() + 1) <= span[:, None])
+            words[r, o + 1] = _philox(have[r] + o + 2, self._seed, self._indices[rows[r]])
+            self._block[rows] += span
+            self._words[rows] = words[np.arange(len(rows)), span]
+        picked = words[np.arange(len(rows))[:, None], offset, j % 4]
+        return (picked >> np.uint64(11)) * 2.0 ** -53
 
 
 def _select_channel(weights: np.ndarray, u):
@@ -202,6 +247,9 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
     search relies on. The propagator itself comes from a solve on the
     identity at tighter tolerances. The drift can be defective (at the
     exceptional point g = gamma/4), so no eigendecomposition is used.
+
+    State j is fixed when column j of the drift is exactly zero: every stage
+    of the solve then keeps column j of the step exactly e_j.
     """
     g = model.drift
     rhs = lambda y: g @ y  # noqa: E731
@@ -230,6 +278,7 @@ def _grid_propagator(model: LindbladModel, cfg: TrajectoryConfig) -> _GridPropag
         step_t=np.ascontiguousarray(u.T),
         h=h,
         substeps=substeps,
+        moving=g.any(axis=0),
         rates=np.array([rate for rate, _ in model.jumps], dtype=float),
         jumps_t=jumps_t.reshape(-1, model.dim, model.dim),
     )
@@ -382,21 +431,34 @@ def _advance(prop, y, first, out, thresholds, streams, jump_log):
 
     The first wave carries every row; each later wave carries the rows that
     left the one before, from the end of the sub-step in which they left,
-    after one _jump_rows call for all of them. Returns the states at instant
-    first + len(out), not normalized.
+    after one _jump_rows call for all of them. A row that its jumps leave
+    with amplitude on fixed states only (prop.moving) is dark: y @ step_t
+    keeps it exactly, so its norm, which _jump_rows left at or above its
+    threshold, never falls again. Its state is broadcast to the rest of the
+    window instead, and it joins no later wave. Returns the states at
+    instant first + len(out), not normalized.
     """
     sub = prop.substeps
     y_last = np.empty_like(y)
     rows = np.arange(len(y))
     starts = np.full(len(y), first * sub)
-    while True:
+    while rows.size:
         aside = _wave(prop, rows, starts, y, first, out, thresholds, y_last)
         if not aside:
-            return y_last
+            break
         rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
         t_a = prop.times[at // sub] + (at % sub) * prop.h
         y = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
         starts = at + 1
+        dark = ~np.any((y != 0) & prop.moving, axis=1)
+        if dark.any():
+            dark_rows, y_dark = rows[dark], y[dark]
+            since = -(-starts[dark] // sub) - first - 1  # the first instant of out each reaches
+            at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since)
+            out[at_t, dark_rows[at_r]] = (y_dark / np.sqrt(_norm_sq(y_dark))[:, None])[at_r]
+            y_last[dark_rows] = y_dark
+            rows, y, starts = rows[~dark], y[~dark], starts[~dark]
+    return y_last
 
 
 def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):

@@ -500,6 +500,15 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: config {path} nests too deeply\n"
 
+    def test_output_without_file_name_bytes_is_2(self, tmp_path, capsys):
+        doc = json.loads((REPO / "configs" / "markovian_tls.json").read_text())
+        doc["output"] = "\ud800.csv"  # json.dumps writes the lone surrogate as \ud800
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: output '\\ud800.csv' cannot be encoded as a file name\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_seed_override_outside_trajectories_is_2(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         assert main(["run", str(path), "--out", str(tmp_path), "--seed", "3"]) == 2

@@ -396,20 +396,43 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
 
+# (rows, n) per draw call: one draw, then pairs as a jump takes them; the 4-word block is crossed
+_JUMP_DRAWS = [([2, 0, 1], 1)] + [([1, 2, 0], 2)] * 4
+
+
 class TestIndexedStreams:
     """_Streams reads draw j of stream (seed, idx) by index; _trajectory_rng defines the stream."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_draws_equal_the_generator(self, seed):
-        indices = [0, 1, 999]
+    @pytest.mark.parametrize("seed, indices, calls", [
+        *(pytest.param(seed, [0, 1, 999], _JUMP_DRAWS, id=str(seed)) for seed in (0, 7, 2**64 - 1)),
+        pytest.param(7, [2**63, 2**64 - 1], [([1, 0], 1), ([0, 1], 2), ([1, 0], 2)],
+                     id="largest-indices"),
+        # the rows of one call sit at different draw counts, so in different blocks
+        pytest.param(11, [0, 5, 9], [([0], 3), ([1], 1), ([0, 1, 2], 2), ([2, 0, 1], 5)],
+                     id="uneven-counts"),
+        pytest.param(5, [42], [([0], 1), ([0], 2), ([0], 2), ([0], 3)], id="single-row"),
+        # 13 draws in one call span the blocks at counters 1 to 4
+        pytest.param(2**64 - 1, [3, 2**64 - 1], [([1], 1), ([0, 1], 13), ([1, 0], 2)],
+                     id="four-blocks"),
+    ])
+    def test_draws_equal_the_generator(self, seed, indices, calls):
         streams = _Streams(seed, indices)
         got = {row: [] for row in range(len(indices))}
-        # one draw, then pairs as a jump takes them: the 4-word buffer is crossed
-        for rows, n in [([2, 0, 1], 1)] + [([1, 2, 0], 2)] * 4:
+        for rows, n in calls:
             for row, draws in zip(rows, streams.draw(rows, n)):
                 got[row].extend(draws)
         for row, idx in enumerate(indices):
-            assert np.array_equal(got[row], _trajectory_rng(seed, idx).random(9))
+            expected = _trajectory_rng(seed, idx).random(len(got[row]))
+            assert np.array_equal(got[row], expected)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_blocks_are_the_philox_words(self, seed):
+        indices = np.array([0, 1, 999, 2**63, 2**64 - 1], dtype=np.uint64)
+        for counter in (1, 2, 3):
+            words = trajectories._philox(np.full(len(indices), counter), seed, indices)
+            for idx, got in zip(indices, words):
+                bitgen = np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
+                assert np.array_equal(got, bitgen.random_raw(4 * counter)[-4:])
 
 
 class TestClosedFormGate:
@@ -666,6 +689,43 @@ class TestWavesMatchPerSubstepCore:
         n_blocks = -(-tcfg.n_traj // trajectories._BLOCK)
         assert len(calls) <= 2 * n_blocks
         assert sum(calls) == np.dot(np.arange(len(stats.jump_histogram)), stats.jump_histogram)
+
+
+class TestDarkRows:
+    """A row that a jump leaves on fixed states only is written by broadcast, not carried."""
+
+    @staticmethod
+    def count_waves(monkeypatch, model, psi0, cfg, obs):
+        """(_wave calls, windows) of the ensemble at one worker."""
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        calls = {"_wave": 0, "_advance": 0}  # one _advance call per window
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(trajectories, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(trajectories, name, counted)
+        stats = ensemble_average(model, psi0, cfg, observables=(obs,))
+        return calls["_wave"], calls["_advance"], stats
+
+    def test_step_keeps_the_fixed_states(self):
+        model, _, tcfg, _ = TestSharedPropagatorBuilder.shipped(7)
+        prop = trajectories._grid_propagator(model, tcfg)
+        assert np.flatnonzero(~prop.moving).tolist() == [0]  # |g, 0>
+        assert np.array_equal(prop.step_t[~prop.moving], np.eye(model.dim)[~prop.moving])
+
+    def test_shipped_ensemble_runs_one_wave_per_window(self, monkeypatch):
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        waves, windows, stats = self.count_waves(monkeypatch, model, psi0, tcfg, obs)
+        assert stats.jump_histogram[1] > 0
+        assert waves == windows > 1
+
+    def test_rows_without_fixed_states_run_later_waves(self, monkeypatch):
+        cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, 101), integrator=LOOSE)
+        model, psi0 = pump_model(), np.array([0.0, 1.0], dtype=complex)
+        assert trajectories._grid_propagator(model, cfg).moving.all()
+        waves, windows, _ = self.count_waves(monkeypatch, model, psi0, cfg, P_E)
+        assert waves > windows
 
 
 class TestMultiChannelJumps:
