@@ -9,19 +9,25 @@ Trajectories advance together, as the rows of one (n, dim) array. The drift
 is time independent and the output grid uniform, so the no-jump propagator
 over one grid step (or over an equal fraction of it, a sub-step) is computed
 once per ensemble, by running the adaptive integrator on the identity, and
-each step is one matrix product. The rows run in waves. The first wave
-carries every row along the grid; a row whose norm falls below its threshold
-within a sub-step leaves the wave there, and the others go on. At the end of
-the wave, the jump times of all rows that left are located together, each
-row to its own tolerance on one fixed Runge-Kutta step from the start of its
-sub-step; they are collapsed, given new thresholds and carried to the end of
-that sub-step, where the next wave resumes them. So the array searches once
-per wave (again only for a row that jumps twice within one sub-step), not
-once per sub-step in which some row jumped. A row that its jump leaves on
-states whose column of the drift is zero is dark: the step keeps it exactly
-and it can never jump again, so its state is broadcast to the rest of the
-window and it joins no later wave. States are stored a window of instants
-at a time, of bounded size.
+each step is one matrix product. A batch does per-row work only where its
+rows differ. Every row that has not jumped yet holds the same state, the
+initial one times a power of the step, so one row carries it for all of
+them (the waiting-time picture of the unraveling): a row leaves this shared
+path at the first sub-step whose norm is below its threshold. A row that a
+jump leaves on states whose column of the drift is zero is dark: the step
+keeps it exactly and it can never jump again, so its state is broadcast to
+the rest of the run. The other rows, those whose jumps left them on moving
+states, run in waves: a wave carries them along the grid, and a row whose
+norm falls below its threshold within a sub-step leaves it there while the
+others go on. After the shared path and each wave, the jump times of all
+rows that left are located together, each row to its own tolerance on one
+fixed Runge-Kutta step from the start of its sub-step (Newton steps, then
+bisection, several levels per evaluation call); they are collapsed, given
+new thresholds and carried to the end of that sub-step, where the next wave
+resumes them. So the array searches once per wave (again only for a row
+that jumps twice within one sub-step), not once per sub-step in which some
+row jumped. States are stored a window of instants at a time, of bounded
+size.
 
 An ensemble is cut into fixed blocks of 128 trajectories, and consecutive
 whole blocks into batches; each batch advances as one array, so the waves,
@@ -59,6 +65,8 @@ _JUMP_TIME_REL_TOL = 1e-10
 _PROPAGATOR_TOL_FACTOR = 1e-3
 # Newton evaluations per jump-time search before it falls back to bisection.
 _NEWTON_STEPS = 8
+# Bisection levels a jump-time search resolves per evaluation call after that.
+_BISECT_LEVELS = 5
 # Step cap of the adaptive probe that sizes the grid propagator's substeps.
 _DT_MAX = 0.5
 
@@ -300,6 +308,25 @@ def _rows_times(y: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
     return y @ mat_t
 
 
+def _bisection_points(lo, hi):
+    """The midpoints of the next _BISECT_LEVELS bisections of each bracket, (n, 2^L - 1).
+
+    Point 0 is the midpoint of [lo, hi]; the children of point i, 2i + 1
+    and 2i + 2, are the midpoints of its lower and upper halves. Each is
+    formed as 0.5 * (lo + hi) of its parent's half, as a bisection forms it.
+    """
+    points = []
+    edges = np.stack([lo, hi], axis=1)  # the ends of one level's brackets, in order
+    for _ in range(_BISECT_LEVELS):
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        points.append(mid)
+        finer = np.empty((len(lo), 2 * edges.shape[1] - 1))
+        finer[:, ::2] = edges
+        finer[:, 1::2] = mid
+        edges = finer
+    return np.concatenate(points, axis=1)
+
+
 def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     """Per row, the offset in (0, width] where |y|^2 falls to the threshold, and y there.
 
@@ -309,18 +336,24 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     narrower than its own tol. The first point is the secant through the
     ends, the next ones Newton steps on the norm, kept tol/2 inside the
     bracket so that a converged row closes its bracket with the following
-    evaluation. A row bisects instead when Newton leaves the bracket, and
-    after _NEWTON_STEPS evaluations.
+    evaluation. A row bisects instead when Newton leaves the bracket.
+
+    After _NEWTON_STEPS evaluations a row only bisects, and each bisection
+    depends on the last one through the sign of f alone. So the tail
+    evaluates the next _BISECT_LEVELS levels of midpoints of every remaining
+    bracket (_bisection_points) in one fixed_step call and then walks them
+    level by level, with the same update and the same stop as one bisection
+    per call: the brackets, and so the offsets, are the same floats.
     """
     k1 = rhs(y_a)
     lo = np.zeros(len(y_a))
     hi = widths.copy()
     f_a = _norm_sq(y_a) - thresholds
     x = np.clip(widths * f_a / (f_a - (norm_end - thresholds)), 0.5 * tol, widths - 0.5 * tol)
-    steps = 0
     active = np.flatnonzero(hi - lo > tol)
-    while active.size:
-        steps += 1
+    for steps in range(1, _NEWTON_STEPS + 1):
+        if not active.size:
+            break
         x_a = x[active]
         tol_a = tol[active]
         y = fixed_step(rhs, y_a[active], x_a[:, None], k1[active])
@@ -330,12 +363,32 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
         hi_a = np.where(above, hi[active], x_a)
         lo[active] = lo_a
         hi[active] = hi_a
-        slope = 2.0 * np.sum((y.conj() * rhs(y)).real, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x_a - f / slope
-        ok = (newton > lo_a) & (newton < hi_a) & (steps < _NEWTON_STEPS)
-        x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol_a, hi_a - 0.5 * tol_a),
-                             0.5 * (lo_a + hi_a))
+        if steps < _NEWTON_STEPS:
+            slope = 2.0 * np.sum((y.conj() * rhs(y)).real, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x_a - f / slope
+            ok = (newton > lo_a) & (newton < hi_a)
+            x[active] = np.where(ok, np.clip(newton, lo_a + 0.5 * tol_a, hi_a - 0.5 * tol_a),
+                                 0.5 * (lo_a + hi_a))
+        active = active[hi_a - lo_a > tol_a]
+    while active.size:
+        lo_a, hi_a, tol_a = lo[active], hi[active], tol[active]
+        points = _bisection_points(lo_a, hi_a)
+        per_row = points.shape[1]
+        y = fixed_step(rhs, np.repeat(y_a[active], per_row, axis=0), points.reshape(-1, 1),
+                       np.repeat(k1[active], per_row, axis=0))
+        f = _norm_sq(y).reshape(len(active), per_row) - thresholds[active, None]
+        each = np.arange(len(active))
+        node = np.zeros(len(active), dtype=np.intp)
+        for _ in range(_BISECT_LEVELS):
+            going = hi_a - lo_a > tol_a
+            x_a = points[each, node]
+            above = f[each, node] >= 0.0
+            lo_a = np.where(going & above, x_a, lo_a)
+            hi_a = np.where(going & ~above, x_a, hi_a)
+            node = 2 * node + 1 + above
+        lo[active] = lo_a
+        hi[active] = hi_a
         active = active[hi_a - lo_a > tol_a]
     tau = 0.5 * (lo + hi)
     return tau, fixed_step(rhs, y_a, tau[:, None], k1)
@@ -380,16 +433,53 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log):
     return y_end
 
 
+def _shared_path(prop, shared, first, out, thresholds):
+    """Carry the rows that have not jumped, which all hold one state, over len(out) grid steps.
+
+    shared is (rows, psi): those rows, ordered by threshold, descending, and
+    their common state (1, dim) at instant `first`. A row's product does not
+    depend on the other rows of its array, so the one-row chain psi S^p of
+    _rows_times is every such row's state, bit for bit. A row leaves at the
+    first sub-step whose end norm is below its threshold, which is where the
+    running minimum of the chain's norms first falls below it; so the rows
+    that leave are a prefix of the order. Every instant of the window is
+    written for every row; the waves and dark fills that follow a row's jump
+    overwrite the instants after it. Returns the rows that left, as one entry
+    of _wave's list, and shared at instant first + len(out).
+    """
+    rows, psi = shared
+    if not rows.size:
+        return [], shared
+    sub = prop.substeps
+    n = len(out) * sub
+    chain = np.empty((n + 1, psi.shape[1]), dtype=complex)
+    chain[0] = psi
+    for s in range(n):
+        chain[s + 1] = _rows_times(chain[s:s + 1], prop.step_t)
+    norms = _norm_sq(chain)
+    out[:, rows] = (chain[sub::sub] / np.sqrt(norms[sub::sub])[:, None])[:, None]
+    exits = np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds[rows], side="right")
+    left = np.count_nonzero(exits < n)
+    at = exits[:left]
+    aside = [(rows[:left], chain[at], norms[at + 1], first * sub + at)] if left else []
+    return aside, (rows[left:], chain[n:])
+
+
 def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     """Carry each rows[j] from sub-step position starts[j], in state y0[j], by y @ step_t.
 
-    Positions count sub-steps from t0 and starts is ascending. The states at
-    instants first + 1 .. first + len(out) go to out, normalized. A row whose
-    norm falls below its threshold within a sub-step leaves the wave there;
-    the others reach instant first + len(out), where their states go to
-    y_last. Returns, per sub-step in which rows left, (rows, their states at
-    the sub-step's start, their squared norms at its end, its position per row).
+    The rows are those whose jumps left them on moving states; each row's
+    product is its own, since their states differ. Positions count sub-steps
+    from t0 and starts is ascending. The states at instants
+    first + 1 .. first + len(out) go to out, normalized. A row whose norm
+    falls below its threshold within a sub-step leaves the wave there; the
+    others reach instant first + len(out), where their states go to y_last.
+    Returns, per sub-step in which rows left, (rows, their states at the
+    sub-step's start, their squared norms at its end, its position per row);
+    nothing when there are no rows.
     """
+    if not rows.size:
+        return []
     sub = prop.substeps
     p_first = first * sub
     p_last = (first + len(out)) * sub
@@ -426,39 +516,51 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     return aside
 
 
-def _advance(prop, y, first, out, thresholds, streams, jump_log):
-    """Carry the rows y from instant `first` over len(out) grid steps, in waves.
+def _advance(prop, y, shared, dark, first, out, thresholds, streams, jump_log):
+    """Carry a batch's rows from instant `first` over len(out) grid steps.
 
-    The first wave carries every row; each later wave carries the rows that
-    left the one before, from the end of the sub-step in which they left,
-    after one _jump_rows call for all of them. A row that its jumps leave
-    with amplitude on fixed states only (prop.moving) is dark: y @ step_t
-    keeps it exactly, so its norm, which _jump_rows left at or above its
-    threshold, never falls again. Its state is broadcast to the rest of the
-    window instead, and it joins no later wave. Returns the states at
-    instant first + len(out), not normalized.
+    Rows come in three kinds. The rows that have not jumped take the shared
+    path (_shared_path). A row that its jumps leave with amplitude on fixed
+    states only (prop.moving) is dark: y @ step_t keeps it exactly, so its
+    norm, which _jump_rows left at or above its threshold, never falls
+    again; it is written by broadcast for the rest of the run. Every other
+    row is carried in waves. The first wave carries those rows; each later
+    wave carries the rows that left the one before or the shared path, from
+    the end of the sub-step in which they left, after one _jump_rows call
+    for all of them.
+
+    y holds each row's state at instant `first` (those of the shared rows
+    are not read) and, with the dark flags, is updated in place to instant
+    first + len(out). Returns shared at instant first + len(out).
     """
     sub = prop.substeps
-    y_last = np.empty_like(y)
-    rows = np.arange(len(y))
-    starts = np.full(len(y), first * sub)
-    while rows.size:
-        aside = _wave(prop, rows, starts, y, first, out, thresholds, y_last)
-        if not aside:
-            break
+    if dark.any():
+        y_dark = y[dark]
+        out[:, dark] = y_dark / np.sqrt(_norm_sq(y_dark))[:, None]
+    carried = ~dark
+    carried[shared[0]] = False
+    rows = np.flatnonzero(carried)
+    aside, shared = _shared_path(prop, shared, first, out, thresholds)
+    aside += _wave(prop, rows, np.full(len(rows), first * sub), y[rows], first, out,
+                   thresholds, y)
+    while aside:
         rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
+        order = np.argsort(at, kind="stable")  # _wave takes ascending starts
+        rows, y_a, norm_end, at = rows[order], y_a[order], norm_end[order], at[order]
         t_a = prop.times[at // sub] + (at % sub) * prop.h
-        y = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
+        y_jumped = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
         starts = at + 1
-        dark = ~np.any((y != 0) & prop.moving, axis=1)
-        if dark.any():
-            dark_rows, y_dark = rows[dark], y[dark]
-            since = -(-starts[dark] // sub) - first - 1  # the first instant of out each reaches
+        now_dark = ~np.any((y_jumped != 0) & prop.moving, axis=1)
+        if now_dark.any():
+            dark_rows, y_dark = rows[now_dark], y_jumped[now_dark]
+            since = -(-starts[now_dark] // sub) - first - 1  # the first instant of out each reaches
             at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since)
             out[at_t, dark_rows[at_r]] = (y_dark / np.sqrt(_norm_sq(y_dark))[:, None])[at_r]
-            y_last[dark_rows] = y_dark
-            rows, y, starts = rows[~dark], y[~dark], starts[~dark]
-    return y_last
+            y[dark_rows] = y_dark
+            dark[dark_rows] = True
+            rows, y_jumped, starts = rows[~now_dark], y_jumped[~now_dark], starts[~now_dark]
+        aside = _wave(prop, rows, starts, y_jumped, first, out, thresholds, y) if rows.size else []
+    return shared
 
 
 def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
@@ -468,21 +570,26 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     is psi0 for every row, later ones are normalized. A window holds at most
     _WINDOW_ENTRIES entries (at least one instant), so memory does not grow
     with the grid. Each jump is appended to jump_log as (row, time,
-    channel), rows counted from 0 within `indices`.
+    channel), rows counted from 0 within `indices`. Between windows the
+    block keeps, beside each row's state and threshold, the rows that have
+    not jumped with their shared state, and a dark flag per row (_advance).
     """
     streams = _Streams(seed, indices)
-    rows = range(len(indices))
-    thresholds = streams.draw(rows)[:, 0]
-    y = np.tile(psi0, (len(rows), 1))
+    n = len(indices)
+    thresholds = streams.draw(range(n))[:, 0]
+    y = np.tile(psi0, (n, 1))
+    shared = (np.argsort(-thresholds, kind="stable"), y[:1].copy())
+    dark = np.zeros(n, dtype=bool)
     n_t = len(prop.times)
     width = max(1, _WINDOW_ENTRIES // y.size)
     for start in range(0, n_t, width):
         out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
         if start == 0:
             out[0] = y
-            y = _advance(prop, y, 0, out[1:], thresholds, streams, jump_log)
+            shared = _advance(prop, y, shared, dark, 0, out[1:], thresholds, streams, jump_log)
         else:
-            y = _advance(prop, y, start - 1, out, thresholds, streams, jump_log)
+            shared = _advance(prop, y, shared, dark, start - 1, out, thresholds, streams,
+                              jump_log)
         yield out
 
 
@@ -537,6 +644,7 @@ def _accumulate_batch(args):
                 obs_mean[b, j, at] = mean
                 obs_m2[b, j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
         first += len(window)
+        del window, psi  # _run_block allocates the next window before the loop rebinds these
     rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
     jumps_per_row = np.bincount(rows, minlength=stop - start)
     return [(hi - lo, rho_sum[b], obs_mean[b], obs_m2[b], np.bincount(jumps_per_row[lo:hi]))

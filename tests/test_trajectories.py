@@ -780,3 +780,116 @@ def test_unraveling_convergence_script_runs():
     assert header.split()[0] == "n_traj"
     assert [int(row.split()[0]) for row in rows] == [100, 200]
     assert all(np.isfinite(float(v)) for row in rows for v in row.split()[1:])
+
+
+def _shipped_search_rows():
+    """Search inputs on the shipped model: its no-jump state after 0, 3, 7, 12 and 20 sub-steps."""
+    model, psi0, tcfg, _ = TestSharedPropagatorBuilder.shipped(7)
+    prop = trajectories._grid_propagator(model, tcfg)
+    states = [psi0]
+    for _ in range(20):
+        states.append(states[-1] @ prop.step_t)
+    return prop, np.array([states[p] for p in (0, 3, 7, 12, 20)])
+
+
+def _pump_search_rows():
+    """Search inputs on pump_model(): five normalized two-level states."""
+    cfg = TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 10, 101), integrator=LOOSE)
+    prop = trajectories._grid_propagator(pump_model(), cfg)
+    y = np.array([[0.0, 1.0], [0.6, 0.8], [0.8j, 0.6], [0.28, 0.96j], [1.0, 0.0]], dtype=complex)
+    return prop, y
+
+
+class TestBisectionTail:
+    """The search resolves several bisection levels per call, with the jump times of one per call."""
+
+    # log2(width / tol) is 29.9, 33.5, 41.0 and 30.1 halvings; the last bracket starts within tol
+    WIDTHS = np.array([0.1, 0.37, 1.0, 0.8, 5e-11])
+    TOLS = np.array([1e-10, 3e-11, 5e-13, 7e-10, 1e-10])
+    FRACTIONS = np.array([0.3, 0.5, 0.9, 0.01, 0.5])
+
+    @pytest.mark.parametrize("newton_steps", [1, 3])
+    @pytest.mark.parametrize("rows", [_shipped_search_rows, _pump_search_rows])
+    def test_tail_equals_one_bisection_per_call(self, monkeypatch, rows, newton_steps):
+        monkeypatch.setattr(trajectories, "_NEWTON_STEPS", newton_steps)
+        prop, y_a = rows()
+        rhs = lambda y: trajectories._rows_times(y, prop.drift_t)  # noqa: E731
+        norm_a = trajectories._norm_sq(y_a)
+        norm_end = trajectories._norm_sq(fixed_step(rhs, y_a, self.WIDTHS[:, None]))
+        assert np.all(norm_end < norm_a)
+        thresholds = norm_end + self.FRACTIONS * (norm_a - norm_end)
+        tau, y_star = trajectories._locate_crossings(rhs, y_a, self.WIDTHS, thresholds,
+                                                     norm_end, self.TOLS)
+        for j, tol in enumerate(self.TOLS):
+            at = slice(j, j + 1)
+            ref_tau, ref_y = _reference_locate_crossings(rhs, y_a[at], self.WIDTHS[at],
+                                                         thresholds[at], norm_end[at], tol)
+            assert np.array_equal(tau[at], ref_tau)
+            assert np.array_equal(y_star[at], ref_y)
+        assert tau[-1] == 0.5 * self.WIDTHS[-1]
+
+
+class TestBatchWork:
+    """What the batch core does per row: bounded searches, one shared product for rows alike."""
+
+    @staticmethod
+    def step_rows(monkeypatch, model, psi0, cfg, obs):
+        """The row count of every product by the ensemble's step_t, at one worker."""
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        props, counts = [], []
+        build, times = trajectories._grid_propagator, trajectories._rows_times
+
+        def recorded_build(*args):
+            props.append(build(*args))
+            return props[-1]
+
+        def recorded_times(y, mat_t):
+            if mat_t is props[-1].step_t:
+                counts.append(len(y))
+            return times(y, mat_t)
+
+        monkeypatch.setattr(trajectories, "_grid_propagator", recorded_build)
+        monkeypatch.setattr(trajectories, "_rows_times", recorded_times)
+        ensemble_average(model, psi0, cfg, observables=(obs,))
+        return counts
+
+    def test_search_calls_are_bounded(self, monkeypatch):
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        h = trajectories._grid_propagator(model, tcfg).h
+        halvings = int(np.ceil(np.log2(h / trajectories._JUMP_TIME_REL_TOL)))
+        bound = trajectories._NEWTON_STEPS + -(-halvings // trajectories._BISECT_LEVELS) + 1
+        searches = []  # fixed_step calls per _locate_crossings call
+        inside = [False]
+        search, step = trajectories._locate_crossings, trajectories.fixed_step
+
+        def counted_search(*args):
+            searches.append(0)
+            inside[0] = True
+            try:
+                return search(*args)
+            finally:
+                inside[0] = False
+
+        def counted_step(*args):
+            if inside[0]:
+                searches[-1] += 1
+            return step(*args)
+
+        monkeypatch.setattr(trajectories, "_locate_crossings", counted_search)
+        monkeypatch.setattr(trajectories, "fixed_step", counted_step)
+        ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert searches and max(searches) <= bound
+
+    def test_shipped_ensemble_steps_one_row(self, monkeypatch):
+        # never-jumped rows share one path, and every jump leaves a dark row
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        counts = self.step_rows(monkeypatch, model, psi0, tcfg, obs)
+        assert counts and max(counts) == 1
+
+    def test_moving_jumps_still_share_products(self, monkeypatch):
+        model, psi0 = oscillator_setup()
+        obs = kron(Operator(np.diag(np.arange(4.0)).astype(complex)), identity(4))
+        cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, 101), integrator=LOOSE)
+        counts = self.step_rows(monkeypatch, model, psi0, cfg, obs)
+        assert max(counts) > 1
