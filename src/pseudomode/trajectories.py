@@ -12,19 +12,22 @@ once per ensemble, by running the adaptive integrator on the identity, and
 each step is one matrix product. A batch does per-row work only where its
 rows differ. Every row that has not jumped yet holds the same state, the
 initial one times a power of the step, so one row carries it for all of
-them (the waiting-time picture of the unraveling): a row leaves this shared
-path at the first sub-step whose norm is below its threshold. A row that a
-jump leaves on states whose column of the drift is zero is dark: the step
-keeps it exactly and it can never jump again, so its state is broadcast to
-the rest of the run. The other rows, those whose jumps left them on moving
-states, run in waves: a wave carries them along the grid, and a row whose
-norm falls below its threshold within a sub-step leaves it there while the
-others go on. After the shared path and each wave, the jump times of all
-rows that left are located together, each row to its own tolerance on one
-fixed Runge-Kutta step from the start of its sub-step (Newton steps, then
-bisection, several levels per evaluation call); they are collapsed, given
-new thresholds and carried to the end of that sub-step, where the next wave
-resumes them. So the array searches once per wave (again only for a row
+them (the waiting-time picture of the unraveling). Before any state is
+stored, that no-jump path is walked over the whole grid, each row leaves it
+at the first sub-step whose norm is below its threshold, and the first
+jumps of all rows are located in one search. A row that a jump leaves on
+states whose column of the drift is zero is dark: the step keeps it
+exactly and it can never jump again, so its state is broadcast to the rest
+of the run. The other rows, those whose jumps left them on moving states,
+run in waves: a wave carries them along the grid from their starts, and a
+row whose norm falls below its threshold within a sub-step leaves it there
+while the others go on. After each wave, the jump times of all rows that
+left are located together. Every search locates each row's jump to its own
+tolerance on one fixed Runge-Kutta step from the start of its sub-step
+(Newton steps, then bisection, several levels per evaluation call); the
+rows are collapsed, given new thresholds and carried to the end of that
+sub-step, where the next wave resumes them. So a batch searches once for
+its first jumps and once per wave with later ones (again only for a row
 that jumps twice within one sub-step), not once per sub-step in which some
 row jumped. States are stored a window of instants at a time, of bounded
 size.
@@ -433,36 +436,56 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log):
     return y_end
 
 
-def _shared_path(prop, shared, first, out, thresholds):
-    """Carry the rows that have not jumped, which all hold one state, over len(out) grid steps.
+def _dark(prop, y):
+    """Per row of y, whether it has amplitude on fixed states only, which step_t keeps exactly."""
+    return ~np.any((y != 0) & prop.moving, axis=1)
 
-    shared is (rows, psi): those rows, ordered by threshold, descending, and
-    their common state (1, dim) at instant `first`. A row's product does not
-    depend on the other rows of its array, so the one-row chain psi S^p of
-    _rows_times is every such row's state, bit for bit. A row leaves at the
-    first sub-step whose end norm is below its threshold, which is where the
-    running minimum of the chain's norms first falls below it; so the rows
-    that leave are a prefix of the order. Every instant of the window is
-    written for every row; the waves and dark fills that follow a row's jump
-    overwrite the instants after it. Returns the rows that left, as one entry
-    of _wave's list, and shared at instant first + len(out).
+
+def _fill_dark(prop, rows, starts, y, first, out):
+    """Write the dark rows' states y[rows], normalized, to out from the instant each starts at.
+
+    starts holds each row's sub-step position; a row is written from the
+    first instant of out at or after it.
     """
-    rows, psi = shared
-    if not rows.size:
-        return [], shared
+    since = -(-starts // prop.substeps) - first - 1
+    at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since)
+    y_dark = y[rows]
+    out[at_t, rows[at_r]] = (y_dark / np.sqrt(_norm_sq(y_dark))[:, None])[at_r]
+
+
+def _first_jumps(prop, y, thresholds, streams, jump_log):
+    """Walk the no-jump path over the whole grid and make every row's first jump on it.
+
+    Every row of y starts in the same state psi0, and a row's product does
+    not depend on the other rows of its array, so the one-row chain psi0 S^p
+    of _rows_times is every row's state, bit for bit, until its first jump
+    (the waiting-time picture of the unraveling). A row leaves at the first
+    sub-step whose end norm is below its threshold, which is where the
+    running minimum of the chain's norms first falls below it. The rows
+    that leave are sorted stably by position and jumped in one _jump_rows
+    call, and y takes their states at the end of that sub-step.
+
+    Returns the path's states at the grid instants, normalized; each row's
+    start, the sub-step position at which its jumped state holds (one past
+    the last sub-step for a row that never jumps); and the dark flags of the
+    jumped rows (_advance).
+    """
     sub = prop.substeps
-    n = len(out) * sub
-    chain = np.empty((n + 1, psi.shape[1]), dtype=complex)
-    chain[0] = psi
-    for s in range(n):
+    steps = (len(prop.times) - 1) * sub
+    chain = np.empty((steps + 1, y.shape[1]), dtype=complex)
+    chain[0] = y[0]
+    for s in range(steps):
         chain[s + 1] = _rows_times(chain[s:s + 1], prop.step_t)
     norms = _norm_sq(chain)
-    out[:, rows] = (chain[sub::sub] / np.sqrt(norms[sub::sub])[:, None])[:, None]
-    exits = np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds[rows], side="right")
-    left = np.count_nonzero(exits < n)
-    at = exits[:left]
-    aside = [(rows[:left], chain[at], norms[at + 1], first * sub + at)] if left else []
-    return aside, (rows[left:], chain[n:])
+    exits = np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds, side="right")
+    rows = np.flatnonzero(exits < steps)
+    rows = rows[np.argsort(exits[rows], kind="stable")]
+    at = exits[rows]
+    t_a = prop.times[at // sub] + (at % sub) * prop.h
+    y[rows] = _jump_rows(prop, rows, chain[at], norms[at + 1], t_a, thresholds, streams, jump_log)
+    dark = np.zeros(len(y), dtype=bool)
+    dark[rows] = _dark(prop, y[rows])
+    return chain[::sub] / np.sqrt(norms[::sub])[:, None], exits + 1, dark
 
 
 def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
@@ -470,13 +493,15 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
 
     The rows are those whose jumps left them on moving states; each row's
     product is its own, since their states differ. Positions count sub-steps
-    from t0 and starts is ascending. The states at instants
-    first + 1 .. first + len(out) go to out, normalized. A row whose norm
-    falls below its threshold within a sub-step leaves the wave there; the
-    others reach instant first + len(out), where their states go to y_last.
-    Returns, per sub-step in which rows left, (rows, their states at the
-    sub-step's start, their squared norms at its end, its position per row);
-    nothing when there are no rows.
+    from t0 and starts is ascending: a row joins the wave at its start, so
+    the rows carried from the window before and the rows whose first jump
+    falls within this one run in the same wave. The states at instants
+    first + 1 .. first + len(out) go to out, normalized, from each row's
+    start on. A row whose norm falls below its threshold within a sub-step
+    leaves the wave there; the others reach instant first + len(out), where
+    their states go to y_last. Returns, per sub-step in which rows left,
+    (rows, their states at the sub-step's start, their squared norms at its
+    end, its position per row); nothing when there are no rows.
     """
     if not rows.size:
         return []
@@ -516,51 +541,61 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     return aside
 
 
-def _advance(prop, y, shared, dark, first, out, thresholds, streams, jump_log):
+def _advance(prop, path, starts, dark, y, first, out, thresholds, streams, jump_log):
     """Carry a batch's rows from instant `first` over len(out) grid steps.
 
-    Rows come in three kinds. The rows that have not jumped take the shared
-    path (_shared_path). A row that its jumps leave with amplitude on fixed
-    states only (prop.moving) is dark: y @ step_t keeps it exactly, so its
-    norm, which _jump_rows left at or above its threshold, never falls
-    again; it is written by broadcast for the rest of the run. Every other
-    row is carried in waves. The first wave carries those rows; each later
-    wave carries the rows that left the one before or the shared path, from
-    the end of the sub-step in which they left, after one _jump_rows call
-    for all of them.
+    Rows come in three kinds. A row that has not made its first jump by
+    instant `first` (starts > first * substeps) holds the no-jump path, whose
+    states (path) are written by broadcast to every instant of the window;
+    what its first jump leads to overwrites the instants from its start on.
+    A row that its jumps leave with amplitude on fixed states only
+    (prop.moving) is dark: y @ step_t keeps it exactly, so its norm, which
+    _jump_rows left at or above its threshold, never falls again; it is
+    written by broadcast for the rest of the run. Every other row is carried
+    in waves. The first wave carries the rows carried from the window before
+    and, from their starts, the rows whose first jump left them on moving
+    states within this window; each later wave carries the rows that left
+    the one before, from the end of the sub-step in which they left, after
+    one _jump_rows call for all of them.
 
-    y holds each row's state at instant `first` (those of the shared rows
-    are not read) and, with the dark flags, is updated in place to instant
-    first + len(out). Returns shared at instant first + len(out).
+    y holds the state of each carried row at instant `first` and of each
+    row still to start at its start; it is updated in place, with the dark
+    flags, to instant first + len(out).
     """
     sub = prop.substeps
-    if dark.any():
-        y_dark = y[dark]
-        out[:, dark] = y_dark / np.sqrt(_norm_sq(y_dark))[:, None]
-    carried = ~dark
-    carried[shared[0]] = False
-    rows = np.flatnonzero(carried)
-    aside, shared = _shared_path(prop, shared, first, out, thresholds)
-    aside += _wave(prop, rows, np.full(len(rows), first * sub), y[rows], first, out,
-                   thresholds, y)
+    p_first, p_last = first * sub, (first + len(out)) * sub
+    pathed = starts > p_first
+    out[:, pathed] = path[first + 1:first + 1 + len(out), None]
+    held = dark & ~pathed
+    if held.any():
+        y_dark = y[held]
+        out[:, held] = y_dark / np.sqrt(_norm_sq(y_dark))[:, None]
+    entering = np.flatnonzero(pathed & (starts <= p_last))
+    entering = entering[np.argsort(starts[entering], kind="stable")]
+    gone_dark = dark[entering]
+    if gone_dark.any():
+        _fill_dark(prop, entering[gone_dark], starts[entering[gone_dark]], y, first, out)
+    entering = entering[~gone_dark]
+    carried = np.flatnonzero(~(pathed | dark))
+    rows = np.concatenate([carried, entering])
+    wave_starts = np.concatenate([np.full(len(carried), p_first), starts[entering]])
+    aside = _wave(prop, rows, wave_starts, y[rows], first, out, thresholds, y)
     while aside:
         rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
         order = np.argsort(at, kind="stable")  # _wave takes ascending starts
         rows, y_a, norm_end, at = rows[order], y_a[order], norm_end[order], at[order]
         t_a = prop.times[at // sub] + (at % sub) * prop.h
         y_jumped = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
-        starts = at + 1
-        now_dark = ~np.any((y_jumped != 0) & prop.moving, axis=1)
+        wave_starts = at + 1
+        now_dark = _dark(prop, y_jumped)
         if now_dark.any():
-            dark_rows, y_dark = rows[now_dark], y_jumped[now_dark]
-            since = -(-starts[now_dark] // sub) - first - 1  # the first instant of out each reaches
-            at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since)
-            out[at_t, dark_rows[at_r]] = (y_dark / np.sqrt(_norm_sq(y_dark))[:, None])[at_r]
-            y[dark_rows] = y_dark
-            dark[dark_rows] = True
-            rows, y_jumped, starts = rows[~now_dark], y_jumped[~now_dark], starts[~now_dark]
-        aside = _wave(prop, rows, starts, y_jumped, first, out, thresholds, y) if rows.size else []
-    return shared
+            y[rows[now_dark]] = y_jumped[now_dark]
+            dark[rows[now_dark]] = True
+            _fill_dark(prop, rows[now_dark], wave_starts[now_dark], y, first, out)
+            rows, y_jumped, wave_starts = (rows[~now_dark], y_jumped[~now_dark],
+                                           wave_starts[~now_dark])
+        aside = (_wave(prop, rows, wave_starts, y_jumped, first, out, thresholds, y)
+                 if rows.size else [])
 
 
 def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
@@ -569,27 +604,32 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     Each yield is a (w, n, dim) array holding the next w instants; instant 0
     is psi0 for every row, later ones are normalized. A window holds at most
     _WINDOW_ENTRIES entries (at least one instant), so memory does not grow
-    with the grid. Each jump is appended to jump_log as (row, time,
-    channel), rows counted from 0 within `indices`. Between windows the
-    block keeps, beside each row's state and threshold, the rows that have
-    not jumped with their shared state, and a dark flag per row (_advance).
+    with the grid. Before the first window, the no-jump path is walked over
+    the whole grid and every row's first jump is made in one search
+    (_first_jumps). The walk holds the whole-run chain, (n_t - 1) substeps
+    + 1 states of dim entries: substeps / (dim x blocks) of the block sums
+    (n_t, dim, dim) per block that _accumulate_batch holds. Only its n_t
+    states at the instants are kept for the windows. Each jump is appended
+    to jump_log as (row, time, channel), rows counted from 0 within
+    `indices`: every row's jumps are in time order, but the log as a whole
+    is not, since the first jumps of all rows come before every later jump.
+    Between windows the block keeps, beside the path, each row's state,
+    threshold, start and dark flag (_advance).
     """
     streams = _Streams(seed, indices)
     n = len(indices)
     thresholds = streams.draw(range(n))[:, 0]
     y = np.tile(psi0, (n, 1))
-    shared = (np.argsort(-thresholds, kind="stable"), y[:1].copy())
-    dark = np.zeros(n, dtype=bool)
+    path, starts, dark = _first_jumps(prop, y, thresholds, streams, jump_log)
     n_t = len(prop.times)
     width = max(1, _WINDOW_ENTRIES // y.size)
     for start in range(0, n_t, width):
         out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
         if start == 0:
-            out[0] = y
-            shared = _advance(prop, y, shared, dark, 0, out[1:], thresholds, streams, jump_log)
+            out[0] = psi0
+            _advance(prop, path, starts, dark, y, 0, out[1:], thresholds, streams, jump_log)
         else:
-            shared = _advance(prop, y, shared, dark, start - 1, out, thresholds, streams,
-                              jump_log)
+            _advance(prop, path, starts, dark, y, start - 1, out, thresholds, streams, jump_log)
         yield out
 
 
@@ -637,14 +677,15 @@ def _accumulate_batch(args):
         at = slice(first, first + len(window))
         for b, (lo, hi) in enumerate(blocks):
             psi = np.ascontiguousarray(window[:, lo:hi])
-            np.matmul(psi.transpose(0, 2, 1), psi.conj(), out=rho_sum[b, at])
+            psi_conj = psi.conj()
+            np.matmul(psi.transpose(0, 2, 1), psi_conj, out=rho_sum[b, at])
             for j, a in enumerate(obs_mats):
-                vals = np.sum((psi.conj() @ a) * psi, axis=2)
+                vals = np.sum((psi_conj @ a) * psi, axis=2)
                 mean = vals.mean(axis=1)
                 obs_mean[b, j, at] = mean
                 obs_m2[b, j, at] = np.sum(np.abs(vals - mean[:, None]) ** 2, axis=1)
         first += len(window)
-        del window, psi  # _run_block allocates the next window before the loop rebinds these
+        del window, psi, psi_conj  # _run_block allocates the next window before these are rebound
     rows = np.array([row for row, _, _ in jump_log], dtype=np.intp)
     jumps_per_row = np.bincount(rows, minlength=stop - start)
     return [(hi - lo, rho_sum[b], obs_mean[b], obs_m2[b], np.bincount(jumps_per_row[lo:hi]))

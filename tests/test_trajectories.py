@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,42 @@ class TestWavesMatchPerSubstepCore:
         assert len(calls) <= 2 * n_blocks
         assert sum(calls) == np.dot(np.arange(len(stats.jump_histogram)), stats.jump_histogram)
 
+    @pytest.mark.parametrize("n_points", [101, 6])  # the 6-point grid needs sub-steps
+    @pytest.mark.parametrize("setup", ["pump", "oscillator"])
+    def test_first_jumps_join_later_windows(self, monkeypatch, setup, n_points):
+        # every first jump is made before the first window; a row that its jump leaves on
+        # moving states joins the wave of the window that its start falls in
+        if setup == "pump":
+            model, psi0, obs = pump_model(), np.array([0.0, 1.0], dtype=complex), P_E
+        else:
+            model, psi0 = oscillator_setup()
+            obs = kron(Operator(np.diag(np.arange(4.0)).astype(complex)), identity(4))
+        cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, n_points),
+                               integrator=LOOSE)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        prop = trajectories._grid_propagator(model, cfg)
+        checked = range(0, cfg.n_traj, 10)
+        singles = [mcwf_run(model, psi0, cfg, traj_index=index).states for index in checked]
+        windowed = []
+        for instants in (1, 3):
+            monkeypatch.setattr(trajectories, "_WINDOW_ENTRIES", instants * cfg.n_traj * model.dim)
+            jump_log = []
+            states = np.concatenate(list(trajectories._run_block(prop, psi0, cfg.seed,
+                                                                 range(cfg.n_traj), jump_log)))
+            first_jumps = {}
+            for row, t, _ in jump_log:
+                first_jumps.setdefault(row, t)
+            assert max(first_jumps.values()) > prop.times[instants - 1]  # past the first window
+            for index, single in zip(checked, singles):
+                assert np.array_equal(states[:, index], single)
+            windowed.append(ensemble_average(model, psi0, cfg, observables=(obs,)))
+        monkeypatch.setattr(trajectories, "_run_block", _reference_windows)
+        reference = ensemble_average(model, psi0, cfg, observables=(obs,))
+        for waves in windowed:
+            assert np.array_equal(waves.jump_histogram, reference.jump_histogram)
+            assert np.max(np.abs(waves.means - reference.means)) <= 1e-12
+            assert np.max(np.abs(waves.mean_states - reference.mean_states)) <= 1e-12
+
 
 class TestDarkRows:
     """A row that a jump leaves on fixed states only is written by broadcast, not carried."""
@@ -893,3 +930,40 @@ class TestBatchWork:
         cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, 101), integrator=LOOSE)
         counts = self.step_rows(monkeypatch, model, psi0, cfg, obs)
         assert max(counts) > 1
+
+    @pytest.mark.parametrize("batch_blocks", [8, 2])
+    def test_first_jumps_are_searched_once_per_batch(self, monkeypatch, batch_blocks):
+        # every shipped jump leaves a dark row, so no row jumps twice within a sub-step
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        monkeypatch.setattr(trajectories, "_BATCH_BLOCKS", batch_blocks)
+        batches, searches = [], []
+        accumulate, search = trajectories._accumulate_batch, trajectories._locate_crossings
+
+        def counted_batch(args):
+            batches.append(args)
+            return accumulate(args)
+
+        def counted_search(*args):
+            searches.append(len(args[1]))
+            return search(*args)
+
+        monkeypatch.setattr(trajectories, "_accumulate_batch", counted_batch)
+        monkeypatch.setattr(trajectories, "_locate_crossings", counted_search)
+        stats = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        per_batch = batch_blocks * trajectories._BLOCK
+        assert len(searches) == len(batches) == -(-tcfg.n_traj // per_batch)
+        assert sum(searches) == np.dot(np.arange(len(stats.jump_histogram)), stats.jump_histogram)
+
+    def test_batch_memory_is_bounded(self):
+        # the whole-run no-jump path (101 states of dim 4 here) sits beside the window
+        # and the block sums
+        model, psi0, tcfg, obs = TestSharedPropagatorBuilder.shipped(7)
+        prop = trajectories._grid_propagator(model, tcfg)
+        tracemalloc.start()
+        try:
+            trajectories._accumulate_batch((prop, psi0, tcfg.seed, [obs.mat], 0, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
