@@ -179,7 +179,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> Pat
     except OSError as exc:
         raise ConfigError(f"--out {out_dir} cannot be a directory: {exc.strerror}") from None
     out_path = out_dir / cfg.output
-    if out_path.is_dir():
+    try:
+        is_dir = out_path.is_dir()
+    except OSError as exc:  # such as a name longer than the file system allows
+        raise ConfigError(f"output {out_path} cannot be a file: {exc.strerror or exc}") from None
+    if is_dir:
         raise ConfigError(f"output {out_path} is a directory")
     columns = _RUNNERS[cfg.scenario](cfg)
     try:

@@ -17,7 +17,6 @@ from .baths import Flat, Lorentzian, SpectralDensity
 from .dynamics import TimeGrid
 from .embedding import MAX_COMPOSITE_DIM, SystemSpec, oscillator_system, tls_system
 from .integrators import IntegratorConfig
-from .oracles import _volterra_substeps, build_discrete_bath, check_volterra_step
 
 SCENARIO_KINDS = (
     "markovian",
@@ -245,6 +244,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             )
         if grid.t0 != 0.0:
             raise ConfigError(f"scenario '{scenario}' requires time.t0 = 0")
+        # only here: a config that runs no reference does not load them
+        from .oracles import _volterra_substeps, build_discrete_bath, check_volterra_step
+
         # the defaults go in here, so that cfg.h and cfg.half_width are what the run uses
         if scenario == "discrete_bath":
             h = None

@@ -509,6 +509,21 @@ class TestExitCodes:
         assert err == "config error: output '\\ud800.csv' cannot be encoded as a file name\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_output_name_too_long_is_2(self, tmp_path, capsys, monkeypatch):
+        # pathlib's is_dir re-raises ENAMETOOLONG; it must end before any compute
+        def never(cfg):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "markovian", never)
+        doc = json.loads((REPO / "configs" / "markovian_tls.json").read_text())
+        doc["output"] = "a" * 300 + ".csv"
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: output {tmp_path / doc['output']} cannot be a file: "
+                       f"{os.strerror(errno.ENAMETOOLONG)}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_seed_override_outside_trajectories_is_2(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         assert main(["run", str(path), "--out", str(tmp_path), "--seed", "3"]) == 2

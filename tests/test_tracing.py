@@ -8,6 +8,7 @@ benchmark run; this test catches that in the ordinary suite.
 import importlib.util
 from pathlib import Path
 
+import pseudomode
 import pseudomode.cli  # noqa: F401  (the tracer wraps the modules the CLI imports)
 from pseudomode import dynamics, integrators
 
@@ -32,3 +33,18 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert dynamics.evolve is evolve
     assert integrators.Dopri5.__dict__["step"] is step
+
+
+def test_package_names_keep_no_wrapper():
+    # the package resolves pseudomode.evolve from dynamics on every access, so a
+    # name first read under the tracer does not keep its wrapper
+    vars(pseudomode).pop("evolve", None)
+    tracer = _tracing_module().Tracer()
+    tracer.install()
+    try:
+        assert pseudomode.evolve is dynamics.evolve
+        assert pseudomode.evolve.__wrapped__ is not None
+    finally:
+        tracer.uninstall()
+    assert pseudomode.evolve is dynamics.evolve
+    assert not hasattr(pseudomode.evolve, "__wrapped__")
