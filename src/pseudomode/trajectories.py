@@ -10,27 +10,28 @@ is time independent and the output grid uniform, so the no-jump propagator
 over one grid step (or over an equal fraction of it, a sub-step) is computed
 once per ensemble, by running the adaptive integrator on the identity, and
 each step is one matrix product. A batch does per-row work only where its
-rows differ. Every row that has not jumped yet holds the same state, the
-initial one times a power of the step, so one row carries it for all of
-them (the waiting-time picture of the unraveling). Before any state is
-stored, that no-jump path is walked over the whole grid, each row leaves it
-at the first sub-step whose norm is below its threshold, and the first
-jumps of all rows are located in one search. A row that a jump leaves on
-states whose column of the drift is zero is dark: the step keeps it
-exactly and it can never jump again, so its state is broadcast to the rest
-of the run. The other rows, those whose jumps left them on moving states,
-run in waves: a wave carries them along the grid from their starts, and a
-row whose norm falls below its threshold within a sub-step leaves it there
-while the others go on. After each wave, the jump times of all rows that
-left are located together. Every search locates each row's jump to its own
-tolerance on one fixed Runge-Kutta step from the start of its sub-step
-(Newton steps, then bisection, several levels per evaluation call); the
-rows are collapsed, given new thresholds and carried to the end of that
-sub-step, where the next wave resumes them. So a batch searches once for
-its first jumps and once per wave with later ones (again only for a row
-that jumps twice within one sub-step), not once per sub-step in which some
-row jumped. States are stored a window of instants at a time, of bounded
-size.
+rows differ, and a row is of one of two kinds. A row that has not jumped
+yet is on the no-jump path: all such rows hold the same state, the initial
+one times a power of the step, so one row carries it for all of them (the
+waiting-time picture of the unraveling). Before any state is stored, that
+path is walked over the whole grid, each row leaves it at the first
+sub-step whose norm is below its threshold, and the first jumps of all rows
+are located in one search. A jumped row is placed: it holds its own state
+from a sub-step position on, its start. A placed row whose state lies on
+states with a zero column of the drift is dark: the step keeps it exactly
+and it can never jump again, so its state is broadcast from its start to
+the rest of the run. The other placed rows run in waves: a wave carries
+them along the grid from their starts, and a row whose norm falls below
+its threshold within a sub-step leaves it there while the others go on.
+The rows that left are jumped together and placed again, as the first
+jumps are. Every search locates each row's jump to its own tolerance on
+one fixed Runge-Kutta step from the start of its sub-step (Newton steps,
+then bisection, several levels per evaluation call); the rows are
+collapsed, given new thresholds and carried to the end of that sub-step,
+their new start. So a batch searches once for its first jumps and once per
+wave with later ones (again only for a row that jumps twice within one
+sub-step), not once per sub-step in which some row jumped. States are
+stored a window of instants at a time, of bounded size.
 
 An ensemble is cut into fixed blocks of 128 trajectories, and consecutive
 whole blocks into batches; each batch advances as one array, so the waves,
@@ -56,6 +57,7 @@ from multiprocessing import Pipe, Process
 
 import numpy as np
 
+from .algebra import Operator
 from .config import ConfigError
 from .dynamics import LindbladModel, TimeGrid
 from .integrators import Dopri5, IntegratorConfig, fixed_step, iter_instants
@@ -78,6 +80,11 @@ class JumpDegeneracyError(RuntimeError):
     """A jump was triggered but every channel has zero weight."""
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     n_traj: int
@@ -88,9 +95,9 @@ class TrajectoryConfig:
     )
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError(f"need at least one trajectory, got {self.n_traj}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
+        if not (_is_int(self.n_traj) and self.n_traj >= 1):
+            raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
@@ -436,24 +443,42 @@ def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log):
     return y_end
 
 
-def _dark(prop, y):
-    """Per row of y, whether it has amplitude on fixed states only, which step_t keeps exactly."""
-    return ~np.any((y != 0) & prop.moving, axis=1)
-
-
 def _fill_dark(prop, rows, starts, y, first, out):
     """Write the dark rows' states y[rows], normalized, to out from the instant each starts at.
 
-    starts holds each row's sub-step position; a row is written from the
-    first instant of out at or after it.
+    starts holds every row's sub-step position; a row is written from the
+    first instant of out at or after it, by broadcast when that is the
+    window's first.
     """
-    since = -(-starts // prop.substeps) - first - 1
-    at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since)
-    y_dark = y[rows]
-    out[at_t, rows[at_r]] = (y_dark / np.sqrt(_norm_sq(y_dark))[:, None])[at_r]
+    since = -(-starts[rows] // prop.substeps) - first - 1
+    y_dark = y[rows] / np.sqrt(_norm_sq(y[rows]))[:, None]
+    held = since <= 0
+    out[:, rows[held]] = y_dark[held]
+    at_t, at_r = np.nonzero(np.arange(len(out))[:, None] >= since[~held])
+    out[at_t, rows[~held][at_r]] = y_dark[~held][at_r]
 
 
-def _first_jumps(prop, y, thresholds, streams, jump_log):
+def _jump(prop, aside, y, starts, dark, thresholds, streams, jump_log):
+    """Make the jumps of the rows set aside, in one _jump_rows call; returns those rows.
+
+    aside holds parts (rows, their states at a sub-step's start, their
+    squared norms at its end, its position per row). The rows are sorted
+    stably by position and each takes, in y, its state at the end of that
+    sub-step, which holds from the next position on (starts), and its dark
+    flag: whether that state lies on fixed states only, which step_t keeps
+    exactly.
+    """
+    rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
+    order = np.argsort(at, kind="stable")  # _wave takes ascending starts
+    rows, y_a, norm_end, at = rows[order], y_a[order], norm_end[order], at[order]
+    t_a = prop.times[at // prop.substeps] + (at % prop.substeps) * prop.h
+    y[rows] = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
+    starts[rows] = at + 1
+    dark[rows] = ~np.any((y[rows] != 0) & prop.moving, axis=1)
+    return rows
+
+
+def _first_jumps(prop, y, starts, dark, thresholds, streams, jump_log):
     """Walk the no-jump path over the whole grid and make every row's first jump on it.
 
     Every row of y starts in the same state psi0, and a row's product does
@@ -461,14 +486,9 @@ def _first_jumps(prop, y, thresholds, streams, jump_log):
     of _rows_times is every row's state, bit for bit, until its first jump
     (the waiting-time picture of the unraveling). A row leaves at the first
     sub-step whose end norm is below its threshold, which is where the
-    running minimum of the chain's norms first falls below it. The rows
-    that leave are sorted stably by position and jumped in one _jump_rows
-    call, and y takes their states at the end of that sub-step.
-
-    Returns the path's states at the grid instants, normalized; each row's
-    start, the sub-step position at which its jumped state holds (one past
-    the last sub-step for a row that never jumps); and the dark flags of the
-    jumped rows (_advance).
+    running minimum of the chain's norms first falls below it; _jump makes
+    all these jumps. Returns the path's states at the grid instants,
+    normalized.
     """
     sub = prop.substeps
     steps = (len(prop.times) - 1) * sub
@@ -479,35 +499,31 @@ def _first_jumps(prop, y, thresholds, streams, jump_log):
     norms = _norm_sq(chain)
     exits = np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds, side="right")
     rows = np.flatnonzero(exits < steps)
-    rows = rows[np.argsort(exits[rows], kind="stable")]
     at = exits[rows]
-    t_a = prop.times[at // sub] + (at % sub) * prop.h
-    y[rows] = _jump_rows(prop, rows, chain[at], norms[at + 1], t_a, thresholds, streams, jump_log)
-    dark = np.zeros(len(y), dtype=bool)
-    dark[rows] = _dark(prop, y[rows])
-    return chain[::sub] / np.sqrt(norms[::sub])[:, None], exits + 1, dark
+    _jump(prop, [(rows, chain[at], norms[at + 1], at)], y, starts, dark, thresholds, streams,
+          jump_log)
+    return chain[::sub] / np.sqrt(norms[::sub])[:, None]
 
 
 def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     """Carry each rows[j] from sub-step position starts[j], in state y0[j], by y @ step_t.
 
-    The rows are those whose jumps left them on moving states; each row's
-    product is its own, since their states differ. Positions count sub-steps
-    from t0 and starts is ascending: a row joins the wave at its start, so
-    the rows carried from the window before and the rows whose first jump
-    falls within this one run in the same wave. The states at instants
-    first + 1 .. first + len(out) go to out, normalized, from each row's
-    start on. A row whose norm falls below its threshold within a sub-step
-    leaves the wave there; the others reach instant first + len(out), where
-    their states go to y_last. Returns, per sub-step in which rows left,
-    (rows, their states at the sub-step's start, their squared norms at its
-    end, its position per row); nothing when there are no rows.
+    The rows are placed rows on moving states; each row's product is its
+    own, since their states differ. Positions count sub-steps from t0 and
+    starts is ascending: a row joins the wave at its start, so the rows
+    carried from the window before and the rows whose jump falls within
+    this one run in the same wave. The states at instants first + 1 ..
+    first + len(out) go to out, normalized, from each row's start on. A row
+    whose norm falls below its threshold within a sub-step leaves the wave
+    there; the others reach instant first + len(out), where their states go
+    to y_last. Returns, per sub-step in which rows left, (rows, their states
+    at the sub-step's start, their squared norms at its end, its position
+    per row); nothing when there are no rows.
     """
     if not rows.size:
         return []
     sub = prop.substeps
-    p_first = first * sub
-    p_last = (first + len(out)) * sub
+    p_first, p_last = first * sub, (first + len(out)) * sub
     positions, heads = np.unique(starts, return_index=True)
     bounds = np.append(heads, len(rows)).tolist()
     joins = {p: (a, b) for p, a, b in zip(positions.tolist(), bounds, bounds[1:])}
@@ -544,58 +560,32 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
 def _advance(prop, path, starts, dark, y, first, out, thresholds, streams, jump_log):
     """Carry a batch's rows from instant `first` over len(out) grid steps.
 
-    Rows come in three kinds. A row that has not made its first jump by
-    instant `first` (starts > first * substeps) holds the no-jump path, whose
-    states (path) are written by broadcast to every instant of the window;
-    what its first jump leads to overwrites the instants from its start on.
-    A row that its jumps leave with amplitude on fixed states only
-    (prop.moving) is dark: y @ step_t keeps it exactly, so its norm, which
-    _jump_rows left at or above its threshold, never falls again; it is
-    written by broadcast for the rest of the run. Every other row is carried
-    in waves. The first wave carries the rows carried from the window before
-    and, from their starts, the rows whose first jump left them on moving
-    states within this window; each later wave carries the rows that left
-    the one before, from the end of the sub-step in which they left, after
-    one _jump_rows call for all of them.
+    A row whose start lies past the window's first sub-step (starts >
+    first * substeps) holds the no-jump path there: the path's states are
+    broadcast to the whole window, and what its first jump leads to
+    overwrites the instants from its start on. Every row whose start lies
+    at or before the window's last sub-step is placed, from max(start,
+    first * substeps). A dark row (amplitude on fixed states only) is kept
+    exactly by y @ step_t, so its norm, which _jump_rows left at or above
+    its threshold, never falls again: it is written from its start on
+    (_fill_dark). The other rows run in one wave, and the rows that leave
+    it are jumped together (_jump) and placed again, until none is left.
 
-    y holds the state of each carried row at instant `first` and of each
-    row still to start at its start; it is updated in place, with the dark
-    flags, to instant first + len(out).
+    y, starts and dark are updated in place to instant first + len(out).
     """
-    sub = prop.substeps
-    p_first, p_last = first * sub, (first + len(out)) * sub
-    pathed = starts > p_first
-    out[:, pathed] = path[first + 1:first + 1 + len(out), None]
-    held = dark & ~pathed
-    if held.any():
-        y_dark = y[held]
-        out[:, held] = y_dark / np.sqrt(_norm_sq(y_dark))[:, None]
-    entering = np.flatnonzero(pathed & (starts <= p_last))
-    entering = entering[np.argsort(starts[entering], kind="stable")]
-    gone_dark = dark[entering]
-    if gone_dark.any():
-        _fill_dark(prop, entering[gone_dark], starts[entering[gone_dark]], y, first, out)
-    entering = entering[~gone_dark]
-    carried = np.flatnonzero(~(pathed | dark))
-    rows = np.concatenate([carried, entering])
-    wave_starts = np.concatenate([np.full(len(carried), p_first), starts[entering]])
-    aside = _wave(prop, rows, wave_starts, y[rows], first, out, thresholds, y)
-    while aside:
-        rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
-        order = np.argsort(at, kind="stable")  # _wave takes ascending starts
-        rows, y_a, norm_end, at = rows[order], y_a[order], norm_end[order], at[order]
-        t_a = prop.times[at // sub] + (at % sub) * prop.h
-        y_jumped = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
-        wave_starts = at + 1
-        now_dark = _dark(prop, y_jumped)
-        if now_dark.any():
-            y[rows[now_dark]] = y_jumped[now_dark]
-            dark[rows[now_dark]] = True
-            _fill_dark(prop, rows[now_dark], wave_starts[now_dark], y, first, out)
-            rows, y_jumped, wave_starts = (rows[~now_dark], y_jumped[~now_dark],
-                                           wave_starts[~now_dark])
-        aside = (_wave(prop, rows, wave_starts, y_jumped, first, out, thresholds, y)
-                 if rows.size else [])
+    p_first, p_last = first * prop.substeps, (first + len(out)) * prop.substeps
+    out[:, starts > p_first] = path[first + 1:first + 1 + len(out), None]
+    rows = np.flatnonzero(starts <= p_last)
+    rows = rows[np.argsort(np.maximum(starts[rows], p_first), kind="stable")]
+    while rows.size:
+        gone_dark = dark[rows]
+        _fill_dark(prop, rows[gone_dark], starts, y, first, out)
+        rows = rows[~gone_dark]
+        aside = _wave(prop, rows, np.maximum(starts[rows], p_first), y[rows], first, out,
+                      thresholds, y)
+        if not aside:
+            break
+        rows = _jump(prop, aside, y, starts, dark, thresholds, streams, jump_log)
 
 
 def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump_log):
@@ -618,18 +608,19 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     """
     streams = _Streams(seed, indices)
     n = len(indices)
+    n_t = len(prop.times)
     thresholds = streams.draw(range(n))[:, 0]
     y = np.tile(psi0, (n, 1))
-    path, starts, dark = _first_jumps(prop, y, thresholds, streams, jump_log)
-    n_t = len(prop.times)
+    starts = np.full(n, (n_t - 1) * prop.substeps + 1)  # past the last sub-step: on the path
+    dark = np.zeros(n, dtype=bool)
+    path = _first_jumps(prop, y, starts, dark, thresholds, streams, jump_log)
     width = max(1, _WINDOW_ENTRIES // y.size)
     for start in range(0, n_t, width):
         out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
-        if start == 0:
-            out[0] = psi0
-            _advance(prop, path, starts, dark, y, 0, out[1:], thresholds, streams, jump_log)
-        else:
-            _advance(prop, path, starts, dark, y, start - 1, out, thresholds, streams, jump_log)
+        lead = int(start == 0)
+        out[:lead] = psi0  # instant 0
+        _advance(prop, path, starts, dark, y, start - 1 + lead, out[lead:], thresholds, streams,
+                 jump_log)
         yield out
 
 
@@ -640,7 +631,7 @@ def mcwf_run(
     traj_index: int = 0,
 ) -> TrajectoryResult:
     """One quantum-jump trajectory, fully determined by (cfg.seed, traj_index)."""
-    if not (isinstance(traj_index, (int, np.integer)) and 0 <= traj_index < 1 << 64):
+    if not (_is_int(traj_index) and 0 <= traj_index < 1 << 64):
         raise ValueError(f"traj_index must be an integer in [0, 2^64), got {traj_index!r}")
     psi0 = _checked_state(model, psi0)
     prop = _grid_propagator(model, cfg)
@@ -817,6 +808,11 @@ def ensemble_average(
     never outnumber the process's CPUs, so at most CPUs - 1 workers start.
     """
     psi0 = _checked_state(model, psi0)
+    for j, a in enumerate(observables):
+        if not isinstance(a, Operator):
+            raise ValueError(f"observable {j} must be an Operator, got {type(a).__name__}")
+        if a.dim != model.dim:
+            raise ValueError(f"observable {j} dim {a.dim} != model dim {model.dim}")
     prop = _grid_propagator(model, cfg)
     obs_mats = [a.mat for a in observables]
     n_blocks = -(-cfg.n_traj // _BLOCK)

@@ -149,17 +149,23 @@ class TestMcwfRun:
         with pytest.raises(ValueError, match="finite"):
             mcwf_run(emb.model, psi0, cfg)
 
-    @pytest.mark.parametrize("index", [-1, 1 << 64, 1.5])
+    @pytest.mark.parametrize("index", [-1, 1 << 64, 1.5, True])
     def test_rejects_traj_index_outside_the_stream_keys(self, index):
         cfg = TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 1, 3))
         with pytest.raises(ValueError, match="traj_index"):
             mcwf_run(tls_decay_model(), np.array([0.0, 1.0], dtype=complex), cfg, index)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, False])
     def test_rejects_seed_outside_the_stream_keys(self, seed):
         # the seed is one 64-bit word of the Philox key, so 2^64 + 7 would alias 7
         with pytest.raises(ValueError, match="seed"):
             TrajectoryConfig(n_traj=1, seed=seed, grid=TimeGrid(0, 1, 3))
+
+    @pytest.mark.parametrize("n_traj", [0, 2.5, True])
+    def test_rejects_n_traj_that_is_not_a_count(self, n_traj):
+        # a bool is an int to Python, but n_traj=True is a caller's slip, not one trajectory
+        with pytest.raises(ValueError, match="n_traj"):
+            TrajectoryConfig(n_traj=n_traj, seed=0, grid=TimeGrid(0, 1, 3))
 
     def test_largest_traj_index_runs(self):
         cfg = TrajectoryConfig(n_traj=1, seed=0, grid=TimeGrid(0, 1, 3), integrator=LOOSE)
@@ -192,6 +198,20 @@ class TestEnsembleAverage:
         pe = np.einsum("ti,ij,tj->t", traj.states.conj(), obs.mat, traj.states)
         assert np.allclose(stats.means[0], pe)
         assert np.all(np.isnan(stats.stderrs))
+
+    @pytest.mark.parametrize("observables, message", [
+        ((P_E, Operator(np.eye(3))), "observable 1 dim 3 != model dim 2"),
+        ((np.eye(2),), "observable 0 must be an Operator, got ndarray"),
+    ])
+    def test_rejects_bad_observables_before_any_work(self, monkeypatch, observables, message):
+        def no_work(*args):
+            raise AssertionError("the propagator was built")
+
+        monkeypatch.setattr(trajectories, "_grid_propagator", no_work)
+        cfg = TrajectoryConfig(n_traj=2, seed=0, grid=TimeGrid(0, 1, 3))
+        with pytest.raises(ValueError, match=message):
+            ensemble_average(tls_decay_model(), np.array([0.0, 1.0], dtype=complex), cfg,
+                             observables=observables)
 
     def test_worker_count_invariance(self, monkeypatch):
         emb, psi0, obs = embedded_setup()
@@ -670,6 +690,32 @@ class TestWavesMatchPerSubstepCore:
         whole = ensemble_average(model, psi0, tcfg, observables=(obs,))
         monkeypatch.setattr(trajectories, "_WINDOW_ENTRIES", 1)
         windowed = ensemble_average(model, psi0, tcfg, observables=(obs,))
+        assert np.array_equal(whole.means, windowed.means)
+        assert np.array_equal(whole.mean_states, windowed.mean_states)
+        assert np.array_equal(whole.jump_histogram, windowed.jump_histogram)
+
+    def test_window_size_does_not_move_dark_and_moving_rows(self, monkeypatch):
+        # on the 6-point grid, with sub-steps, a row that jumps in a window's last sub-step
+        # starts exactly on the next window's edge
+        model, psi0 = oscillator_setup()
+        obs = kron(Operator(np.diag(np.arange(4.0)).astype(complex)), identity(4))
+        cfg = TrajectoryConfig(n_traj=200, seed=41, grid=TimeGrid(0, 10, 6), integrator=LOOSE)
+        monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+        whole = ensemble_average(model, psi0, cfg, observables=(obs,))
+        on_edge = []
+        advance = trajectories._advance
+
+        def recorded(prop, path, starts, dark, y, first, *rest):
+            on_edge.append(np.count_nonzero(starts == first * prop.substeps))
+            return advance(prop, path, starts, dark, y, first, *rest)
+
+        monkeypatch.setattr(trajectories, "_WINDOW_ENTRIES", 1)
+        monkeypatch.setattr(trajectories, "_advance", recorded)
+        windowed = ensemble_average(model, psi0, cfg, observables=(obs,))
+        assert trajectories._grid_propagator(model, cfg).substeps > 1
+        assert len(on_edge) == 6 and sum(on_edge) > 0  # one window per instant
+        assert whole.jump_histogram[3] > 0  # the vacuum is dark
+        assert whole.jump_histogram[1:3].sum() > 0  # rows still moving after a jump
         assert np.array_equal(whole.means, windowed.means)
         assert np.array_equal(whole.mean_states, windowed.mean_states)
         assert np.array_equal(whole.jump_histogram, windowed.jump_histogram)
