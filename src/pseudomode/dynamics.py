@@ -65,6 +65,11 @@ class LindbladModel:
         return g
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniformly spaced output instants on [t0, t1]."""
@@ -80,8 +85,8 @@ class TimeGrid:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if not math.isfinite(self.t1 - self.t0):
             raise ValueError(f"time span t1 - t0 overflows, got [{self.t0}, {self.t1}]")
-        if self.n_points < 2:
-            raise ValueError(f"need at least 2 output instants, got {self.n_points}")
+        if not (_is_int(self.n_points) and self.n_points >= 2):
+            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_points)
@@ -310,6 +315,7 @@ class _Layout(NamedTuple):
     z0: np.ndarray  # (k,) the seed's Hermitian parts H + iK, as coordinates x0 + i y0
     live: np.ndarray  # the c coordinates that can move, sorted
     generator: tuple[np.ndarray, np.ndarray]  # R on the live coordinates, as _field reads it
+    dim: int  # the model's dimension n, whose basis `states` index
 
     def widen(self, x: np.ndarray) -> np.ndarray:
         """The (..., k) curve of a live coordinates' curve x (..., c); the others are zero."""
@@ -340,7 +346,7 @@ def _coordinate_layout(model: LindbladModel, seed: np.ndarray) -> _Layout:
     renumbered[live] = np.arange(live.size)
     kept = renumbered[cols] >= 0  # a live column feeds only live rows
     at = renumbered[rows[kept]] * live.size + renumbered[cols[kept]]
-    return _Layout(states, coords, z0, live, (at, values[kept]))
+    return _Layout(states, coords, z0, live, (at, values[kept]), model.dim)
 
 
 def _field(at: np.ndarray, values: np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -13,11 +13,19 @@ propagator up to 256 live coordinates, past them the adaptive run of evolve.
 The grid loop fills B instants per product from the stacked powers of the
 step, with B from the live coordinates and the grid length so that the powers
 cost at most 1 / B of the matrix-vector calls they save (_batch_width).
+
+The "auto" ladder (_truncation_ladder) doubles d_A until two rungs agree. The
+coupling conserves excitations and V a^dag is its only term that raises the
+ancilla, so once no reachable state on a rung's top level d_A - 1 has a
+nonzero column of V, every larger rung reaches the same states, entries and
+real generator. From there on each rung reuses that layout, its states
+renumbered s d_A + a, and builds neither the composite nor a layout.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +48,8 @@ from .dynamics import (
     _coordinate_layout,
     _HermitianCoordinates,
     _integrate_coordinates,
+    _is_int,
+    _Layout,
 )
 from .integrators import IntegratorConfig, propagator
 
@@ -122,8 +132,8 @@ class EmbeddingSpec:
     d_A: int
 
     def __post_init__(self):
-        if self.d_A < 2:
-            raise ValueError(f"ancilla truncation must be >= 2, got {self.d_A}")
+        if not (_is_int(self.d_A) and self.d_A >= 2):
+            raise ValueError(f"ancilla truncation d_A must be an integer >= 2, got {self.d_A!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +226,9 @@ def _grid_curve(step: np.ndarray, x0: np.ndarray, n_points: int) -> np.ndarray:
     return reached
 
 
-def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeGrid,
-                   cfg: IntegratorConfig) -> np.ndarray:
+def _reduced_curve(model: LindbladModel | None, rho0: np.ndarray | None, d_A: int,
+                   grid: TimeGrid, cfg: IntegratorConfig,
+                   layout: _Layout | None = None) -> np.ndarray:
     """Reduced states of a system x ancilla model on the grid, one (n_t, d_S, d_S) stack.
 
     The one curve core of every Lindblad scenario; d_A = 1 is a model with
@@ -244,17 +255,22 @@ def _reduced_curve(model: LindbladModel, rho0: np.ndarray, d_A: int, grid: TimeG
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.
+
+    `layout` is _coordinate_layout(model, rho0), made here unless given; when
+    given, model and rho0 are not read (the ladder passes only the layout).
     """
-    d_S = model.dim // d_A
-    layout = _coordinate_layout(model, rho0)
+    if layout is None:
+        layout = _coordinate_layout(model, rho0)
+    d_S = layout.dim // d_A
+    norm_size = layout.dim ** 2
     states, coords, live = layout.states, layout.coords, layout.live
     x0 = layout.z0.real[live]
     if live.size <= _MAX_PROPAGATED_ENTRIES:
         generator = np.bincount(*layout.generator, live.size ** 2).reshape(live.size, -1)
-        reached = _grid_curve(propagator(generator, grid.dt, cfg, norm_size=rho0.size), x0,
+        reached = _grid_curve(propagator(generator, grid.dt, cfg, norm_size=norm_size), x0,
                               grid.n_points)
     else:
-        reached = _integrate_coordinates(layout.generator, x0, grid.times(), cfg, rho0.size)
+        reached = _integrate_coordinates(layout.generator, x0, grid.times(), cfg, norm_size)
     curve = layout.widen(reached)
     _check_curve(curve, coords)
 
@@ -304,9 +320,12 @@ def choose_truncation(
     """Smallest d_A in the doubling ladder whose curve agrees with 2 d_A.
 
     Agreement is max-over-time trace distance below tol. Raises ValueError
-    unless tol is positive and finite, and TruncationError if even d_A = 64
-    has not converged or the next rung's d_S x d_A would pass
-    MAX_COMPOSITE_DIM; no rung past that bound is built.
+    unless tol is a positive and finite real number (not a bool), and
+    TruncationError if even d_A = 64 has not converged or the next rung's
+    d_S x d_A would pass MAX_COMPOSITE_DIM; no rung past that bound is run.
+    A rung's layout is final once no reachable state on its top ancilla
+    level has a nonzero column of V; the rungs above it reuse that layout
+    (_truncation_ladder) and give the curves their own composites would.
     """
     return _truncation_ladder(system, bath, rho_S0, grid, cfg, tol)[0]
 
@@ -319,19 +338,42 @@ def _truncation_ladder(
     cfg: IntegratorConfig,
     tol: float,
 ) -> tuple[int, np.ndarray]:
-    """choose_truncation's d_A together with the reduced curve it certified, as a stack."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    """choose_truncation's d_A together with the reduced curve it certified, as a stack.
+
+    Every rung's curve comes from _reduced_curve. Until a rung's layout is
+    final (no reachable state (s, d_A - 1) with a nonzero column s of V; V
+    a^dag is the only term that raises the ancilla), each rung builds its
+    composite and its _coordinate_layout. Every later rung reuses the final
+    layout with its states renumbered s d_A + a: the same states, entries, R
+    and z0, bit for bit, with no composite built. A reused rung still runs
+    all that depends on its d_A or its curve: the MAX_COMPOSITE_DIM check
+    before it, the propagator at norm_size (d_S d_A)^2 (so consecutive rungs
+    still differ), _grid_curve, _check_curve, the top-level read and the
+    partial trace.
+    """
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol)
+                                     and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    final = None  # the layout of the first rung no reachable state can climb out of, and its d_A
 
     def reduced_curve(d_A: int) -> np.ndarray:
+        nonlocal final
         if system.d_S * d_A > MAX_COMPOSITE_DIM:
             raise TruncationError(f"ancilla truncation did not converge below {tol:g} by d_A = "
                                   f"{d_A // 2}, and d_S x d_A = {system.d_S} x {d_A} is above "
                                   f"MAX_COMPOSITE_DIM = {MAX_COMPOSITE_DIM}")
-        model, rho0 = _composite(EmbeddingSpec(system, bath, d_A), rho_S0)
+        if final is None:
+            layout = _coordinate_layout(*_composite(EmbeddingSpec(system, bath, d_A), rho_S0))
+            sys_state, anc = np.divmod(layout.states, d_A)  # final: nothing on the top climbs
+            if not system.V.mat[:, sys_state[anc == d_A - 1]].any():
+                final = layout, d_A
+        else:
+            layout, final_d_A = final
+            sys_state, anc = np.divmod(layout.states, final_d_A)
+            layout = layout._replace(states=sys_state * d_A + anc, dim=system.d_S * d_A)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FockTruncationWarning)
-            return _reduced_curve(model, rho0, d_A, grid, cfg)
+            return _reduced_curve(None, None, d_A, grid, cfg, layout)
 
     prev = reduced_curve(_TRUNCATION_LADDER[0])
     for d_A in _TRUNCATION_LADDER:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .algebra import Operator
 from .config import ConfigError
-from .dynamics import LindbladModel, TimeGrid
+from .dynamics import LindbladModel, TimeGrid, _is_int
 from .integrators import Dopri5, IntegratorConfig, fixed_step, iter_instants
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
@@ -78,11 +78,6 @@ _DT_MAX = 0.5
 
 class JumpDegeneracyError(RuntimeError):
     """A jump was triggered but every channel has zero weight."""
-
-
-def _is_int(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

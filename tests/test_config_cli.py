@@ -668,6 +668,31 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
+    def test_reused_rung_past_the_composite_bound_is_4(self, tmp_path, capsys, monkeypatch):
+        # d_A = 4 is final for Fock 3, so d_A = 8 is reused; d_A = 16 is past the bound
+        monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 32)
+        built = []
+        composite = embedding._composite
+
+        def recorded(spec, rho_s0):
+            built.append(spec.d_A)
+            return composite(spec, rho_s0)
+
+        monkeypatch.setattr(embedding, "_composite", recorded)
+        doc = base_doc(scenario="pseudomode", system={"preset": "oscillator", "d_S": 4,
+                                                      "initial_fock": 3},
+                       bath={"kind": "lorentzian", "g": 1.0, "gamma": 0.2},
+                       time={"t0": 0.0, "t1": 1.0, "n_points": 3},
+                       numerics={"d_A": "auto", "truncation_tol": 1e-14})
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("truncation failure: ")
+        assert "4 x 16 is above MAX_COMPOSITE_DIM = 32" in err
+        assert err.count("\n") == 1
+        assert built == [2, 4]
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("scenario, bath, invariant", [
         ("markovian", {"kind": "flat", "f2": 50.0}, "trace"),
         ("pseudomode", {"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": 0.2},

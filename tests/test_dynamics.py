@@ -139,6 +139,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="overflows"):
             TimeGrid(-1e308, 1e308, 3)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, np.float64(3.0), "3", True])
+    def test_rejects_non_integer_point_count(self, n_points):
+        # a float count used to pass and fail later in times(); "3" failed in a comparison
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            TimeGrid(0.0, 1.0, n_points)
+
+    def test_accepts_numpy_integer_point_count(self):
+        assert np.array_equal(TimeGrid(0.0, 1.0, np.int64(3)).times(), [0.0, 0.5, 1.0])
+
     def test_times_uniform(self):
         t = TimeGrid(0.0, 1.0, 5).times()
         assert np.allclose(np.diff(t), 0.25)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -802,7 +803,7 @@ class TestChooseTruncation:
                                                   r"MAX_COMPOSITE_DIM = 64"):
             choose_truncation(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=0.2),
                               DensityMatrix.fock(4, 3), TimeGrid(0, 3, 7), self.CFG, tol=1e-14)
-        assert built == [8, 16, 32, 64]
+        assert built == [8, 16]
 
     def test_ladder_bound_is_checked_before_the_first_rung(self, monkeypatch):
         monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 7)
@@ -811,7 +812,8 @@ class TestChooseTruncation:
             choose_truncation(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=0.2),
                               DensityMatrix.fock(4, 3), TimeGrid(0, 3, 7), self.CFG)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-7])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-7,
+                                     True, "1e-7", None])
     def test_bad_tolerance_rejected_before_the_first_rung(self, monkeypatch, tol):
         # NaN fails every comparison, so a `tol <= 0` guard lets it through to
         # the whole ladder and a TruncationError naming "below nan"
@@ -822,3 +824,137 @@ class TestChooseTruncation:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             choose_truncation(tls_system(), Lorentzian(g=1.0, omega0=0, gamma=0.5),
                               EXCITED, TimeGrid(0, 0.2, 2), self.CFG, tol=tol)
+
+
+class TestLadderReuse:
+    """Once no reachable state on a rung's top ancilla level has a nonzero column of V, no
+    larger rung reaches more: every later rung reuses that layout and builds no composite."""
+
+    GRID = TimeGrid(0.0, 10.0, 101)
+    CFG = IntegratorConfig()
+    # system, gamma, initial state, rungs whose composite is built, rungs that reuse a layout
+    CASES = {
+        "tls-2-4": (tls_system(), 0.5, EXCITED, [2], [4]),
+        "oscillator-dS4-4-8": (oscillator_system(4), 0.2, DensityMatrix.fock(4, 3), [2, 4], [8]),
+        "oscillator-dS6-8-16": (oscillator_system(6), 1.0, DensityMatrix.fock(6, 5), [2, 4, 8],
+                                [16]),
+        "detuned-oscillator": (oscillator_system(4, 0.7), 0.5, DensityMatrix.fock(4, 2), [2, 4],
+                               [8]),
+        "superposition": (oscillator_system(4), 0.5,
+                          DensityMatrix.from_state([0.0, 1.0, 1j, 1.0]), [2, 4], [8]),
+    }
+
+    @staticmethod
+    def recorded_ladder(monkeypatch):
+        """The d_A of each composite built, and each rung's (arguments past d_A, stack) by d_A."""
+        composite, curve = embedding._composite, embedding._reduced_curve
+        built, rungs = [], {}
+
+        def recorded_composite(spec, rho_s0):
+            built.append(spec.d_A)
+            return composite(spec, rho_s0)
+
+        def recorded_curve(model, rho0, d_A, *args):
+            rungs[d_A] = (args, curve(model, rho0, d_A, *args))
+            return rungs[d_A][-1]
+
+        monkeypatch.setattr(embedding, "_composite", recorded_composite)
+        monkeypatch.setattr(embedding, "_reduced_curve", recorded_curve)
+        return built, rungs
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reused_rung_is_the_built_composite_bit_for_bit(self, monkeypatch, case):
+        system, gamma, rho, built_rungs, reused_rungs = self.CASES[case]
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=gamma)
+        built, rungs = self.recorded_ladder(monkeypatch)
+        choose_truncation(system, bath, rho, self.GRID, self.CFG)
+        monkeypatch.undo()
+        assert built == built_rungs
+        assert sorted(rungs) == built_rungs + reused_rungs
+        for d_a in reused_rungs:
+            (grid, cfg, layout), stack = rungs[d_a]
+            full_model, rho0 = embedding._composite(EmbeddingSpec(system, bath, d_a), rho)
+            full = dynamics._coordinate_layout(full_model, rho0)
+            assert layout.dim == full.dim
+            pairs = [(layout.states, full.states), (layout.coords.entries, full.coords.entries),
+                     (layout.z0, full.z0), (layout.live, full.live),
+                     *zip(layout.generator, full.generator)]
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            reference = _quiet_curve(full_model, rho0, d_a, grid, cfg)
+            assert stack.shape == reference.shape
+            assert stack.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d_a, grows", [(2, True), (4, True), (8, False), (16, False)])
+    def test_finality_is_where_the_reachable_states_stop_growing(self, d_a, grows):
+        # Fock 5 of six levels: its excitations climb past the top of d_A = 2 and 4
+        system, rho = oscillator_system(6), DensityMatrix.fock(6, 5)
+        bath = Lorentzian(g=1.0, omega0=0.0, gamma=1.0)
+
+        def reached(d):
+            model, rho0 = embedding._composite(EmbeddingSpec(system, bath, d), rho)
+            return dynamics._coordinate_layout(model, rho0).states.size
+
+        assert (reached(2 * d_a) > reached(d_a)) == grows
+
+    def test_oscillator_ladder_configs_build_two_and_three_composites(self, tmp_path,
+                                                                      monkeypatch):
+        # the benchmark's oscillator_ladder scenarios: they built 3 and 4 before the reuse
+        counts = {"_composite": 0, "_coordinate_layout": 0}
+        for name in counts:
+            real = getattr(embedding, name)
+
+            def counted(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(embedding, name, counted)
+        per_config = []
+        for d_s, gamma in ((4, 0.2), (6, 1.0)):
+            doc = {"scenario": "pseudomode",
+                   "system": {"preset": "oscillator", "d_S": d_s, "initial_fock": d_s - 1},
+                   "bath": {"kind": "lorentzian", "g": 1.0, "omega0": 5.0, "gamma": gamma},
+                   "time": {"t0": 0.0, "t1": 10.0, "n_points": 201},
+                   "numerics": {"d_A": "auto"},
+                   "output": f"oscillator_dS{d_s}.csv"}
+            path = tmp_path / f"oscillator_dS{d_s}.json"
+            path.write_text(json.dumps(doc))
+            before = dict(counts)
+            assert cli.main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+            per_config.append({name: counts[name] - before[name] for name in counts})
+        assert per_config == [{"_composite": 2, "_coordinate_layout": 2},
+                              {"_composite": 3, "_coordinate_layout": 3}]
+
+    def test_bound_is_checked_before_a_reused_rung(self, monkeypatch):
+        # d_A = 4 is final, so d_A = 8 is reused; d_A = 16 would be as well, but is past the bound
+        monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 32)
+        built, rungs = self.recorded_ladder(monkeypatch)
+        with pytest.raises(TruncationError, match=r"by d_A = 8, .* 4 x 16 is above "
+                                                  r"MAX_COMPOSITE_DIM = 32"):
+            choose_truncation(oscillator_system(4), Lorentzian(g=1.0, omega0=0, gamma=0.2),
+                              DensityMatrix.fock(4, 3), TimeGrid(0, 3, 7), self.CFG, tol=1e-14)
+        assert built == [2, 4]
+        assert sorted(rungs) == [2, 4, 8]
+
+
+class TestIntegerSizes:
+    """Sizes given from Python must be integers (numpy's too); a bool or a float is refused."""
+
+    BATH = Lorentzian(g=1.0, omega0=0.0, gamma=0.5)
+
+    @pytest.mark.parametrize("d_a", [2.5, 3.0, np.float64(3.0), "3", True])
+    def test_embedding_spec_rejects_non_integer_d_a(self, d_a):
+        with pytest.raises(ValueError, match="d_A must be an integer"):
+            EmbeddingSpec(tls_system(), self.BATH, d_a)
+
+    def test_embedding_spec_accepts_numpy_integer_d_a(self):
+        grid = TimeGrid(0.0, 1.0, 5)
+        numpy_int, python_int = (
+            simulate_lorentzian(EmbeddingSpec(tls_system(), self.BATH, d_a), EXCITED, grid)
+            for d_a in (np.int64(3), 3))
+        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(numpy_int, python_int))
+
+    def test_choose_truncation_accepts_a_numpy_tolerance(self):
+        grid = TimeGrid(0.0, 1.0, 5)
+        assert (choose_truncation(tls_system(), self.BATH, EXCITED, grid, tol=np.float64(1e-7))
+                == choose_truncation(tls_system(), self.BATH, EXCITED, grid, tol=1e-7))
