@@ -15,6 +15,11 @@ TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_square_complex(entries) -> np.ndarray:
     mat = np.array(entries, dtype=complex, order="C")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -166,6 +171,10 @@ class DensityMatrix:
     @classmethod
     def fock(cls, dim: int, n: int) -> DensityMatrix:
         """Number state |n><n| on a dim-level ladder."""
+        if not (_is_int(dim) and dim >= 1):
+            raise ValueError(f"Fock dimension must be an integer >= 1, got {dim!r}")
+        if not _is_int(n):
+            raise ValueError(f"Fock index must be an integer, got {n!r}")
         if not 0 <= n < dim:
             raise ValueError(f"Fock index {n} outside 0..{dim - 1}")
         vec = np.zeros(dim, dtype=complex)
@@ -209,13 +218,15 @@ class HilbertFactorization:
 
 
 def identity(d: int) -> Operator:
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"identity dimension must be an integer >= 1, got {d!r}")
     return Operator(np.eye(d, dtype=complex))
 
 
 def annihilation(d: int) -> Operator:
     """Lowering operator on a d-level truncated ladder, <n-1|a|n> = sqrt(n)."""
-    if d < 2:
-        raise ValueError(f"ladder needs dimension >= 2, got {d}")
+    if not (_is_int(d) and d >= 2):
+        raise ValueError(f"ladder needs an integer dimension >= 2, got {d!r}")
     mat = np.zeros((d, d), dtype=complex)
     ns = np.arange(1, d)
     mat[ns - 1, ns] = np.sqrt(ns)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import DensityMatrix, Operator, hermiticity_defect
+from .algebra import DensityMatrix, Operator, _is_int, hermiticity_defect
 from .integrators import IntegratorConfig, iter_instants
 
 STATIONARITY_TOL = 1e-8
@@ -34,6 +34,8 @@ class LindbladModel:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple((float(r), L) for r, L in self.jumps))
+        if not (_is_int(self.dim) and self.dim >= 1):
+            raise ValueError(f"model dim must be an integer >= 1, got {self.dim!r}")
         if self.H.dim != self.dim:
             raise ValueError(f"H has dim {self.H.dim}, model dim is {self.dim}")
         # the defect of a non-finite H is NaN, which no comparison rejects
@@ -63,11 +65,6 @@ class LindbladModel:
             g = g - 0.5 * rate * (L.conj().T @ L)
         g.flags.writeable = False
         return g
-
-
-def _is_int(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .algebra import (
     DensityMatrix,
     HilbertFactorization,
     Operator,
+    _is_int,
     annihilation,
     check_block_diagonal,
     hermiticity_defect,
@@ -48,7 +49,6 @@ from .dynamics import (
     _coordinate_layout,
     _HermitianCoordinates,
     _integrate_coordinates,
-    _is_int,
     _Layout,
 )
 from .integrators import IntegratorConfig, propagator
@@ -93,6 +93,8 @@ class SystemSpec:
     V: Operator
 
     def __post_init__(self):
+        if not (_is_int(self.d_S) and self.d_S >= 1):
+            raise ValueError(f"system dimension d_S must be an integer >= 1, got {self.d_S!r}")
         if self.H_S.dim != self.d_S or self.V.dim != self.d_S:
             raise ValueError(
                 f"system operators must have dim {self.d_S}, "

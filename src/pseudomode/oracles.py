@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _is_int
 from .baths import Lorentzian, _line_shape
 from .dynamics import TimeGrid
 from .embedding import SystemSpec, _detuning
@@ -225,8 +226,8 @@ class DiscreteBath:
 
 def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> DiscreteBath:
     """Sample the line at n_modes midpoints across detunings +/- half_width."""
-    if n_modes < 50:
-        raise ValueError(f"need at least 50 modes for a faithful bath, got {n_modes}")
+    if not (_is_int(n_modes) and n_modes >= 50):
+        raise ValueError(f"n_modes must be an integer >= 50 for a faithful bath, got {n_modes!r}")
     if half_width < 10.0 * bath.gamma:
         raise ValueError(f"window half-width {half_width:g} below 10 gamma = {10 * bath.gamma:g}")
     d_omega = 2.0 * half_width / n_modes

@@ -57,9 +57,9 @@ from multiprocessing import Pipe, Process
 
 import numpy as np
 
-from .algebra import Operator
+from .algebra import Operator, _is_int
 from .config import ConfigError
-from .dynamics import LindbladModel, TimeGrid, _is_int
+from .dynamics import LindbladModel, TimeGrid
 from .integrators import Dopri5, IntegratorConfig, fixed_step, iter_instants
 
 _BLOCK = 128  # fixed accumulation block; independent of worker count
@@ -137,10 +137,7 @@ def _trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Philox4x64-10 (Salmon et al., SC'11) in numpy uint64 arithmetic. Every
-# operand stays uint64: numpy 1.x turns uint64 combined with int64 into float64.
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+# Philox4x64-10 (Salmon et al., SC'11) in numpy uint64 arithmetic.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 # The multipliers' 32-bit halves, written out: a uint64 ufunc call at import
@@ -165,12 +162,12 @@ def _philox(counter: np.ndarray, seed: int, indices: np.ndarray) -> np.ndarray:
     for r in range(10):
         if r:
             key += _PHILOX_W
-        x_lo = even & _MASK32
-        x_hi = even >> _SHIFT32
+        x_lo = even & 0xFFFFFFFF
+        x_hi = even >> 32
         lh = _PHILOX_M_LO * x_hi
         hl = _PHILOX_M_HI * x_lo
-        mid = ((_PHILOX_M_LO * x_lo) >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
-        hi = _PHILOX_M_HI * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+        mid = ((_PHILOX_M_LO * x_lo) >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
+        hi = _PHILOX_M_HI * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
         even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
     return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
 
@@ -211,7 +208,7 @@ class _Streams:
             self._block[rows] += span
             self._words[rows] = words[np.arange(len(rows)), span]
         picked = words[np.arange(len(rows))[:, None], offset, j % 4]
-        return (picked >> np.uint64(11)) * 2.0 ** -53
+        return (picked >> 11) * 2.0 ** -53
 
 
 def _select_channel(weights: np.ndarray, u):
@@ -399,45 +396,6 @@ def _locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
     return tau, fixed_step(rhs, y_a, tau[:, None], k1)
 
 
-def _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log):
-    """States at t_a + h of the rows whose norm crossed within (t_a, t_a + h].
-
-    t_a holds each row's sub-step start, y_a its state there and norm_end its
-    squared norm at t_a + h. Each row is collapsed at its crossing, given a
-    new threshold and carried to the end of its sub-step; a row that crosses
-    again is handled again. Each jump takes a row's next two draws: the
-    channel's, then the new threshold. Jump times are located to
-    _JUMP_TIME_REL_TOL * max(|t_a + h|, 1), per row.
-    """
-    rhs = lambda y: _rows_times(y, prop.drift_t)  # noqa: E731
-    t_end = t_a + prop.h
-    tol = _JUMP_TIME_REL_TOL * np.maximum(np.abs(t_end), 1.0)
-    starts = t_a.copy()
-    y_start = y_a.copy()
-    y_end = np.empty_like(y_a)
-    norm_end = norm_end.copy()
-    pending = np.arange(len(rows))
-    while pending.size:
-        owners = rows[pending]
-        tau, y_star = _locate_crossings(rhs, y_start[pending], t_end[pending] - starts[pending],
-                                        thresholds[owners], norm_end[pending], tol[pending])
-        t_jump = starts[pending] + tau
-        branches = np.einsum("kd,cde->kce", y_star, prop.jumps_t)
-        u = streams.draw(owners.tolist(), 2)
-        channels = _select_channel(prop.rates * _norm_sq(branches), u[:, 0])
-        chosen = branches[np.arange(len(owners)), channels]
-        collapsed = chosen / np.sqrt(_norm_sq(chosen))[:, None]
-        thresholds[owners] = u[:, 1]
-        jump_log.extend(zip(owners.tolist(), t_jump.tolist(), channels.tolist()))
-        y_next = fixed_step(rhs, collapsed, (t_end[pending] - t_jump)[:, None])
-        y_end[pending] = y_next
-        y_start[pending] = collapsed
-        starts[pending] = t_jump
-        norm_end[pending] = _norm_sq(y_next)
-        pending = pending[norm_end[pending] < thresholds[owners]]
-    return y_end
-
-
 def _fill_dark(prop, rows, starts, y, first, out):
     """Write the dark rows' states y[rows], normalized, to out from the instant each starts at.
 
@@ -454,20 +412,45 @@ def _fill_dark(prop, rows, starts, y, first, out):
 
 
 def _jump(prop, aside, y, starts, dark, thresholds, streams, jump_log):
-    """Make the jumps of the rows set aside, in one _jump_rows call; returns those rows.
+    """Make the jumps of the rows set aside, one search per round; returns those rows.
 
     aside holds parts (rows, their states at a sub-step's start, their
-    squared norms at its end, its position per row). The rows are sorted
-    stably by position and each takes, in y, its state at the end of that
-    sub-step, which holds from the next position on (starts), and its dark
-    flag: whether that state lies on fixed states only, which step_t keeps
-    exactly.
+    squared norms at its end, its position per row); the rows are sorted
+    stably by position. Each row is collapsed at its crossing, given a new
+    threshold and carried to the end of its sub-step; a row that crosses
+    again is handled again, in the next round. Each jump takes a row's next
+    two draws: the channel's, then the new threshold. Jump times are located
+    to _JUMP_TIME_REL_TOL * max(|t|, 1), t the end of the row's sub-step.
+    Each row takes, in y, its state at the end of that sub-step, which holds
+    from the next position on (starts), and its dark flag: whether that
+    state lies on fixed states only, which step_t keeps exactly.
     """
     rows, y_a, norm_end, at = (np.concatenate(part) for part in zip(*aside))
     order = np.argsort(at, kind="stable")  # _wave takes ascending starts
     rows, y_a, norm_end, at = rows[order], y_a[order], norm_end[order], at[order]
+    rhs = lambda y: _rows_times(y, prop.drift_t)  # noqa: E731
     t_a = prop.times[at // prop.substeps] + (at % prop.substeps) * prop.h
-    y[rows] = _jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, streams, jump_log)
+    t_end = t_a + prop.h
+    tol = _JUMP_TIME_REL_TOL * np.maximum(np.abs(t_end), 1.0)
+    pending = np.arange(len(rows))
+    while pending.size:
+        owners = rows[pending]
+        tau, y_star = _locate_crossings(rhs, y_a[pending], t_end[pending] - t_a[pending],
+                                        thresholds[owners], norm_end[pending], tol[pending])
+        t_jump = t_a[pending] + tau
+        branches = np.einsum("kd,cde->kce", y_star, prop.jumps_t)
+        u = streams.draw(owners.tolist(), 2)
+        channels = _select_channel(prop.rates * _norm_sq(branches), u[:, 0])
+        chosen = branches[np.arange(len(owners)), channels]
+        collapsed = chosen / np.sqrt(_norm_sq(chosen))[:, None]
+        thresholds[owners] = u[:, 1]
+        jump_log.extend(zip(owners.tolist(), t_jump.tolist(), channels.tolist()))
+        y_next = fixed_step(rhs, collapsed, (t_end[pending] - t_jump)[:, None])
+        y[owners] = y_next
+        y_a[pending] = collapsed
+        t_a[pending] = t_jump
+        norm_end[pending] = _norm_sq(y_next)
+        pending = pending[norm_end[pending] < thresholds[owners]]
     starts[rows] = at + 1
     dark[rows] = ~np.any((y[rows] != 0) & prop.moving, axis=1)
     return rows
@@ -482,8 +465,8 @@ def _first_jumps(prop, y, starts, dark, thresholds, streams, jump_log):
     (the waiting-time picture of the unraveling). A row leaves at the first
     sub-step whose end norm is below its threshold, which is where the
     running minimum of the chain's norms first falls below it; _jump makes
-    all these jumps. Returns the path's states at the grid instants,
-    normalized.
+    all these jumps. Returns the path's states at the grid instants:
+    psi0 as given at instant 0, normalized after it.
     """
     sub = prop.substeps
     steps = (len(prop.times) - 1) * sub
@@ -497,11 +480,13 @@ def _first_jumps(prop, y, starts, dark, thresholds, streams, jump_log):
     at = exits[rows]
     _jump(prop, [(rows, chain[at], norms[at + 1], at)], y, starts, dark, thresholds, streams,
           jump_log)
-    return chain[::sub] / np.sqrt(norms[::sub])[:, None]
+    path = chain[::sub] / np.sqrt(norms[::sub])[:, None]
+    path[0] = chain[0]
+    return path
 
 
-def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
-    """Carry each rows[j] from sub-step position starts[j], in state y0[j], by y @ step_t.
+def _wave(prop, rows, starts, y, first, out, thresholds):
+    """Carry each rows[j] from sub-step position starts[j], in its state in y, by y @ step_t.
 
     The rows are placed rows on moving states; each row's product is its
     own, since their states differ. Positions count sub-steps from t0 and
@@ -511,7 +496,7 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     first + len(out) go to out, normalized, from each row's start on. A row
     whose norm falls below its threshold within a sub-step leaves the wave
     there; the others reach instant first + len(out), where their states go
-    to y_last. Returns, per sub-step in which rows left, (rows, their states
+    back to y. Returns, per sub-step in which rows left, (rows, their states
     at the sub-step's start, their squared norms at its end, its position
     per row); nothing when there are no rows.
     """
@@ -523,45 +508,48 @@ def _wave(prop, rows, starts, y0, first, out, thresholds, y_last):
     bounds = np.append(heads, len(rows)).tolist()
     joins = {p: (a, b) for p, a, b in zip(positions.tolist(), bounds, bounds[1:])}
     live = rows[:0]
-    y = y0[:0]
+    y_live = y[:0]
     norms = thr = thresholds[live]
     aside = []
     for p in range(int(positions[0]), p_last + 1):
         if p in joins:
             a, b = joins[p]
+            joining = y[rows[a:b]]
             live = np.concatenate([live, rows[a:b]])
-            y = np.concatenate([y, y0[a:b]])
-            norms = np.concatenate([norms, _norm_sq(y0[a:b])])
+            y_live = np.concatenate([y_live, joining])
+            norms = np.concatenate([norms, _norm_sq(joining)])
             thr = thresholds[live]
         if p % sub == 0 and p > p_first:
-            out[p // sub - first - 1, live] = y / np.sqrt(norms)[:, None]
+            out[p // sub - first - 1, live] = y_live / np.sqrt(norms)[:, None]
         if p == p_last:
             break
-        y_a = y
-        y = _rows_times(y_a, prop.step_t)
-        norms = _norm_sq(y)
+        y_a = y_live
+        y_live = _rows_times(y_a, prop.step_t)
+        norms = _norm_sq(y_live)
         crossed = norms < thr
         if crossed.any():
             aside.append((live[crossed], y_a[crossed], norms[crossed],
                           np.full(np.count_nonzero(crossed), p)))
             kept = ~crossed
-            live, y, norms, thr = live[kept], y[kept], norms[kept], thr[kept]
+            live, y_live, norms, thr = live[kept], y_live[kept], norms[kept], thr[kept]
             if not live.size and p >= positions[-1]:
                 break  # every row has left and none is still to join
-    y_last[live] = y
+    y[live] = y_live
     return aside
 
 
 def _advance(prop, path, starts, dark, y, first, out, thresholds, streams, jump_log):
     """Carry a batch's rows from instant `first` over len(out) grid steps.
 
-    A row whose start lies past the window's first sub-step (starts >
+    out takes instants first + 1 .. first + len(out); the first window
+    starts at first = -1, so its instant 0 is the no-jump path's, psi0 as
+    given. A row whose start lies past the window's first sub-step (starts >
     first * substeps) holds the no-jump path there: the path's states are
     broadcast to the whole window, and what its first jump leads to
     overwrites the instants from its start on. Every row whose start lies
     at or before the window's last sub-step is placed, from max(start,
     first * substeps). A dark row (amplitude on fixed states only) is kept
-    exactly by y @ step_t, so its norm, which _jump_rows left at or above
+    exactly by y @ step_t, so its norm, which _jump left at or above
     its threshold, never falls again: it is written from its start on
     (_fill_dark). The other rows run in one wave, and the rows that leave
     it are jumped together (_jump) and placed again, until none is left.
@@ -576,8 +564,7 @@ def _advance(prop, path, starts, dark, y, first, out, thresholds, streams, jump_
         gone_dark = dark[rows]
         _fill_dark(prop, rows[gone_dark], starts, y, first, out)
         rows = rows[~gone_dark]
-        aside = _wave(prop, rows, np.maximum(starts[rows], p_first), y[rows], first, out,
-                      thresholds, y)
+        aside = _wave(prop, rows, np.maximum(starts[rows], p_first), y, first, out, thresholds)
         if not aside:
             break
         rows = _jump(prop, aside, y, starts, dark, thresholds, streams, jump_log)
@@ -598,8 +585,8 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     to jump_log as (row, time, channel), rows counted from 0 within
     `indices`: every row's jumps are in time order, but the log as a whole
     is not, since the first jumps of all rows come before every later jump.
-    Between windows the block keeps, beside the path, each row's state,
-    threshold, start and dark flag (_advance).
+    _advance fills each window, instant 0 included, from the path and each
+    row's state, threshold, start and dark flag, kept between windows.
     """
     streams = _Streams(seed, indices)
     n = len(indices)
@@ -612,10 +599,7 @@ def _run_block(prop: _GridPropagator, psi0: np.ndarray, seed: int, indices, jump
     width = max(1, _WINDOW_ENTRIES // y.size)
     for start in range(0, n_t, width):
         out = np.empty((min(width, n_t - start),) + y.shape, dtype=complex)
-        lead = int(start == 0)
-        out[:lead] = psi0  # instant 0
-        _advance(prop, path, starts, dark, y, start - 1 + lead, out[lead:], thresholds, streams,
-                 jump_log)
+        _advance(prop, path, starts, dark, y, start - 1, out, thresholds, streams, jump_log)
         yield out
 
 

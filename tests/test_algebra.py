@@ -67,6 +67,12 @@ class TestAnnihilation:
         with pytest.raises(ValueError):
             annihilation(1)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3.0), "3", True])
+    def test_rejects_non_integer_dimension(self, d):
+        # numpy would raise its own TypeError on a float; True would pass as 1
+        with pytest.raises(ValueError, match="ladder needs an integer dimension"):
+            annihilation(d)
+
     @given(st.integers(min_value=2, max_value=12))
     def test_commutator_breaks_only_at_truncation_edge(self, d):
         a = annihilation(d).mat
@@ -74,6 +80,13 @@ class TestAnnihilation:
         expected = np.eye(d)
         expected[d - 1, d - 1] = -(d - 1)
         assert np.max(np.abs(comm - expected)) <= 1e-12
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2", True])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="identity dimension must be an integer"):
+            identity(d)
 
 
 class TestKron:
@@ -186,6 +199,17 @@ class TestDensityMatrix:
     def test_fock_range(self):
         with pytest.raises(ValueError):
             DensityMatrix.fock(3, 3)
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, np.float64(1.0), True])
+    def test_fock_index_must_be_an_integer(self, n):
+        # numpy would raise its own IndexError on 1.5, and take True as index 1
+        with pytest.raises(ValueError, match="Fock index must be an integer"):
+            DensityMatrix.fock(2, n)
+
+    @pytest.mark.parametrize("dim", [2.0, 2.5, True])
+    def test_fock_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="Fock dimension must be an integer"):
+            DensityMatrix.fock(dim, 0)
 
 
 class TestCheckDensityMatrices:

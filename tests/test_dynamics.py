@@ -76,6 +76,12 @@ class TestLindbladModel:
         with pytest.raises(ValueError):
             LindbladModel(dim=3, H=zero_op(3), jumps=((1.0, sigma_minus()),))
 
+    # each dim equals H.dim (True == 1), so only the type check refuses it
+    @pytest.mark.parametrize("dim, d", [(2.0, 2), (np.float64(2.0), 2), ("2", 2), (True, 1)])
+    def test_rejects_non_integer_dim(self, dim, d):
+        with pytest.raises(ValueError, match="model dim must be an integer"):
+            LindbladModel(dim=dim, H=zero_op(d))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_hamiltonian(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -958,3 +958,10 @@ class TestIntegerSizes:
         grid = TimeGrid(0.0, 1.0, 5)
         assert (choose_truncation(tls_system(), self.BATH, EXCITED, grid, tol=np.float64(1e-7))
                 == choose_truncation(tls_system(), self.BATH, EXCITED, grid, tol=1e-7))
+
+    # each d_S equals the operators' dim (True == 1), so only the type check refuses it
+    @pytest.mark.parametrize("d_s, d", [(2.0, 2), (np.float64(2.0), 2), ("2", 2), (True, 1)])
+    def test_system_spec_rejects_non_integer_d_s(self, d_s, d):
+        zero = Operator(np.zeros((d, d)))
+        with pytest.raises(ValueError, match="d_S must be an integer"):
+            SystemSpec(d_S=d_s, H_S=zero, V=zero)

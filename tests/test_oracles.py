@@ -208,6 +208,12 @@ class TestDiscreteBath:
         with pytest.raises(ValueError, match="half-width"):
             build_discrete_bath(self.BATH, n_modes=100, half_width=0.5)
 
+    @pytest.mark.parametrize("n_modes", [100.5, 100.0, np.float64(100.0), "100"])
+    def test_mode_count_must_be_an_integer(self, n_modes):
+        # np.arange would take 100.0 as 100 modes, and 100.5 as 101
+        with pytest.raises(ValueError, match="n_modes must be an integer >= 50"):
+            build_discrete_bath(self.BATH, n_modes, 4.0)
+
     def test_zero_coupling_is_constant(self):
         bath = Lorentzian(g=0.0, omega0=0.0, gamma=0.2)
         traj = discrete_bath_evolve(tls_system(), bath, 100, 4.0, GRID)

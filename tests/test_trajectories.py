@@ -189,6 +189,34 @@ class TestMcwfRun:
         assert _select_channel(np.array([0.0, 1.0]), 0.01) == 1
 
 
+def test_instant_zero_is_psi0_as_given(monkeypatch):
+    # a superposition whose squared norm rounds below 1: normalizing it again moves its bits
+    psi0 = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    assert trajectories._norm_sq(psi0) != 1.0
+    model = pump_model()
+    cfg = TrajectoryConfig(n_traj=5, seed=13, grid=TimeGrid(0, 2, 9), integrator=LOOSE)
+    monkeypatch.setenv("PSEUDOMODE_NUM_THREADS", "1")
+    instant_zero = []
+    run_block = trajectories._run_block
+
+    def recorded(*args):
+        windows = run_block(*args)
+        first = next(windows)
+        instant_zero.append(first[0].copy())
+        yield first
+        yield from windows
+
+    for entries in (trajectories._WINDOW_ENTRIES, 1):
+        monkeypatch.setattr(trajectories, "_WINDOW_ENTRIES", entries)
+        traj = mcwf_run(model, psi0, cfg, traj_index=3)
+        assert len(traj.jump_times) > 0
+        assert np.array_equal(traj.states[0], psi0)
+        with monkeypatch.context() as patch:
+            patch.setattr(trajectories, "_run_block", recorded)
+            ensemble_average(model, psi0, cfg)
+        assert np.array_equal(instant_zero.pop(), np.tile(psi0, (cfg.n_traj, 1)))
+
+
 class TestEnsembleAverage:
     def test_single_trajectory_stats(self):
         emb, psi0, obs = embedded_setup()
