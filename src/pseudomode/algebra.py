@@ -89,21 +89,22 @@ def check_density_matrices(stack: np.ndarray, start: int = 0, total: int | None 
     check_block_diagonal([stack[:, None]], start, total)
 
 
-def check_block_diagonal(blocks: list[np.ndarray], start: int = 0,
-                         total: int | None = None) -> None:
+def check_block_diagonal(blocks: list[np.ndarray], start: int = 0, total: int | None = None,
+                         defect: np.ndarray | None = None) -> None:
     """check_density_matrices for m block-diagonal matrices given by their blocks.
 
     Each entry of `blocks` is an (m, b, s, s) stack: matrix t holds the b
     blocks [t, 0] .. [t, b - 1] of every stack on its diagonal and zeros
     elsewhere. The invariants are those of the whole matrix: Hermiticity is
-    checked block by block, the trace summed over all blocks, and positivity
-    on the smallest eigenvalue of any block. Positivity is certified without
-    a spectrum: a 1 x 1 block is its real diagonal entry, and a stack of
-    larger blocks passes when one batched Cholesky factorization of
+    checked on each matrix's largest entry defect (the (m,) `defect` if the
+    caller has it, else read block by block), the trace summed over all
+    blocks, and positivity on the smallest eigenvalue of any block, certified
+    without a spectrum: a 1 x 1 block is its real diagonal entry, and a stack
+    of larger blocks passes when one batched Cholesky factorization of
     B + POSITIVITY_TOL * I succeeds (it exists exactly when every eigenvalue
-    of B lies above -POSITIVITY_TOL, up to the factorization's roundoff).
-    Only when a certificate fails are the smallest eigenvalues computed, one
-    batched eigvalsh per stack, and they decide and name the failure.
+    of B lies above -POSITIVITY_TOL, up to roundoff). Only when a certificate
+    fails are the smallest eigenvalues computed, one batched eigvalsh per
+    stack, and they decide and name the failure.
     """
     m = len(blocks[0])
     total = m if total is None else total
@@ -112,10 +113,11 @@ def check_block_diagonal(blocks: list[np.ndarray], start: int = 0,
         i = int(np.argmin(ok))
         return i, (f" (matrix {start + i} of {total})" if total > 1 else "")
 
+    if defect is None:
+        defect = np.max([np.abs(b - b.conj().swapaxes(-1, -2)).reshape(m, -1).max(axis=1)
+                         for b in blocks], axis=0)
     # `not x <= tol` rather than `x > tol`, so that NaN fails
-    defects = [np.abs(b - b.conj().swapaxes(-1, -2)).reshape(m, -1) for b in blocks]
-    if not np.max([d.max() for d in defects]) <= HERMITICITY_TOL:
-        defect = np.max([d.max(axis=1) for d in defects], axis=0)
+    if not defect.max() <= HERMITICITY_TOL:
         i, where = first_bad(defect <= HERMITICITY_TOL)
         raise DensityMatrixError(f"density matrix not Hermitian: defect {defect[i]:.3e}{where}")
     tr = sum(b.trace(axis1=2, axis2=3).sum(axis=1) for b in blocks)
@@ -133,11 +135,15 @@ def check_block_diagonal(blocks: list[np.ndarray], start: int = 0,
 
 
 def _certified_positive(b: np.ndarray) -> bool:
-    """True when no eigenvalue of the Hermitian (..., s, s) stack b lies below -POSITIVITY_TOL."""
-    if b.shape[-1] == 1:
+    """True when no eigenvalue of the Hermitian (..., s, s) stack b lies below -POSITIVITY_TOL:
+    the Cholesky factorization of a copy of b, its diagonal shifted in place, succeeds."""
+    s = b.shape[-1]
+    if s == 1:
         return bool((b.real >= -POSITIVITY_TOL).all())
+    shifted = b.copy()
+    shifted.reshape(b.shape[:-2] + (s * s,))[..., ::s + 1] += POSITIVITY_TOL
     try:
-        factor = np.linalg.cholesky(b + POSITIVITY_TOL * np.eye(b.shape[-1]))
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())  # LAPACK passes NaN entries through
@@ -200,10 +206,10 @@ class HilbertFactorization:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 2 or any(d < 1 for d in dims):
-            raise ValueError(f"need two positive factor dimensions, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        dims = tuple(self.dims)
+        if len(dims) != 2 or not all(_is_int(d) and d >= 1 for d in dims):
+            raise ValueError(f"need two positive integer factor dimensions, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
     @property
     def total_dim(self) -> int:
@@ -238,8 +244,13 @@ def sigma_minus() -> Operator:
     return annihilation(2)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices bit for bit, as the broadcast product np.kron forms."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def kron(a: Operator, b: Operator) -> Operator:
-    return Operator(np.kron(a.mat, b.mat))
+    return Operator(_kron(a.mat, b.mat))
 
 
 def partial_trace(rho: DensityMatrix, fact: HilbertFactorization, keep: int) -> DensityMatrix:

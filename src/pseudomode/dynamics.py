@@ -60,11 +60,17 @@ class LindbladModel:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        g = -1j * self.H.mat.astype(complex)
-        for rate, L in self.channels:
-            g = g - 0.5 * rate * (L.conj().T @ L)
+        g = _drift(self.H.mat, self.channels)
         g.flags.writeable = False
         return g
+
+
+def _drift(h: np.ndarray, channels: tuple[tuple[float, np.ndarray], ...]) -> np.ndarray:
+    """G = -iH - 1/2 sum rate L^dag L of a Hamiltonian matrix and (rate, L) channels."""
+    g = -1j * h
+    for rate, L in channels:
+        g = g - 0.5 * rate * (L.conj().T @ L)
+    return g
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,11 @@ def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray, size: int) -> 
     order = np.argsort(src, kind="stable")  # edges come in sorted runs
     start = np.searchsorted(src[order], np.arange(size + 1)).tolist()
     heads = dst[order].tolist()
-    reached = np.zeros(size, dtype=bool)
-    reached[seeds] = True
-    queue = np.flatnonzero(reached).tolist()
-    reached = bytearray(reached)
+    reached, queue = bytearray(size), []
+    for node in seeds.tolist():
+        if not reached[node]:
+            reached[node] = 1
+            queue.append(node)
     for node in queue:  # grows as it is read
         for head in heads[start[node]:start[node + 1]]:
             if not reached[head]:
@@ -184,22 +191,27 @@ def _reachable_entries(moves: tuple[np.ndarray, ...], seed: np.ndarray) -> np.nd
     """Flat indices i * n + j of the entries rho(t)[i, j] that can ever be nonzero, sorted:
     the closure of the n x n seed's nonzero entries under the moves (_moves) and transposition,
     run on the unordered pairs, each named by its entry min(i, j) * n + max(i, j), and mirrored."""
-    n = len(seed)
-    src, dst, seeds = (np.minimum(flat, flat % n * n + flat // n)
-                       for flat in (*moves[:2], np.flatnonzero(seed)))
+    n, m = len(seed), moves[0].size
+    flat = np.concatenate((*moves[:2], np.flatnonzero(seed)))
+    named = np.minimum(flat, flat % n * n + flat // n)
     reached = np.zeros((n, n), dtype=bool)
-    reached.flat[_closure(src, dst, seeds, n * n)] = True
+    reached.flat[_closure(named[:m], named[m:2 * m], named[2 * m:], n * n)] = True
     return np.flatnonzero(reached | reached.T)
 
 
-def _restricted(model: LindbladModel, idx: np.ndarray) -> LindbladModel:
-    """The model's block on the basis states idx (exact on _reachable's set)."""
+class _Block(NamedTuple):
+    """A model's block on some of its basis states, as _moves and rhs_function read it."""
+    dim: int
+    drift: np.ndarray
+    channels: tuple[tuple[float, np.ndarray], ...]
+
+
+def _restricted(model: LindbladModel, idx: np.ndarray) -> _Block:
+    """The model's block on the basis states idx (exact on _reachable's set): the drift of
+    the block's H and channels, as LindbladModel.drift forms it, with no second validation."""
     block = np.ix_(idx, idx)
-    return LindbladModel(
-        dim=idx.size,
-        H=Operator(model.H.mat[block]),
-        jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
-    )
+    channels = tuple((rate, L[block]) for rate, L in model.channels)
+    return _Block(idx.size, _drift(model.H.mat[block], channels), channels)
 
 
 class _HermitianCoordinates:
@@ -262,9 +274,9 @@ class _HermitianCoordinates:
 
         S is the master equation on the entries, read off its moves (_moves).
         Each move gives four terms, as T has two nonzeros per column. R[r, c]
-        sums, in order, the terms at position r * k + c; a position whose terms
-        cancel exactly (as the Re/Im cross terms of a real S do) is dropped.
-        No k x k array is formed.
+        sums, in order, the nonzero terms at position r * k + c (a zero term
+        changes no sum, and most are: T's Re/Im cross terms on a real S); a
+        position whose terms cancel exactly is dropped. No k x k array is formed.
         """
         k, at = self.entries.size, self._at.ravel()
         src, dst, val = moves
@@ -276,10 +288,12 @@ class _HermitianCoordinates:
         w = self._pair_weight * np.array([1.0, -1j])
         at = self._pair[dst][:, :, None] * k + self._pair[src][:, None, :]
         terms = (w[dst][:, :, None] * val[:, None, None] * w[src].conj()[:, None, :]).real
-        order = np.argsort(at, axis=None, kind="stable")  # a position's terms keep their order
-        at = at.ravel()[order]
+        kept = terms.ravel() != 0.0  # a zero term changes no sum
+        at, terms = at.ravel()[kept], terms.ravel()[kept]
+        order = np.argsort(at, kind="stable")  # a position's terms keep their order
+        at = at[order]
         first = np.diff(at, prepend=-1) != 0
-        values = np.bincount(np.cumsum(first) - 1, terms.ravel()[order])
+        values = np.bincount(np.cumsum(first) - 1, terms[order])
         nonzero = values != 0.0
         return at[first][nonzero], values[nonzero]
 
@@ -299,9 +313,9 @@ class _HermitianCoordinates:
         return m.reshape(x.shape[:-1] + (self.n, self.n))
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve."""
-        v = self.values(x)
-        return [v[:, g] for g in self.groups]
+        """The (m, b, s, s) stacks of diagonal blocks at each row of an (m, k) curve, each
+        gathered from x at its group's entries."""
+        return [self.values(x, g) for g in self.groups]
 
 
 class _Layout(NamedTuple):

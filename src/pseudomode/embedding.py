@@ -36,11 +36,10 @@ from .algebra import (
     HilbertFactorization,
     Operator,
     _is_int,
+    _kron,
     annihilation,
     check_block_diagonal,
     hermiticity_defect,
-    identity,
-    kron,
 )
 from .baths import Lorentzian
 from .dynamics import (
@@ -146,24 +145,23 @@ class EmbeddingResult:
 
 
 def _composite(spec: EmbeddingSpec, rho_S0: DensityMatrix) -> tuple[LindbladModel, np.ndarray]:
-    """System + ancilla model and its initial state rho_S0 x vacuum (as a matrix)."""
+    """System + ancilla model and its initial state rho_S0 x vacuum (as a matrix), formed as
+    _kron products of the system and ancilla matrices; LindbladModel validates the model."""
     sys = spec.system
     if rho_S0.dim != sys.d_S:
         raise ValueError(f"initial state dim {rho_S0.dim} != system dim {sys.d_S}")
-    d_A = spec.d_A
-    a = annihilation(d_A)
-    one_s = identity(sys.d_S)
-    one_a = identity(d_A)
-    g = spec.bath.g
-    h = kron(sys.H_S, one_a) + g * (kron(sys.V.dagger(), a) + kron(sys.V, a.dagger()))
+    d_A, v = spec.d_A, sys.V.mat
+    a = annihilation(d_A).mat
+    h = _kron(sys.H_S.mat, np.eye(d_A, dtype=complex)) + (
+        _kron(v.conj().T, a) + _kron(v, a.conj().T)) * complex(spec.bath.g)
     model = LindbladModel(
         dim=sys.d_S * d_A,
-        H=h,
-        jumps=((spec.bath.gamma, kron(one_s, a)),),
+        H=Operator(h),
+        jumps=((spec.bath.gamma, Operator(_kron(np.eye(sys.d_S, dtype=complex), a))),),
     )
     vac = np.zeros((d_A, d_A), dtype=complex)
     vac[0, 0] = 1.0
-    return model, np.kron(rho_S0.mat, vac)
+    return model, _kron(rho_S0.mat, vac)
 
 
 def build_embedding(spec: EmbeddingSpec, rho_S0: DensityMatrix) -> EmbeddingResult:
@@ -177,11 +175,14 @@ def build_embedding(spec: EmbeddingSpec, rho_S0: DensityMatrix) -> EmbeddingResu
 
 
 def _check_curve(curve: np.ndarray, coords: _HermitianCoordinates) -> None:
-    """Validate the composite state at every instant, block by block, a bounded chunk at a time."""
+    """Validate the composite state at every instant, block by block, a bounded chunk at a time.
+    Entry (i, j) of T^dag x is the conjugate of entry (j, i), from the same coordinates, so an
+    instant's Hermiticity defect is 0 where they are all finite and NaN elsewhere."""
     chunk = max(1, _VALIDATION_CHUNK // coords.block_entries)
     for start in range(0, len(curve), chunk):
-        check_block_diagonal(coords.blocks(curve[start:start + chunk]),
-                             start=start, total=len(curve))
+        part = curve[start:start + chunk]
+        check_block_diagonal(coords.blocks(part), start=start, total=len(curve),
+                             defect=np.where(np.isfinite(part).all(axis=1), 0.0, np.nan))
 
 
 def _batch_width(c: int, n_points: int) -> int:
@@ -247,13 +248,10 @@ def _reduced_curve(model: LindbladModel | None, rho0: np.ndarray | None, d_A: in
     d^2, which holds each column at least as tight as evolve holds one
     state, and takes each Dopri5 step as the tableau's stability polynomial
     in R. _grid_curve fills B instants per product from S, ..., S^B, with B
-    from _batch_width: about sqrt((n_t - 1) _CALL_FLOPS / (2 c^3)), so that
-    the powers' (B - 1) 2 c^3 flops cost at most 1 / B of the matrix-vector
-    calls they save (B = 1 is one product per instant); B c^2 stays within
-    2^16 entries. Past 256 live
-    coordinates x' = R x is integrated adaptively, as in evolve. The
-    composite state is validated by _check_curve; the reduced states are
-    partial traces of the entry values T^dag x and are not validated again.
+    from _batch_width. Past 256 live coordinates x' = R x is integrated
+    adaptively, as in evolve. The composite state is validated by
+    _check_curve; the reduced states are partial traces of the entry values
+    T^dag x and are not validated again.
 
     For d_A > 1, warns with FockTruncationWarning if the top ancilla Fock level
     ever carries more than 1e-6 population, signalling possible truncation leakage.

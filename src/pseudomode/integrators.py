@@ -116,6 +116,7 @@ class Dopri5:
         self._err_prev = 1e-4
         self._k1: np.ndarray | None = None  # rhs(self.y), formed by the first trial that reads it
         self._last: tuple | None = None  # (t_old, h, y_old, k1) of the last step
+        self._abs: tuple = (None, None)  # (y, |y|) of the last accepted step
 
     def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One uncontrolled step of size h from self.y: the new state, its error
@@ -128,44 +129,50 @@ class Dopri5:
         return y_new, err, k7
 
     def step(self, t_limit: float) -> None:
-        """Take one accepted step toward t_limit (clamped to land on it)."""
+        """Take one accepted step toward t_limit (clamped to land on it); |y| comes from the
+        step that accepted y, and one np.errstate covers every trial."""
         if t_limit <= self.t:
             raise ValueError(f"t_limit {t_limit} not ahead of current time {self.t}")
         cfg = self.cfg
         y = self.y
+        abs_y = self._abs[1] if self._abs[0] is y else np.abs(y)
         abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-        while True:
-            h = min(self.h, cfg.max_step, t_limit - self.t)
-            hits_limit = h >= t_limit - self.t
-            if h < _UNDERFLOW * max(abs(self.t), 1.0):
-                raise IntegrationError(
-                    f"step size underflow at t = {self.t:.6g} (stiffness or non-finite state)",
-                    t_last=self.t,
-                )
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                h = min(self.h, cfg.max_step, t_limit - self.t)
+                hits_limit = h >= t_limit - self.t
+                if h < _UNDERFLOW * max(abs(self.t), 1.0):
+                    raise IntegrationError(
+                        f"step size underflow at t = {self.t:.6g} (stiffness or non-finite state)",
+                        t_last=self.t,
+                    )
                 y_new, err, k_next = self._trial(h)
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                ratio = np.abs(err) / scale
-                err_norm = float(np.sqrt(np.mean(ratio * ratio) * self._norm_weight))
-            if not np.isfinite(err_norm) or not np.isfinite(y_new).all():
-                self.h = h * _MIN_FACTOR
-                continue
+                abs_new = np.abs(y_new)
+                ratio = np.abs(err) / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
+                err_norm = math.sqrt(np.add.reduce(ratio * ratio, axis=None) / ratio.size
+                                     * self._norm_weight)  # np.mean's sum and division
+                # |y_new| is finite only where y_new is (and can overflow where it is)
+                if not (math.isfinite(err_norm) and (math.isfinite(abs_new.max())
+                                                     or np.isfinite(y_new).all())):
+                    self.h = h * _MIN_FACTOR
+                    continue
 
-            if err_norm <= 1.0:
-                t_old = self.t
-                self.t = t_limit if hits_limit else self.t + h
-                self._last = (t_old, h, y, self._k1)
-                self._k1 = k_next
-                self.y = y_new
-                if err_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = _SAFETY * err_norm ** (-_PI_ALPHA) * self._err_prev ** _PI_BETA
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                self.h = h * factor
-                self._err_prev = max(err_norm, 1e-4)
-                return
-            self.h = h * min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA)))
+                if err_norm <= 1.0:
+                    t_old = self.t
+                    self.t = t_limit if hits_limit else self.t + h
+                    self._last = (t_old, h, y, self._k1)
+                    self._k1 = k_next
+                    self.y = y_new
+                    self._abs = (y_new, abs_new)
+                    if err_norm == 0.0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = _SAFETY * err_norm ** (-_PI_ALPHA) * self._err_prev ** _PI_BETA
+                        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                    self.h = h * factor
+                    self._err_prev = max(err_norm, 1e-4)
+                    return
+                self.h = h * min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA)))
 
     def interpolate(self, t: float) -> np.ndarray:
         """Dense-output state inside the last accepted step (4th order)."""
@@ -234,14 +241,14 @@ class _PolynomialDopri5(Dopri5):
     def __init__(self, generator: np.ndarray, y0: np.ndarray, cfg: IntegratorConfig,
                  norm_size: int | None = None):
         super().__init__(lambda y: generator @ y, 0.0, y0, cfg, norm_size=norm_size)
+        powers = np.empty((len(self._orders),) + generator.shape, dtype=self.y.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             row_sum = np.max(np.abs(generator).sum(axis=1), initial=0.0)
             self._shift = max(int(np.frexp(row_sum)[1]), 0)
-            scaled = generator * np.ldexp(1.0, -self._shift)
-            powers = [scaled]
-            for _ in self._orders[1:]:
-                powers.append(powers[-1] @ scaled)
-        self._powers = np.array(powers).reshape(len(powers), -1)
+            np.multiply(generator, np.ldexp(1.0, -self._shift), out=powers[0])
+            for j in range(1, len(powers)):
+                np.matmul(powers[j - 1], powers[0], out=powers[j])
+        self._powers = powers.reshape(len(powers), -1)
 
     def _trial(self, h: float) -> tuple[np.ndarray, np.ndarray, None]:
         y = self.y

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from pseudomode.algebra import (
     POSITIVITY_TOL,
     DensityMatrixError,
     _certified_positive,
+    _kron,
     check_block_diagonal,
     check_density_matrices,
 )
@@ -111,6 +114,28 @@ class TestKron:
         right = kron(a, kron(b, c))
         assert np.max(np.abs(left.mat - right.mat)) <= 1e-12
 
+    # entries whose products np.kron rounds, signs and propagates in its own way
+    SPECIAL = (0.0, -0.0, 1.5, -2.0 / 3.0, 1e-310, np.inf, -np.inf, np.nan)
+
+    @pytest.mark.parametrize("shapes", [((3, 3), (4, 4)), ((2, 3), (4, 1)), ((1, 1), (5, 2))])
+    @pytest.mark.parametrize("kinds", [(complex, complex), (float, complex), (complex, float)])
+    def test_direct_product_is_np_kron_bit_for_bit(self, shapes, kinds):
+        rng = np.random.default_rng(7)
+        values = [complex(re, im) for re in self.SPECIAL for im in self.SPECIAL]
+        a, b = (rng.choice(np.array(values, dtype=kind) if kind is complex else
+                           np.array(self.SPECIAL), size=shape)
+                for shape, kind in zip(shapes, kinds))
+        square = shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            direct, reference = _kron(a, b), np.kron(a, b)
+            if square:
+                ops = kron(Operator(a), Operator(b)).mat
+                ops_reference = np.kron(a.astype(complex), b.astype(complex))
+        assert direct.shape == reference.shape and direct.dtype == reference.dtype
+        assert direct.tobytes() == reference.tobytes()
+        if square:
+            assert ops.tobytes() == ops_reference.tobytes()
+
 
 class TestPartialTrace:
     def test_product_state_recovers_system(self, rng):
@@ -139,6 +164,18 @@ class TestPartialTrace:
     def test_factorization_is_two_positive_factors(self, dims):
         with pytest.raises(ValueError, match="two positive"):
             HilbertFactorization(dims)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (True, 2.9), (2, 2.0), (2, True), ("2", 3),
+                                      (np.float64(3.0), 2)])
+    def test_factor_dimensions_must_be_integers(self, dims):
+        # int(d) truncated these silently: (2.5, 2) became (2, 2), (True, 2.9) (1, 2)
+        with pytest.raises(ValueError, match=re.escape(f"got {dims!r}")):
+            HilbertFactorization(dims)
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        fact = HilbertFactorization((np.int64(2), np.int32(3)))
+        assert fact.dims == (2, 3)
+        assert [type(d) for d in fact.dims] == [int, int]
 
     @pytest.mark.parametrize("keep", [-1, 2])
     def test_keep_outside_factorization(self, rng, keep):
@@ -290,6 +327,19 @@ class TestPositivityCertificate:
                                match=rf"eigenvalue {lam:.3e} below .* \(matrix 1 of 3\)"):
                 check_block_diagonal(stacks)
             assert calls
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_certificate_leaves_the_stack_as_given(self, rng, size):
+        # the diagonal is shifted in place on a copy: neither a writable stack nor a
+        # read-only view of one is touched
+        stack = np.array([[with_spectrum(rng, np.full(size, 1.0 / size))] * 2] * 3)
+        before = stack.tobytes()
+        assert _certified_positive(stack)
+        assert stack.tobytes() == before
+        view = stack[:, :1]
+        view.flags.writeable = False
+        assert _certified_positive(view)
+        assert stack.tobytes() == before
 
     def test_one_by_one_blocks_are_read_off_the_diagonal(self):
         assert _certified_positive(np.array([[[[0.5]], [[-0.999 * POSITIVITY_TOL]]]]))

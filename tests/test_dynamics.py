@@ -659,6 +659,125 @@ class TestEntryClosure:
         self.assert_matches(emb.model, seed)
 
 
+def _reference_restricted(model, idx):
+    """_restricted as it was: a second validated LindbladModel on the block."""
+    block = np.ix_(idx, idx)
+    return LindbladModel(
+        dim=idx.size,
+        H=Operator(model.H.mat[block]),
+        jumps=tuple((rate, Operator(L.mat[block])) for rate, L in model.jumps),
+    )
+
+
+def _ladder_models():
+    """The composites of every rung the benchmark's oscillator_ladder configs build."""
+    for d_s, gamma in ((4, 0.2), (6, 1.0)):
+        for d_a in (2, 4, 8, 16):
+            yield f"oscillator-dS{d_s}-gamma{gamma:g}-dA{d_a}", *embedding._composite(
+                EmbeddingSpec(oscillator_system(d_s), Lorentzian(g=1.0, omega0=5.0, gamma=gamma),
+                              d_a), DensityMatrix.fock(d_s, d_s - 1))
+
+
+def _reference_generator(coords, moves):
+    """_HermitianCoordinates.generator as it was: every term of every move sorted, zeros too."""
+    k, at = coords.entries.size, coords._at.ravel()
+    src, dst, val = moves
+    src = at[src]
+    on = src < k
+    src, dst, val = src[on], at[dst[on]], val[on]
+    w = coords._pair_weight * np.array([1.0, -1j])
+    at = coords._pair[dst][:, :, None] * k + coords._pair[src][:, None, :]
+    terms = (w[dst][:, :, None] * val[:, None, None] * w[src].conj()[:, None, :]).real
+    order = np.argsort(at, axis=None, kind="stable")
+    at = at.ravel()[order]
+    first = np.diff(at, prepend=-1) != 0
+    values = np.bincount(np.cumsum(first) - 1, terms.ravel()[order])
+    nonzero = values != 0.0
+    return at[first][nonzero], values[nonzero]
+
+
+def _reference_closure(src, dst, seeds, size):
+    """_closure as it was: the seeds queued in sorted order, read off a boolean array."""
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], np.arange(size + 1)).tolist()
+    heads = dst[order].tolist()
+    reached = np.zeros(size, dtype=bool)
+    reached[seeds] = True
+    queue = np.flatnonzero(reached).tolist()
+    reached = bytearray(reached)
+    for node in queue:
+        for head in heads[start[node]:start[node + 1]]:
+            if not reached[head]:
+                reached[head] = 1
+                queue.append(head)
+    return np.flatnonzero(np.frombuffer(reached, dtype=bool))
+
+
+def _reference_reachable_entries(moves, seed):
+    """_reachable_entries as it was: the edges and seeds named one array at a time."""
+    n = len(seed)
+    src, dst, seeds = (np.minimum(flat, flat % n * n + flat // n)
+                       for flat in (*moves[:2], np.flatnonzero(seed)))
+    reached = np.zeros((n, n), dtype=bool)
+    reached.flat[_reference_closure(src, dst, seeds, n * n)] = True
+    return np.flatnonzero(reached | reached.T)
+
+
+class TestLayoutHelpersMatchReference:
+    """The layout's block and its validation gathers, against the code they replaced, on
+    every shipped Lindblad model and every oscillator_ladder rung."""
+
+    MODELS = [*_shipped_models(), *_ladder_models()]
+
+    @pytest.mark.parametrize("name, model, rho0", MODELS, ids=[m[0] for m in MODELS])
+    def test_block_drift_and_channels_are_the_validated_blocks(self, name, model, rho0):
+        states = _reachable(model, rho0)
+        block, reference = _restricted(model, states), _reference_restricted(model, states)
+        assert block.dim == reference.dim
+        assert block.drift.tobytes() == reference.drift.tobytes()
+        assert [(rate, L.tobytes()) for rate, L in block.channels] == \
+            [(rate, L.tobytes()) for rate, L in reference.channels]
+        assert [m.tobytes() for m in dynamics._moves(block)] == \
+            [m.tobytes() for m in dynamics._moves(reference)]
+
+    @pytest.mark.parametrize("name, model, rho0", MODELS + [
+        (f"random-{seed}", *_random_sparse_model(seed)) for seed in range(20)],
+        ids=[m[0] for m in MODELS] + [f"random-{seed}" for seed in range(20)])
+    def test_generator_is_the_reference_sum(self, name, model, rho0):
+        states = _reachable(model, rho0)
+        coords = dynamics._coordinate_layout(model, rho0).coords
+        moves = dynamics._moves(_restricted(model, states))
+        assert [a.tobytes() for a in coords.generator(moves)] == \
+            [a.tobytes() for a in _reference_generator(coords, moves)]
+
+    @pytest.mark.parametrize("name, model, rho0", MODELS + [
+        (f"random-{seed}", *_random_sparse_model(seed)) for seed in range(20)],
+        ids=[m[0] for m in MODELS] + [f"random-{seed}" for seed in range(20)])
+    def test_layout_is_the_reference_layout(self, monkeypatch, name, model, rho0):
+        layout = dynamics._coordinate_layout(model, rho0)
+        monkeypatch.setattr(dynamics, "_closure", _reference_closure)
+        monkeypatch.setattr(dynamics, "_reachable_entries", _reference_reachable_entries)
+        monkeypatch.setattr(_HermitianCoordinates, "generator", _reference_generator)
+        reference = dynamics._coordinate_layout(model, rho0)
+        for field in ("states", "z0", "live"):
+            assert getattr(layout, field).tobytes() == getattr(reference, field).tobytes()
+        assert layout.coords.entries.tobytes() == reference.coords.entries.tobytes()
+        assert [a.tobytes() for a in layout.generator] == \
+            [a.tobytes() for a in reference.generator]
+
+    @pytest.mark.parametrize("name, model, rho0", MODELS, ids=[m[0] for m in MODELS])
+    def test_blocks_gather_the_entry_values(self, name, model, rho0):
+        coords = dynamics._coordinate_layout(model, rho0).coords
+        rng = np.random.default_rng(3)
+        curve = rng.normal(size=(5, coords.entries.size))
+        curve[1] = -0.0
+        curve[2, ::3] = np.nan
+        curve[3, 1::4] = -np.inf
+        with np.errstate(invalid="ignore"):
+            values, blocks = coords.values(curve), coords.blocks(curve)
+        assert [b.tobytes() for b in blocks] == [values[:, g].tobytes() for g in coords.groups]
+
+
 class TestRegressionCorrelator:
     def damped_ladder(self, gamma, d=4):
         return LindbladModel(dim=d, H=zero_op(d), jumps=((gamma, annihilation(d)),))

@@ -32,6 +32,7 @@ from pseudomode import (
     volterra_amplitude,
 )
 from pseudomode import cli, dynamics, embedding, integrators
+from pseudomode.algebra import check_block_diagonal
 from pseudomode.config import MAX_OUTPUT_POINTS, load_scenario
 
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -97,6 +98,67 @@ class TestBuildEmbedding:
     def test_small_ancilla_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingSpec(tls_system(), Lorentzian(g=1, omega0=0, gamma=1), 1)
+
+
+def _kron_composite(spec, rho_s0):
+    """_composite as it was: algebra.kron on Operators, through np.kron."""
+    system, d_a = spec.system, spec.d_A
+    a, one_s, one_a = annihilation(d_a), identity(system.d_S), identity(d_a)
+
+    def product(x, y):
+        return Operator(np.kron(x.mat, y.mat))
+
+    h = product(system.H_S, one_a) + spec.bath.g * (product(system.V.dagger(), a)
+                                                    + product(system.V, a.dagger()))
+    model = LindbladModel(dim=system.d_S * d_a, H=h,
+                          jumps=((spec.bath.gamma, product(one_s, a)),))
+    vac = np.zeros((d_a, d_a), dtype=complex)
+    vac[0, 0] = 1.0
+    return model, np.kron(rho_s0.mat, vac)
+
+
+def _signed_zero_system():
+    # -0.0 on H_S's diagonal and in every zero of -V
+    h = np.diag([-0.0, 0.3, -0.0]).astype(complex)
+    return SystemSpec(d_S=3, H_S=Operator(h), V=Operator(-annihilation(3).mat))
+
+
+class TestDirectComposite:
+    """_composite forms H, the jump operator and rho_S0 x vacuum by broadcast products;
+    they must be np.kron's, byte for byte."""
+
+    STRONG = Lorentzian(g=1.0, omega0=5.0, gamma=0.2)
+
+    @pytest.mark.parametrize("spec, rho", [
+        (EmbeddingSpec(tls_system(), STRONG, 3), EXCITED),
+        (EmbeddingSpec(tls_system(-0.7), Lorentzian(g=2.5, omega0=0, gamma=0.3), 3),
+         DensityMatrix.from_state([1.0, 1.0j])),
+        (EmbeddingSpec(oscillator_system(6), Lorentzian(g=1.0, omega0=5.0, gamma=1.0), 8),
+         DensityMatrix.fock(6, 5)),
+        (EmbeddingSpec(oscillator_system(6, 0.4), STRONG, 8), DensityMatrix.fock(6, 2)),
+        (EmbeddingSpec(_signed_zero_system(), Lorentzian(g=0.0, omega0=0, gamma=1.0), 4),
+         DensityMatrix.fock(3, 1)),
+    ], ids=["shipped-tls-dA3", "detuned-tls-dA3", "oscillator-dS6-dA8", "detuned-dS6-dA8",
+            "signed-zeros"])
+    def test_bit_for_bit_the_kron_composite(self, spec, rho):
+        model, rho0 = embedding._composite(spec, rho)
+        reference, reference_rho0 = _kron_composite(spec, rho)
+        assert model.dim == reference.dim
+        assert model.H.mat.tobytes() == reference.H.mat.tobytes()
+        assert [(rate, L.mat.tobytes()) for rate, L in model.jumps] == \
+            [(rate, L.mat.tobytes()) for rate, L in reference.jumps]
+        assert model.drift.tobytes() == reference.drift.tobytes()
+        assert rho0.tobytes() == reference_rho0.tobytes()
+
+    def test_composite_is_still_validated(self):
+        # V is not checked by SystemSpec; a non-finite V reaches the composite H
+        v = annihilation(2).mat.copy()
+        v[0, 1] = np.inf
+        spec = EmbeddingSpec(SystemSpec(d_S=2, H_S=Operator(np.zeros((2, 2))), V=Operator(v)),
+                             self.STRONG, 3)
+        with pytest.raises(ValueError, match="Hamiltonian must have finite entries"), \
+                np.errstate(invalid="ignore"):
+            embedding._composite(spec, EXCITED)
 
 
 class TestSimulateLorentzian:
@@ -502,6 +564,41 @@ class TestBlockValidation:
         assert np.max(np.abs(blockwise - full_min)) <= 1e-14
 
 
+class TestCurveDefect:
+    """_check_curve reads each instant's Hermiticity defect in one pass over the curve; it
+    must raise what reading every block entry against its transpose raises."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_fail_as_the_block_read(self, bad):
+        coords, entries, n = TestBlockValidation.coordinates()
+        row, col = np.divmod(entries, n)
+        k = entries.size
+        # coordinate 0 (read also where a block holds no entry), a diagonal, an upper and
+        # a lower coordinate of a transposed pair, and the last
+        for at in (0, int(np.flatnonzero(row == col)[3]), int(np.flatnonzero(row < col)[0]),
+                   int(np.flatnonzero(row > col)[-1]), k - 1):
+            for instant in (0, 4, 6):
+                curve = TestBlockValidation.mixed_curve(entries, n)
+                curve[instant, at] = bad
+                with np.errstate(invalid="ignore"):
+                    with pytest.raises(DensityMatrixError) as expected:
+                        check_block_diagonal(coords.blocks(curve), total=len(curve))
+                    with pytest.raises(DensityMatrixError) as seen:
+                        embedding._check_curve(curve, coords)
+                assert str(seen.value) == str(expected.value)
+                assert f"not Hermitian: defect nan (matrix {instant} of 7)" in str(seen.value)
+
+    def test_finite_curves_have_no_defect(self):
+        # T^dag x is Hermitian for any finite x: the block read finds no defect, not even
+        # on signed zeros and values far apart in size
+        coords, entries, n = TestBlockValidation.coordinates()
+        rng = np.random.default_rng(11)
+        curve = rng.normal(size=(9, entries.size)) * 10.0 ** rng.integers(-300, 300, (9, 1))
+        curve[:, ::7] = -0.0
+        defects = [np.abs(b - b.conj().swapaxes(-1, -2)).max() for b in coords.blocks(curve)]
+        assert max(defects) == 0.0
+
+
 class TestPinnedRungMargin:
     """test_unreachable_tolerance_raises and test_truncation_failure_is_4 raise only
     while consecutive ladder rungs differ by more than their 1e-12 tolerance."""
@@ -789,7 +886,8 @@ class TestChooseTruncation:
                               IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8), tol=1e-12)
 
     def test_ladder_stops_at_the_composite_bound(self, monkeypatch):
-        # unbounded, this ladder built composites of dimension 8 up to 512
+        # only d_A = 2 and 4 build composites (dimension 8 and 16): d_A = 4's layout is
+        # final, d_A = 8 and 16 reuse it, and d_A = 32 is past the lowered bound
         monkeypatch.setattr(embedding, "MAX_COMPOSITE_DIM", 64)
         built = []
         composite = embedding._composite

@@ -1,10 +1,13 @@
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudomode import integrators
+from pseudomode import DensityMatrix, EmbeddingSpec, cli, dynamics, embedding, integrators
+from pseudomode import trajectories
+from pseudomode.config import load_scenario
 from pseudomode.integrators import (
     Dopri5,
     IntegratorConfig,
@@ -228,3 +231,121 @@ class TestDenseOutput:
         st.step(1.0)
         with pytest.raises(ValueError):
             st.interpolate(st.t + 1.0)
+
+
+def _reference_step(self, t_limit):
+    """Dopri5.step before |y| was carried over from the accepted step and one np.errstate
+    covered every trial: each trial recomputes |y| and enters np.errstate itself."""
+    if t_limit <= self.t:
+        raise ValueError(f"t_limit {t_limit} not ahead of current time {self.t}")
+    cfg = self.cfg
+    y = self.y
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    while True:
+        h = min(self.h, cfg.max_step, t_limit - self.t)
+        hits_limit = h >= t_limit - self.t
+        if h < integrators._UNDERFLOW * max(abs(self.t), 1.0):
+            raise IntegrationError(f"step size underflow at t = {self.t:.6g}", t_last=self.t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_new, err, k_next = self._trial(h)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            ratio = np.abs(err) / scale
+            err_norm = float(np.sqrt(np.mean(ratio * ratio) * self._norm_weight))
+        if not np.isfinite(err_norm) or not np.isfinite(y_new).all():
+            self.h = h * integrators._MIN_FACTOR
+            continue
+        if err_norm <= 1.0:
+            t_old = self.t
+            self.t = t_limit if hits_limit else self.t + h
+            self._last = (t_old, h, y, self._k1)
+            self._k1 = k_next
+            self.y = y_new
+            if err_norm == 0.0:
+                factor = integrators._MAX_FACTOR
+            else:
+                factor = (integrators._SAFETY * err_norm ** (-integrators._PI_ALPHA)
+                          * self._err_prev ** integrators._PI_BETA)
+                factor = min(integrators._MAX_FACTOR, max(integrators._MIN_FACTOR, factor))
+            self.h = h * factor
+            self._err_prev = max(err_norm, 1e-4)
+            return
+        self.h = h * min(1.0, max(integrators._MIN_FACTOR,
+                                  integrators._SAFETY * err_norm ** (-integrators._PI_ALPHA)))
+
+
+def _shipped_generators():
+    """The real generator R on the live coordinates, their initial values and the complex
+    drift, of the shipped two-level d_A = 3 model and of the oscillator d_S = 6, d_A = 8."""
+    cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs"
+                        / "pseudomode_strong_coupling.json")
+    cases = {
+        "tls-dA3": (EmbeddingSpec(cfg.system, cfg.bath, cfg.d_A), cli._initial_density(cfg)),
+        "oscillator-dS6-dA8": (EmbeddingSpec(embedding.oscillator_system(6), cfg.bath, 8),
+                               DensityMatrix.fock(6, 5)),
+    }
+    for name, (spec, rho) in cases.items():
+        model, rho0 = embedding._composite(spec, rho)
+        layout = dynamics._coordinate_layout(model, rho0)
+        c = layout.live.size
+        generator = np.bincount(*layout.generator, c * c).reshape(c, c)
+        yield name, generator, layout.z0.real[layout.live], model.drift, rho0.size
+
+
+@pytest.mark.parametrize("case", ["tls-dA3", "oscillator-dS6-dA8"])
+def test_step_is_the_reference_step_bit_for_bit(monkeypatch, case):
+    (_, generator, x0, drift, norm_size), = [g for g in _shipped_generators() if g[0] == case]
+    cfg = IntegratorConfig()
+    loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, initial_step=0.3)
+    times = np.linspace(0.0, 10.0, 21)
+
+    def runs(step):
+        accepted = []
+
+        def recorded(self, t_limit):
+            step(self, t_limit)
+            accepted.append((type(self).__name__, self.t))
+
+        monkeypatch.setattr(Dopri5, "step", recorded)
+        out = [integrators.propagator(generator, 0.05, cfg, norm_size=norm_size),
+               integrators.propagator(generator, 2.0, loose, norm_size=norm_size),
+               np.array(list(iter_instants(lambda y: generator @ y, x0, times, cfg,
+                                           norm_size=norm_size))),
+               np.array(list(iter_instants(lambda y: generator @ y, x0, times, loose))),
+               trajectories.propagator(drift, 0.05, cfg),
+               trajectories.propagator(drift, 0.5, loose)]
+        return accepted, [a.tobytes() for a in out]
+
+    new_steps, new_bytes = runs(Dopri5.step)
+    reference_steps, reference_bytes = runs(_reference_step)
+    assert len(new_steps) > 50
+    assert new_steps == reference_steps
+    assert new_bytes == reference_bytes
+
+
+def test_finite_state_whose_modulus_overflows_steps_as_the_reference(monkeypatch):
+    # |1.5e308 + 1.5e308j| is inf: a trial is rejected for a non-finite state, not for its modulus
+    y0 = np.array([1.5e308 + 1.5e308j, 0.5 - 1j])
+
+    def run(step):
+        monkeypatch.setattr(Dopri5, "step", step)
+        stepper = Dopri5(lambda y: -1e-3 * y, 0.0, y0, IntegratorConfig())
+        stepper.step(1.0)
+        return stepper.t, stepper.h, stepper.y.tobytes()
+
+    with np.errstate(over="ignore"):
+        new, reference = run(Dopri5.step), run(_reference_step)
+    assert new == reference
+    assert new[0] > 0.0
+
+
+def test_polynomial_powers_are_the_stacked_products():
+    # the powers of the scaled generator, each product written into its slot of one
+    # array, against the list of products stacked afterwards
+    for _, generator, *_ in _shipped_generators():
+        stepper = integrators._PolynomialDopri5(generator, np.eye(len(generator)),
+                                                IntegratorConfig())
+        scaled = generator * np.ldexp(1.0, -stepper._shift)
+        powers = [scaled]
+        for _ in range(len(integrators._STEP_POLY) - 2):
+            powers.append(powers[-1] @ scaled)
+        assert stepper._powers.tobytes() == np.array(powers).reshape(len(powers), -1).tobytes()

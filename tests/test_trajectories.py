@@ -608,7 +608,8 @@ def _reference_locate_crossings(rhs, y_a, widths, thresholds, norm_end, tol):
 
 
 def _reference_jump_rows(prop, rows, y_a, norm_end, t_a, thresholds, rngs, jump_log):
-    """_jump_rows as it was before waves: one t_a and one tolerance per group.
+    """The jump routine (_jump, which once called a _jump_rows layer) as it was before
+    waves: one t_a and one tolerance per group.
 
     Two things differ from that code: the channel broadcast is fixed, and
     products go through _rows_times, so that both cores round alike.
