@@ -1,11 +1,12 @@
 """Dense complex operator algebra on small tensor-product Hilbert spaces.
 
 Everything here is a pure function over immutable values; density matrices
-validate their physical invariants once, at construction.
+validate their physical invariants once per construction or once per stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,15 @@ class DensityMatrix:
     @classmethod
     def from_state(cls, psi) -> DensityMatrix:
         """Projector |psi><psi| onto a normalized pure state."""
-        vec = np.asarray(psi, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0.0:
+        parts = np.array(psi, dtype=complex).reshape(-1).view(float)
+        peak = float(np.abs(parts).max(initial=0.0))  # NaN if any entry is NaN
+        if not math.isfinite(peak):
+            raise ValueError("cannot build a density matrix from a vector with non-finite entries")
+        if peak == 0.0:
             raise ValueError("cannot build a density matrix from the zero vector")
-        vec = vec / nrm
+        # 2^e ~ the largest entry scales out exactly, so the norm neither overflows nor underflows
+        vec = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+        vec = vec / np.linalg.norm(vec)
         return cls(Operator(np.outer(vec, vec.conj())))
 
     @classmethod
@@ -197,6 +202,15 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
+
+
+def _density_matrices(stack: np.ndarray) -> list[DensityMatrix]:
+    """One DensityMatrix per matrix of an (m, n, n) stack, checked once by check_density_matrices."""
+    check_density_matrices(stack)
+    states = [object.__new__(DensityMatrix) for _ in range(len(stack))]
+    for state, mat in zip(states, stack):
+        object.__setattr__(state, "op", Operator(mat))
+    return states
 
 
 @dataclass(frozen=True)
@@ -256,7 +270,7 @@ def kron(a: Operator, b: Operator) -> Operator:
 def partial_trace(rho: DensityMatrix, fact: HilbertFactorization, keep: int) -> DensityMatrix:
     """Reduced state on factor `keep` (0 or 1), tracing out the other factor."""
     fact.check(rho.dim)
-    if keep not in (0, 1):
+    if not (_is_int(keep) and keep in (0, 1)):
         raise ValueError(f"keep index {keep} outside factorization {fact.dims}")
     # axes (i0, i1, j0, j1): trace over the pair (i, j) of the factor not kept
     traced = 1 - keep

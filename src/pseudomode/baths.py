@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .algebra import _is_int
+
 
 @dataclass(frozen=True)
 class Flat:
@@ -112,6 +114,10 @@ def verify_fourier_pair(
         raise TypeError("Fourier-pair check applies to the Lorentzian model only")
     if omega_half_width is None:
         omega_half_width = 40.0 * sd.gamma
+    if not (_is_int(n_quad) and n_quad >= 2):
+        raise ValueError(f"n_quad must be an integer >= 2, got {n_quad!r}")
+    if not (math.isfinite(omega_half_width) and omega_half_width > 0.0):
+        raise ValueError(f"omega_half_width must be positive and finite, got {omega_half_width!r}")
     taus = np.asarray(tau_grid, dtype=float).reshape(-1)
     omegas = np.linspace(sd.omega0 - omega_half_width, sd.omega0 + omega_half_width, n_quad)
     weights = spectral_density_eval(sd, omegas)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import DensityMatrix, Operator, _is_int, hermiticity_defect
+from .algebra import DensityMatrix, Operator, _density_matrices, _is_int, hermiticity_defect
 from .integrators import IntegratorConfig, iter_instants
 
 STATIONARITY_TOL = 1e-8
@@ -395,7 +395,8 @@ def evolve(
     so every state is Hermitian by construction. The error norm still averages
     over the whole matrix's d^2 entries, so the steps are close to those of
     the full-space run. Trace and positivity are not adjusted, so drift
-    beyond the DensityMatrix tolerances raises instead of being masked.
+    beyond the DensityMatrix tolerances raises instead of being masked; the
+    whole curve is checked in one stacked pass (_density_matrices).
     """
     if rho0.dim != model.dim:
         raise ValueError(f"initial state dim {rho0.dim} != model dim {model.dim}")
@@ -404,7 +405,7 @@ def evolve(
                                    cfg, rho0.mat.size)
     full = np.zeros((grid.n_points,) + rho0.mat.shape, dtype=complex)
     full[:, layout.states[:, None], layout.states] = layout.coords.matrix(layout.widen(curve))
-    return [DensityMatrix(Operator(m)) for m in full]
+    return _density_matrices(full)
 
 
 def regression_correlator(

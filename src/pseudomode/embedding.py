@@ -35,6 +35,7 @@ from .algebra import (
     DensityMatrix,
     HilbertFactorization,
     Operator,
+    _density_matrices,
     _is_int,
     _kron,
     annihilation,
@@ -301,12 +302,13 @@ def simulate_lorentzian(
 ) -> list[DensityMatrix]:
     """Reduced system states at each grid instant for a Lorentzian reservoir.
 
-    One DensityMatrix per instant of _reduced_curve on the composite model.
+    One DensityMatrix per instant of _reduced_curve on the composite model,
+    whose reduced stack is checked once: a partial trace can leave tolerance.
     Warns with FockTruncationWarning if the top ancilla Fock level ever
     carries more than 1e-6 population.
     """
     model, rho0 = _composite(spec, rho_S0)
-    return [DensityMatrix(Operator(r)) for r in _reduced_curve(model, rho0, spec.d_A, grid, cfg)]
+    return _density_matrices(_reduced_curve(model, rho0, spec.d_A, grid, cfg))
 
 
 def choose_truncation(

@@ -228,6 +228,8 @@ def build_discrete_bath(bath: Lorentzian, n_modes: int, half_width: float) -> Di
     """Sample the line at n_modes midpoints across detunings +/- half_width."""
     if not (_is_int(n_modes) and n_modes >= 50):
         raise ValueError(f"n_modes must be an integer >= 50 for a faithful bath, got {n_modes!r}")
+    if not math.isfinite(half_width):
+        raise ValueError(f"window half-width must be finite, got {half_width!r}")
     if half_width < 10.0 * bath.gamma:
         raise ValueError(f"window half-width {half_width:g} below 10 gamma = {10 * bath.gamma:g}")
     d_omega = 2.0 * half_width / n_modes

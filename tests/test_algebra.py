@@ -177,7 +177,7 @@ class TestPartialTrace:
         assert fact.dims == (2, 3)
         assert [type(d) for d in fact.dims] == [int, int]
 
-    @pytest.mark.parametrize("keep", [-1, 2])
+    @pytest.mark.parametrize("keep", [-1, 2, True, 1.0])
     def test_keep_outside_factorization(self, rng, keep):
         with pytest.raises(ValueError, match="keep index"):
             partial_trace(random_density(rng, 6), HilbertFactorization((2, 3)), keep=keep)
@@ -247,6 +247,35 @@ class TestDensityMatrix:
     def test_fock_dimension_must_be_an_integer(self, dim):
         with pytest.raises(ValueError, match="Fock dimension must be an integer"):
             DensityMatrix.fock(dim, 0)
+
+    def test_from_state_whose_norm_overflows(self):
+        # the norm of (1e200, 1e200) is past the float range
+        rho = DensityMatrix.from_state([1e200, 1e200])
+        assert np.max(np.abs(rho.mat - 0.5)) <= 1e-15
+
+    def test_from_state_whose_norm_underflows(self):
+        # the norm of (1e-200, 0) rounds to zero
+        assert DensityMatrix.from_state([1e-200, 0.0]).mat.tobytes() == \
+            DensityMatrix.fock(2, 0).mat.tobytes()
+
+    @pytest.mark.parametrize("psi", [[np.inf, 0.0], [np.nan, 1.0], [1.0, complex(0.0, -np.inf)]])
+    def test_from_state_refuses_non_finite_entries(self, psi):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix.from_state(psi)
+
+    @pytest.mark.parametrize("psi", [[0.0, 0.0], []])
+    def test_from_state_refuses_the_zero_vector(self, psi):
+        with pytest.raises(ValueError, match="zero vector"):
+            DensityMatrix.from_state(psi)
+
+    def test_from_state_keeps_the_bits_of_plain_normalization(self, rng):
+        # scaling by a power of two changes no bit while the norm stays in range
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            psi = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-30, 31)
+            vec = psi / np.linalg.norm(psi)
+            assert DensityMatrix.from_state(psi).mat.tobytes() == \
+                np.outer(vec, vec.conj()).tobytes()
 
 
 class TestCheckDensityMatrices:

@@ -145,3 +145,15 @@ class TestFourierPair:
     def test_flat_rejected(self):
         with pytest.raises(TypeError):
             verify_fourier_pair(Flat(f2=1.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("n_quad", [1, 0, 2.0, 20001.5, True])
+    def test_quadrature_needs_two_integer_points(self, n_quad):
+        # n_quad = 1 returned a residual of 1.0 without complaint
+        with pytest.raises(ValueError, match="n_quad must be an integer >= 2"):
+            verify_fourier_pair(self.SD, [0.0], n_quad=n_quad)
+
+    @pytest.mark.parametrize("half_width", [-1.0, 0.0, np.nan, np.inf])
+    def test_window_must_be_positive_and_finite(self, half_width):
+        # -1.0 returned a residual of 1.70 without complaint
+        with pytest.raises(ValueError, match="omega_half_width must be positive and finite"):
+            verify_fourier_pair(self.SD, [0.0], omega_half_width=half_width)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pseudomode import (
     DensityMatrix,
+    DensityMatrixError,
     EmbeddingSpec,
     IntegratorConfig,
     LindbladModel,
@@ -27,7 +28,7 @@ from pseudomode import (
     sigma_minus,
     tls_system,
 )
-from pseudomode import cli, dynamics, embedding, integrators
+from pseudomode import algebra, cli, dynamics, embedding, integrators
 from pseudomode.config import load_scenario
 from pseudomode.dynamics import (
     _HermitianCoordinates,
@@ -776,6 +777,70 @@ class TestLayoutHelpersMatchReference:
         with np.errstate(invalid="ignore"):
             values, blocks = coords.values(curve), coords.blocks(curve)
         assert [b.tobytes() for b in blocks] == [values[:, g].tobytes() for g in coords.groups]
+
+
+def _per_instant(stack):
+    """The states as evolve built them before the stacked check."""
+    return [DensityMatrix(Operator(m)) for m in stack]
+
+
+class TestEvolveValidatesOnce:
+    """evolve checks its whole curve in one stacked pass and returns the same states, bit
+    for bit, that one validated DensityMatrix per instant gave."""
+
+    GRID = TimeGrid(0.0, 10.0, 201)
+
+    @staticmethod
+    def assert_same_bits(monkeypatch, model, rho0, grid):
+        states = evolve(model, rho0, grid)
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_density_matrices", _per_instant)
+            reference = evolve(model, rho0, grid)
+        assert [type(s) for s in states] == [DensityMatrix] * grid.n_points
+        assert [s.mat.tobytes() for s in states] == [s.mat.tobytes() for s in reference]
+
+    def test_shipped_composites(self, monkeypatch):
+        for name, model, rho0 in _shipped_models():
+            if name.endswith("-dA3"):
+                self.assert_same_bits(monkeypatch, model, DensityMatrix(Operator(rho0)), self.GRID)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sparse_models(self, monkeypatch, seed):
+        model, rho0 = _random_sparse_model(seed)
+        rho0 = DensityMatrix(Operator(rho0 / np.trace(rho0)))
+        self.assert_same_bits(monkeypatch, model, rho0, TimeGrid(0.0, 1.0, 11))
+
+    def test_one_stacked_check_and_no_per_instant_validation(self, monkeypatch):
+        model, rho0 = embedding._composite(
+            EmbeddingSpec(tls_system(), Lorentzian(g=1.0, omega0=0.0, gamma=0.2), 3),
+            DensityMatrix.fock(2, 1))
+        rho0 = DensityMatrix(Operator(rho0))
+        checked = []
+        check = algebra.check_density_matrices
+        monkeypatch.setattr(algebra, "check_density_matrices",
+                            lambda stack: checked.append(stack.shape) or check(stack))
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self: pytest.fail("a state was validated on its own"))
+        states = evolve(model, rho0, self.GRID)
+        assert checked == [(self.GRID.n_points, 6, 6)]
+        assert all(not s.mat.flags.writeable for s in states)
+        joined = [rho0]
+        joined.extend(states)
+        assert len(joined) == self.GRID.n_points + 1 and joined[1:] == states
+
+    @pytest.mark.parametrize("first_bad", [0, 5])
+    def test_curve_off_the_trace_names_the_instant(self, monkeypatch, first_bad):
+        integrate = dynamics._integrate_coordinates
+
+        def tilted(*args, **kwargs):
+            curve = integrate(*args, **kwargs)
+            curve[first_bad:] *= 1.01
+            return curve
+
+        monkeypatch.setattr(dynamics, "_integrate_coordinates", tilted)
+        grid = TimeGrid(0.0, 1.0, 11)
+        with pytest.raises(DensityMatrixError, match=rf"trace .* \(matrix {first_bad} of 11\)"):
+            evolve(decay_model(), DensityMatrix.fock(2, 1), grid)
 
 
 class TestRegressionCorrelator:

@@ -31,7 +31,7 @@ from pseudomode import (
     trace_distance,
     volterra_amplitude,
 )
-from pseudomode import cli, dynamics, embedding, integrators
+from pseudomode import algebra, cli, dynamics, embedding, integrators
 from pseudomode.algebra import check_block_diagonal
 from pseudomode.config import MAX_OUTPUT_POINTS, load_scenario
 
@@ -215,6 +215,74 @@ class TestSimulateLorentzian:
             simulate_lorentzian(spec, EXCITED, TimeGrid(0, 2, 5), TIGHT)
 
 
+def _per_instant(stack):
+    """The states as evolve and simulate_lorentzian built them before the stacked check."""
+    return [DensityMatrix(Operator(m)) for m in stack]
+
+
+def _shipped_two_level_runs():
+    """simulate_lorentzian's arguments for every shipped Lorentzian config, at d_A = 3."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        cfg = load_scenario(path)
+        if isinstance(cfg.bath, Lorentzian):
+            yield path.stem, (EmbeddingSpec(cfg.system, cfg.bath, 3), cli._initial_density(cfg),
+                              cfg.grid, cfg.integrator)
+
+
+def _oscillator_ladder_runs():
+    """simulate_lorentzian's arguments for every rung of the benchmark's oscillator ladder."""
+    for d_s, gamma in ((4, 0.2), (6, 1.0)):
+        for d_a in (2, 4, 8, 16):
+            spec = EmbeddingSpec(oscillator_system(d_s), Lorentzian(g=1.0, omega0=5.0, gamma=gamma),
+                                 d_a)
+            yield f"dS{d_s}-gamma{gamma:g}-dA{d_a}", (spec, DensityMatrix.fock(d_s, d_s - 1),
+                                                      TimeGrid(0.0, 10.0, 201), IntegratorConfig())
+
+
+class TestStackedStates:
+    """simulate_lorentzian checks its reduced stack once and returns the same states, bit for
+    bit, that one validated DensityMatrix per instant gave."""
+
+    RUNS = dict([*_shipped_two_level_runs(), *_oscillator_ladder_runs()])
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_same_bits_as_per_instant_states(self, monkeypatch, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FockTruncationWarning)
+            states = simulate_lorentzian(*self.RUNS[name])
+            monkeypatch.setattr(embedding, "_density_matrices", _per_instant)
+            reference = simulate_lorentzian(*self.RUNS[name])
+        assert [type(s) for s in states] == [DensityMatrix] * len(reference)
+        assert [s.mat.tobytes() for s in states] == [s.mat.tobytes() for s in reference]
+
+    def test_states_behave_as_a_list_of_read_only_density_matrices(self):
+        spec, rho, grid, cfg = self.RUNS["pseudomode_strong_coupling"]
+        states = simulate_lorentzian(spec, rho, grid, cfg)
+        assert isinstance(states, list) and len(states) == grid.n_points
+        assert states[-1] is list(iter(states))[-1] and repr(states[0]) == "DensityMatrix(dim=2)"
+        assert states[0].dim == 2 and isinstance(states[0].op, Operator)
+        for state in states:
+            assert not state.mat.flags.writeable
+            with pytest.raises(ValueError):
+                state.mat[0, 0] = 0.0
+        joined = []
+        joined.extend(states)
+        assert joined == states
+
+    def test_reduced_stack_that_breaks_the_trace_names_the_instant(self, monkeypatch):
+        curve = embedding._reduced_curve
+
+        def tilted(*args, **kwargs):
+            reduced = curve(*args, **kwargs)
+            reduced[7:] *= 1.01
+            return reduced
+
+        monkeypatch.setattr(embedding, "_reduced_curve", tilted)
+        spec, rho, grid, cfg = self.RUNS["pseudomode_strong_coupling"]
+        with pytest.raises(DensityMatrixError, match=rf"trace .* \(matrix 7 of {grid.n_points}\)"):
+            simulate_lorentzian(spec, rho, grid, cfg)
+
+
 def _cross_sector_superposition(d_s):
     psi = np.zeros(d_s)
     psi[[0, 3]] = 1.0
@@ -262,9 +330,13 @@ class TestGridStepPath:
             validate(self)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        checked = []
+        check = algebra.check_density_matrices
+        monkeypatch.setattr(algebra, "check_density_matrices",
+                            lambda stack: checked.append(stack.shape) or check(stack))
         states = simulate_lorentzian(spec, rho0, self.GRID)
         assert len(states) == self.GRID.n_points
-        assert built == [4] * self.GRID.n_points
+        assert built == [] and checked == [(self.GRID.n_points, 4, 4)]
 
     @pytest.mark.parametrize("system, d_a, rho0, entries, propagated", [
         (tls_system(), 3, EXCITED, 5, 4),

@@ -208,6 +208,12 @@ class TestDiscreteBath:
         with pytest.raises(ValueError, match="half-width"):
             build_discrete_bath(self.BATH, n_modes=100, half_width=0.5)
 
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf])
+    def test_half_width_must_be_finite(self, half_width):
+        # nan passed the window check and ended in "couplings past the float range"
+        with pytest.raises(ValueError, match=f"window half-width must be finite, got {half_width}"):
+            build_discrete_bath(self.BATH, 100, half_width)
+
     @pytest.mark.parametrize("n_modes", [100.5, 100.0, np.float64(100.0), "100"])
     def test_mode_count_must_be_an_integer(self, n_modes):
         # np.arange would take 100.0 as 100 modes, and 100.5 as 101
